@@ -81,8 +81,8 @@ zoojson:
 	go run ./cmd/avivbench -zoojson BENCH_zoo.json
 
 # Race-enabled short subset of the incremental-compilation differential
-# suite: delta-path output byte-identical to from-scratch compiles over
-# an edit stream (also part of ci.sh).
+# suite: output over warm per-block cache tiers byte-identical to
+# uncached compiles over an edit stream (also part of ci.sh).
 editsmoke:
 	go test -race -short -run '^TestEditDifferentialCorpus$$' -count=1 .
 

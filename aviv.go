@@ -63,18 +63,19 @@ type Options struct {
 	// description, and Compile fails with a *verify.VerifyError when any
 	// invariant is violated.
 	Verify bool
-	// Cache, when non-nil, memoizes per-block coverings across Compile
-	// calls, keyed by content fingerprints of the block, machine, and
-	// covering options (cover.NewCache). Emitted programs are
-	// byte-identical with and without it; recompiles of unchanged blocks
-	// skip the covering search entirely.
+	// Cache, when non-nil, is the per-block memory tier shared across
+	// Compile calls (cover.NewBoundedCache): it holds finished blocks
+	// under a key covering everything a block's code depends on (see
+	// blockKey), so recompiling an unchanged block skips covering,
+	// peephole, register allocation and emission. Emitted programs are
+	// byte-identical with and without it.
 	Cache *cover.Cache
 	// DiskCache, when non-nil, is the persistent tier below Cache
-	// (internal/diskcache): coverings missing from memory are looked up
-	// on disk before searching, and fresh coverings are written back, so
-	// the cache survives process restarts. Like Cache, it cannot change
-	// output — corrupted or stale entries degrade to misses and decoded
-	// coverings are re-verified.
+	// (internal/diskcache): it holds each block's pre-peephole covering
+	// under the same key, so a block missing from memory skips the
+	// covering search and survives process restarts. Like Cache, it
+	// cannot change output — entries that fail to decode are deleted and
+	// recompiled, and decoded coverings are re-verified.
 	DiskCache cover.EntryStore
 }
 
@@ -100,9 +101,8 @@ type BlockResult struct {
 	// "#Nodes" columns).
 	DAG *sndag.DAG
 	// Covering is the raw pre-peephole covering as returned by
-	// cover.CoverBlock — the unit the persistent cache tiers serialize
-	// (cover.EncodeResult). internal/delta persists it under its
-	// context fingerprints; Solution below is the post-peephole view
+	// cover.CoverBlock — the unit the persistent tier serializes
+	// (cover.EncodeResult); Solution below is the post-peephole view
 	// everything downstream consumes.
 	Covering *cover.Result
 	// Solution is the covering (instruction count = code size metric).
@@ -135,29 +135,39 @@ type CompileResult struct {
 // including control-flow instructions.
 func (r *CompileResult) CodeSize() int { return r.Program.CodeSize() }
 
-// CompileBlock compiles a single basic block, recording per-phase
-// timings and effort counters in the result's Metrics.
+// CompileBlock compiles a single basic block from scratch, consulting
+// no cache tier, and records per-phase timings and effort counters in
+// the result's Metrics.
 func CompileBlock(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, error) {
 	total := metrics.StartTimer()
-	bm := metrics.BlockMetrics{Block: b.Name}
-	phase := metrics.StartTimer()
-	opts.Cover.Cache = opts.Cache
-	opts.Cover.Store = opts.DiskCache
 	res, err := cover.CoverBlock(b, m, opts.Cover)
 	if err != nil {
 		return nil, fmt.Errorf("aviv: block %s: %w", b.Name, err)
 	}
-	bm.Cover = phase.Elapsed()
+	coverTime := total.Elapsed()
+	br, err := finishBlock(b, res, opts.Peephole)
+	if err != nil {
+		return nil, err
+	}
+	br.Metrics.Cover = coverTime
+	br.Metrics.Total = total.Elapsed()
+	return br, nil
+}
+
+// finishBlock runs the passes after covering — peephole, register
+// allocation, emission — and fills in every metric but Cover and Total.
+func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error) {
+	bm := metrics.BlockMetrics{Block: b.Name}
 	sol := res.Best
 	saved := 0
-	if opts.Peephole {
-		phase = metrics.StartTimer()
+	if peep {
+		phase := metrics.StartTimer()
 		before := sol.Cost()
 		sol = peephole.Optimize(sol)
 		saved = before - sol.Cost()
 		bm.Peephole = phase.Elapsed()
 	}
-	phase = metrics.StartTimer()
+	phase := metrics.StartTimer()
 	alloc, err := regalloc.Allocate(sol)
 	if err != nil {
 		return nil, fmt.Errorf("aviv: block %s: %w", b.Name, err)
@@ -177,9 +187,6 @@ func CompileBlock(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, err
 	bm.PrunedStores = res.PrunedStores
 	bm.PrunedAssignments = res.PrunedAssignments
 	bm.MemoHits = res.MemoHits
-	bm.CacheHit = res.CacheHit
-	bm.DiskHit = res.DiskHit
-	bm.Total = total.Elapsed()
 	return &BlockResult{
 		Block:               b,
 		DAG:                 res.DAG,
@@ -208,9 +215,7 @@ func ResolveParallelism(par int) int {
 // Cover.VarPlacement entries for one function: on machines with more
 // than one data memory the automatic bank assignment (package place) is
 // merged under any explicit entries, which win. The returned Options
-// are what the per-block pipeline actually keys and compiles against —
-// Compile and the internal/delta engine both resolve through here, so
-// placement can never drift between the full and the incremental path.
+// are what the per-block pipeline actually keys and compiles against.
 // (place.Assign is a function of the whole ir.Func: an edit anywhere
 // can move a variable to another bank, which then shows up in every
 // affected block's options fingerprint.)
@@ -255,6 +260,11 @@ func (o Options) poolSize(nBlocks int) int {
 // byte-for-byte identical to the serial Parallelism=1 path. On error the
 // first failing block in original block order is reported, also
 // regardless of parallelism.
+//
+// Compile is also the incremental path: with Options.Cache or
+// Options.DiskCache set, every block whose key is unchanged since an
+// earlier compile is reused from the tiers instead of re-covered (see
+// blockCache), and the output stays byte-identical.
 func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) {
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("aviv: %w", err)
@@ -279,6 +289,7 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 		}
 	}
 	opts = PlacementOptions(f, m, opts)
+	tiers := newBlockCache(m, opts)
 	par := opts.poolSize(len(f.Blocks))
 	coll := metrics.NewCollector(par)
 	results := make([]*BlockResult, len(f.Blocks))
@@ -286,7 +297,7 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	compileOne := func(i, worker int) {
 		o := opts
 		o.Cover.LiveOut = liveOuts[i]
-		br, err := CompileBlock(f.Blocks[i], m, o)
+		br, err := tiers.compile(f.Blocks[i], m, o)
 		if err != nil {
 			errs[i] = err
 			return
@@ -359,7 +370,10 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 // consumed (Solution.Block — the liveness-pruned clone when pruning
 // happened), and the prune itself is re-derived independently by
 // verify.CheckPrune, so neither the dataflow solver nor the pruner is
-// trusted with the source-to-code correspondence.
+// trusted with the source-to-code correspondence. Fresh and reused
+// blocks get the same checks: a reused block's covered block comes from
+// an earlier compile, so it is compared with the current block by
+// fingerprint, not by pointer.
 func verifyResult(out *CompileResult, liveOuts []map[string]bool) *verify.VerifyError {
 	byName := make(map[string]*BlockResult, len(out.Blocks))
 	var all []verify.Violation
@@ -368,7 +382,7 @@ func verifyResult(out *CompileResult, liveOuts []map[string]bool) *verify.Verify
 		t := metrics.StartTimer()
 		covered := br.Solution.Block
 		vs := verify.BlockCode(br.Code, out.Machine, covered)
-		if covered != br.Block {
+		if covered.Fingerprint() != br.Block.Fingerprint() {
 			vs = append(vs, verify.CheckPrune(br.Block, covered, liveOuts[i])...)
 		}
 		br.Metrics.Verify = t.Elapsed()
@@ -395,10 +409,10 @@ func verifyResult(out *CompileResult, liveOuts []map[string]bool) *verify.Verify
 //
 // Layout is a whole-program decision: it mutates each block's Branch in
 // place depending on which block happens to follow it. Cached per-block
-// artifacts must therefore be pre-layout (internal/delta stitches
-// pristine clones and re-runs LayoutProgram globally on every compile —
-// that is how "predecessors' layout assumptions" stay out of the
-// per-block cache keys).
+// artifacts must therefore be pre-layout (the memory tier hands out
+// clones of pristine blocks and Compile re-runs LayoutProgram on every
+// compile — that is how "predecessors' layout assumptions" stay out of
+// the per-block cache keys).
 func LayoutProgram(p *asm.Program) {
 	if len(p.Blocks) == 0 {
 		return

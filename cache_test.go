@@ -25,7 +25,7 @@ func TestCompileCacheByteIdentical(t *testing.T) {
 		t.Run(preset.name, func(t *testing.T) {
 			want := corpusProgramText(t, preset.opts)
 			cached := preset.opts
-			cached.Cache = cover.NewCache()
+			cached.Cache = cover.NewBoundedCache(0)
 			if got := corpusProgramText(t, cached); got != want {
 				t.Fatal("first cached pass differs from uncached compile")
 			}
@@ -53,7 +53,7 @@ func TestCompileCacheVerifiedHit(t *testing.T) {
 	m := isdl.ExampleArchFull(4)
 	opts := DefaultOptions()
 	opts.Verify = true
-	opts.Cache = cover.NewCache()
+	opts.Cache = cover.NewBoundedCache(0)
 	first, err := CompileSource(src, m, 1, opts)
 	if err != nil {
 		t.Fatalf("first compile: %v", err)
@@ -75,7 +75,7 @@ func TestCompileCacheVerifiedHit(t *testing.T) {
 func TestCompileCacheKeyedByOptions(t *testing.T) {
 	src, _ := genProgram(5, false)
 	m := isdl.ExampleArchFull(4)
-	cache := cover.NewCache()
+	cache := cover.NewBoundedCache(0)
 	opts := DefaultOptions()
 	opts.Cache = cache
 	if _, err := CompileSource(src, m, 1, opts); err != nil {

@@ -80,9 +80,10 @@ echo "== zoo smoke (machine generator + differential, race) =="
 go test -race -run '^TestZooSmoke$' -count=1 .
 
 echo "== editsmoke: incremental-compilation differential (race, short) =="
-# The delta path's byte-identity gate: seeded programs x one-line edit
-# streams, stitched output vs from-scratch compile, verifier on,
-# interpreter oracle armed, worker pools 1 and 8. -short selects the
+# The incremental path's byte-identity gate: seeded programs x one-line
+# edit streams, output over warm shared cache tiers vs an uncached
+# compile, verifier on, interpreter oracle armed, worker pools 1 and 8,
+# plus a restart over the same disk directory. -short selects the
 # deterministic 12-program subset; the full 50-program sweep runs in the
 # tree-wide race stage above.
 go test -race -short -run '^TestEditDifferentialCorpus$' -count=1 .

@@ -22,7 +22,7 @@ import (
 // clients, twice per program — and then one node is killed mid-run and
 // the corpus compiled again. Every served assembly, before and after
 // the kill, must equal the local aviv.CompileSource output: routing,
-// forwarding, cache peering, delta stitching, failover, and
+// forwarding, cache peering, per-block reuse, failover, and
 // local fallback may change where and how fast a compile runs, never
 // its bytes. Run under -race (the clustersmoke CI stage does) this is
 // also the data-race gate for the whole cluster layer.
@@ -38,7 +38,6 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 					Parallelism: 1,
 				},
 				QueueLimit: 256,
-				Delta:      true,
 			}
 		},
 		// Reactive-only health: ejection happens on the first failed

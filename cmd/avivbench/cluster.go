@@ -12,6 +12,7 @@ import (
 	"aviv"
 	"aviv/internal/bench"
 	"aviv/internal/cluster"
+	"aviv/internal/cover"
 	"aviv/internal/isdl"
 	"aviv/internal/server"
 )
@@ -20,7 +21,7 @@ import (
 // measures, so the numbers cannot be mistaken for multi-core compute
 // scaling. It ships inside BENCH_cluster.json.
 const clusterScalingModel = "aggregate cache capacity on a shared single-CPU host: every node " +
-	"holds the same fixed per-node cache budget (delta entries + entry-store entries), the " +
+	"holds the same fixed per-node cache budget (memory-tier entries + entry-store entries), the " +
 	"working set is ~3x one node's budget, and requests shard by content key. One node thrashes " +
 	"its tiers and recompiles; four nodes fit the working set in aggregate and stitch from cache. " +
 	"The speedup is cache aggregation via consistent-hash sharding, not parallel compute."
@@ -148,16 +149,14 @@ func clusterStudy(jsonPath string, nPrograms, opsPerBlock, capacity int) error {
 			NodeConfig: func(i int) server.Config {
 				return server.Config{
 					Options: aviv.Options{
-						// No cover cache: the delta engine's artifact
-						// tiers are the only caches, so `capacity` is
-						// the single per-node budget knob.
+						// `capacity` caps both tiers: it is the single
+						// per-node budget knob.
+						Cache:       cover.NewBoundedCache(capacity),
 						DiskCache:   cluster.NewMemStore(capacity),
 						Parallelism: 1,
 					},
-					QueueLimit:   1024,
-					Timeout:      120 * time.Second,
-					Delta:        true,
-					DeltaEntries: capacity,
+					QueueLimit: 1024,
+					Timeout:    120 * time.Second,
 				}
 			},
 			ProbeInterval:    time.Hour, // reactive-only health: deterministic

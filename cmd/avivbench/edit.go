@@ -8,15 +8,15 @@ import (
 
 	"aviv"
 	"aviv/internal/bench"
-	"aviv/internal/delta"
+	"aviv/internal/cover"
 	"aviv/internal/isdl"
 	"aviv/internal/metrics"
 )
 
 // editReport is the machine-readable -editjson output (BENCH_edit.json):
 // the incremental-compilation study over an edit stream of one-line
-// mutations, comparing a from-scratch recompile against the block-level
-// delta path at every step.
+// mutations, comparing a from-scratch recompile against a compile over
+// a warm per-block cache at every step.
 type editReport struct {
 	Benchmark     string  `json:"benchmark"`
 	Programs      int     `json:"programs"`
@@ -29,19 +29,19 @@ type editReport struct {
 	SpeedupP50    float64 `json:"speedup_p50"`
 	SpeedupP95    float64 `json:"speedup_p95"`
 	// BlocksRecompiled / BlocksTotal over every edit compile: the
-	// fraction of the program the delta path actually re-covers per
-	// one-line edit.
+	// fraction of the program the incremental compile actually
+	// re-covers per one-line edit.
 	BlocksTotal      int                `json:"blocks_total"`
 	BlocksRecompiled int                `json:"blocks_recompiled"`
 	RecompiledRatio  float64            `json:"recompiled_ratio"`
 	Delta            metrics.CacheStats `json:"delta"`
 }
 
-// editStudy measures the incremental path the delta engine exists for: a
-// developer edit loop. Each program is compiled once to warm a
-// per-program engine, then nEdits cumulative one-line mutations are
-// applied; every step is compiled both from scratch (cold) and through
-// the engine (edit), and the outputs are byte-compared before any
+// editStudy measures the incremental path the per-block cache exists
+// for: a developer edit loop. Each program is compiled once to warm a
+// per-program memory tier, then nEdits cumulative one-line mutations
+// are applied; every step is compiled both from scratch (cold) and over
+// the warm tier (edit), and the outputs are byte-compared before any
 // latency is reported. With jsonPath non-empty the report is also
 // written as JSON (BENCH_edit.json).
 func editStudy(jsonPath string, nPrograms, nEdits int) error {
@@ -62,10 +62,13 @@ func editStudy(jsonPath string, nPrograms, nEdits int) error {
 	blocksPer, blocksTotal, blocksRecompiled := 0, 0, 0
 	for p := 0; p < nPrograms; p++ {
 		src := bench.MultiBlockSource(int64(p+1), 25, 12)
-		eng := delta.New(0, nil)
-		if _, err := eng.CompileSource(src, machine, 1, opts); err != nil {
+		warm := opts
+		warm.Cache = cover.NewBoundedCache(0)
+		first, err := aviv.CompileSource(src, machine, 1, warm)
+		if err != nil {
 			return fmt.Errorf("program %d warmup: %w", p, err)
 		}
+		agg.Add(first.Metrics.Reuse())
 		for e := 0; e < nEdits; e++ {
 			src = bench.MutateSource(src, int64(p*1000+e))
 
@@ -77,28 +80,23 @@ func editStudy(jsonPath string, nPrograms, nEdits int) error {
 			coldLat = append(coldLat, time.Since(t0))
 
 			t0 = time.Now()
-			inc, err := eng.CompileSource(src, machine, 1, opts)
+			inc, err := aviv.CompileSource(src, machine, 1, warm)
 			if err != nil {
-				return fmt.Errorf("program %d edit %d delta: %w", p, e, err)
+				return fmt.Errorf("program %d edit %d incremental: %w", p, e, err)
 			}
 			editLat = append(editLat, time.Since(t0))
 
 			if inc.Program.String() != cold.Program.String() {
-				return fmt.Errorf("program %d edit %d: delta output differs from scratch compile", p, e)
+				return fmt.Errorf("program %d edit %d: incremental output differs from scratch compile", p, e)
 			}
-			blocksPer = inc.Blocks
-			blocksTotal += inc.Blocks
-			blocksRecompiled += inc.Recompiled
+			reuse := inc.Metrics.Reuse()
+			agg.Add(reuse)
+			blocksPer = len(inc.Blocks)
+			blocksTotal += len(inc.Blocks)
+			blocksRecompiled += int(reuse.Recompiled)
 		}
-		st := eng.Stats()
-		agg.Entries += st.Entries
-		agg.MemHits += st.MemHits
-		agg.MemMisses += st.MemMisses
-		agg.DiskHits += st.DiskHits
-		agg.DiskMisses += st.DiskMisses
-		agg.Stitched += st.Stitched
-		agg.Recompiled += st.Recompiled
-		agg.Invalidations += st.Invalidations
+		st := warm.Cache.Stats()
+		agg.Entries += int64(st.Entries)
 		agg.Evictions += st.Evictions
 	}
 
@@ -128,11 +126,11 @@ func editStudy(jsonPath string, nPrograms, nEdits int) error {
 	fmt.Printf("==== Incremental compile study (%d programs x %d blocks, %d one-line edits each) ====\n",
 		nPrograms, blocksPer, nEdits)
 	fmt.Printf("cold full recompile: p50 %8.2f ms   p95 %8.2f ms\n", report.ColdP50Ms, report.ColdP95Ms)
-	fmt.Printf("delta edit compile:  p50 %8.2f ms   p95 %8.2f ms\n", report.EditP50Ms, report.EditP95Ms)
+	fmt.Printf("warm edit compile:   p50 %8.2f ms   p95 %8.2f ms\n", report.EditP50Ms, report.EditP95Ms)
 	fmt.Printf("speedup: %.1fx at p50, %.1fx at p95; %d/%d blocks recompiled (ratio %.3f)\n",
 		report.SpeedupP50, report.SpeedupP95, blocksRecompiled, blocksTotal, report.RecompiledRatio)
 	fmt.Printf("%s\n", agg.String())
-	fmt.Println("(every delta output verified byte-identical to the from-scratch compile)")
+	fmt.Println("(every incremental output verified byte-identical to the from-scratch compile)")
 
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

@@ -10,7 +10,7 @@
 //	avivbench -parscale           parallel block-compilation speedup study
 //	avivbench -stats -parallel 4  compile-metrics report at a pool size
 //	avivbench -zoo                per-machine-class bench matrix over the machine zoo
-//	avivbench -edit               incremental-compilation study (cold vs block-delta path)
+//	avivbench -edit               incremental-compilation study (cold vs warm per-block cache)
 //	avivbench -cluster            compile-cluster study (capacity scaling, dedup, kill-one-node)
 //	avivbench -all                everything above
 package main
@@ -66,7 +66,7 @@ func main() {
 	clusterPrograms := flag.Int("clusterprograms", 96, "distinct programs in the compile-cluster study working set")
 	clusterOps := flag.Int("clusterops", 12, "straight-line ops per block in the compile-cluster study workload")
 	clusterCap := flag.Int("clustercap", 0, "per-node cache capacity in entries for the cluster study (0 = a third of the working set)")
-	edit := flag.Bool("edit", false, "run the incremental-compilation study (edit stream of one-line mutations, cold vs delta-path latency, blocks-recompiled ratio)")
+	edit := flag.Bool("edit", false, "run the incremental-compilation study (edit stream of one-line mutations, cold vs warm-cache latency, blocks-recompiled ratio)")
 	editJSON := flag.String("editjson", "", "run the incremental-compilation study and write a JSON report to this file (implies -edit)")
 	editPrograms := flag.Int("editprograms", 6, "distinct programs in the incremental-compilation study")
 	editEdits := flag.Int("editedits", 8, "one-line edits per program in the incremental-compilation study")
@@ -269,7 +269,7 @@ func benchJSONReport(path string) error {
 		return err
 	}
 	cachedOpts := aviv.DefaultOptions()
-	cachedOpts.Cache = cover.NewCache()
+	cachedOpts.Cache = cover.NewBoundedCache(0)
 	cached, err := measure("cache", cachedOpts)
 	if err != nil {
 		return err

@@ -12,8 +12,7 @@
 //	avivcc -exhaustive ...                                # heuristics off
 //	avivcc -stats ...                                     # per-block statistics
 //	avivcc -analyze prog.c                                # dataflow diagnostics (no machine needed)
-//	avivcc -march machine.isdl -cache .avivcache prog.c   # persistent compile cache
-//	avivcc -march machine.isdl -delta -cache .avivcache prog.c # incremental block-delta compile
+//	avivcc -march machine.isdl -cache .avivcache prog.c   # incremental compile over a persistent per-block cache
 //	avivcc -march machine.isdl -server http://host:8377 prog.c # compile via avivd
 package main
 
@@ -34,7 +33,6 @@ import (
 	"aviv/internal/asm"
 	"aviv/internal/cover"
 	"aviv/internal/dataflow/diag"
-	"aviv/internal/delta"
 	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
 	"aviv/internal/lang"
@@ -58,8 +56,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "block-compilation worker pool size (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	verifyFlag := flag.Bool("verify", false, "run the static translation validator on the compiled output (fails the compile on any violation)")
 	analyze := flag.Bool("analyze", false, "run the global dataflow diagnostics on the lowered IR and print findings (no machine description needed)")
-	cacheDir := flag.String("cache", "", "persistent compile-cache directory (created if missing; served coverings are re-verified, so stale entries cannot change output)")
-	deltaFlag := flag.Bool("delta", false, "compile via the block-level incremental (delta) engine; pair with -cache so per-block artifacts persist and an edited recompile re-covers only changed blocks")
+	cacheDir := flag.String("cache", "", "persistent per-block cache directory (created if missing): an edited recompile re-covers only changed blocks; decoded coverings are re-verified, so stale entries cannot change output")
 	serverURL := flag.String("server", "", "compile via a running avivd at this base URL (requires -march; falls back to a local compile if the server is unreachable or overloaded)")
 	flag.Parse()
 
@@ -160,7 +157,7 @@ func main() {
 			die(fmt.Errorf("server: %s", resp.Error))
 		default:
 			if *stats {
-				fmt.Printf("; served compile: %d blocks, code size %d, %d cache hits (%d via disk), deduped=%v\n",
+				fmt.Printf("; served compile: %d blocks, code size %d, %d memory hits, %d disk hits, deduped=%v\n",
 					resp.Blocks, resp.CodeSize, resp.CacheHits, resp.DiskHits, resp.Deduped)
 			}
 			if *emitAsm {
@@ -181,7 +178,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		opts.Cache = cover.NewCache()
+		opts.Cache = cover.NewBoundedCache(0)
 		opts.DiskCache = disk
 	}
 	if *place != "" {
@@ -195,43 +192,23 @@ func main() {
 		}
 		opts.Cover.VarPlacement = placement
 	}
-	var prog *asm.Program
-	if *deltaFlag {
-		// The delta engine pays off across process lifetimes only through
-		// the persistent tier, so -cache is the natural companion: the
-		// first compile seeds per-block artifacts, an edited recompile
-		// stitches every block whose context fingerprint is unchanged.
-		eng := delta.New(0, opts.DiskCache)
-		dres, err := eng.CompileSource(string(src), machine, *unroll, opts)
-		if err != nil {
-			die(err)
+	res, err := aviv.CompileSource(string(src), machine, *unroll, opts)
+	if err != nil {
+		die(err)
+	}
+	prog := res.Program
+	if *stats {
+		fmt.Printf("; machine %s, code size %d instructions (incl. control flow)\n",
+			machine.Name, res.CodeSize())
+		for _, br := range res.Blocks {
+			fmt.Printf("; block %-8s DAG %3d nodes -> SN-DAG %4d nodes, %2d instrs, %d spills, %d assignments explored, peephole saved %d\n",
+				br.Block.Name, len(br.Block.Nodes), br.DAG.Counts.Total(),
+				br.Solution.Cost(), br.Solution.SpillCount, br.AssignmentsExplored, br.PeepholeSaved)
 		}
-		prog = dres.Program
-		if *stats {
-			fmt.Printf("; machine %s, code size %d instructions (incl. control flow)\n",
-				machine.Name, dres.CodeSize())
-			fmt.Printf("; %s\n", eng.Stats())
-			printCacheStats(opts)
+		for _, line := range strings.Split(strings.TrimRight(res.Metrics.String(), "\n"), "\n") {
+			fmt.Printf("; %s\n", line)
 		}
-	} else {
-		res, err := aviv.CompileSource(string(src), machine, *unroll, opts)
-		if err != nil {
-			die(err)
-		}
-		prog = res.Program
-		if *stats {
-			fmt.Printf("; machine %s, code size %d instructions (incl. control flow)\n",
-				machine.Name, res.CodeSize())
-			for _, br := range res.Blocks {
-				fmt.Printf("; block %-8s DAG %3d nodes -> SN-DAG %4d nodes, %2d instrs, %d spills, %d assignments explored, peephole saved %d\n",
-					br.Block.Name, len(br.Block.Nodes), br.DAG.Counts.Total(),
-					br.Solution.Cost(), br.Solution.SpillCount, br.AssignmentsExplored, br.PeepholeSaved)
-			}
-			for _, line := range strings.Split(strings.TrimRight(res.Metrics.String(), "\n"), "\n") {
-				fmt.Printf("; %s\n", line)
-			}
-			printCacheStats(opts)
-		}
+		printCacheStats(opts)
 	}
 	if *emitAsm {
 		fmt.Print(prog.String())
@@ -269,8 +246,8 @@ func main() {
 	}
 }
 
-// printCacheStats reports the cover-cache tiers' counters, shared by the
-// classic and delta -stats paths.
+// printCacheStats reports the per-block cache tiers: one memcache line
+// and one disk line.
 func printCacheStats(opts aviv.Options) {
 	if opts.Cache != nil {
 		cs := opts.Cache.Stats()

@@ -1,14 +1,15 @@
 // Command avivd is the AVIV compile server: a long-running daemon that
 // serves mini-C -> VLIW compiles over HTTP/JSON, amortizing the
 // covering search across requests with a two-tier (memory + disk)
-// compile cache, single-flight deduplication of identical in-flight
-// requests, and a bounded worker pool with load shedding.
+// per-block cache — every block an earlier request already compiled is
+// reused, so an edited program re-covers only its changed blocks —
+// single-flight deduplication of identical in-flight requests, and a
+// bounded worker pool with load shedding.
 //
 // Usage:
 //
 //	avivd [-listen :8377] [-cache-dir .avivcache] [-cache-max-mb 512]
 //	      [-mem-entries 4096] [-parallel N] [-queue N] [-timeout 30s]
-//	      [-delta=true] [-delta-entries 4096]
 //	      [-self URL -peers URL,URL,...] [-probe 1s]
 //	avivd -route URL,URL,...
 //
@@ -28,7 +29,7 @@
 // Endpoints:
 //
 //	POST /compile     {"source": "...", "machine": "<ISDL text>", ...}
-//	GET  /stats       server, cache, delta, and cluster counters
+//	GET  /stats       server, cache tier, and cluster counters
 //	GET  /healthz     liveness probe (503 while draining)
 //	GET  /peer/entry  cluster cache peering (nodes only)
 //
@@ -60,12 +61,10 @@ func main() {
 	listen := flag.String("listen", ":8377", "address to listen on")
 	cacheDir := flag.String("cache-dir", ".avivcache", "persistent compile-cache directory (empty disables the disk tier)")
 	cacheMaxMB := flag.Int64("cache-max-mb", 512, "disk-cache size bound in MiB (<= 0 unbounded)")
-	memEntries := flag.Int("mem-entries", 4096, "in-memory compile-cache entry cap (<= 0 unbounded)")
+	memEntries := flag.Int("mem-entries", 4096, "memory-tier block entry cap (<= 0 unbounded)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (<= 0 selects GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "queue bound before load shedding (<= 0 selects 4x workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compile deadline")
-	deltaFlag := flag.Bool("delta", true, "serve compiles through the block-level incremental (delta) engine: blocks whose context fingerprint is unchanged since an earlier request stitch from cache")
-	deltaEntries := flag.Int("delta-entries", 4096, "delta-engine in-memory artifact entry cap (<= 0 selects the default)")
 	self := flag.String("self", "", "this node's advertised base URL within -peers (cluster mode)")
 	peers := flag.String("peers", "", "comma-separated cluster member base URLs, including -self (cluster mode)")
 	route := flag.String("route", "", "comma-separated node base URLs: run as a thin consistent-hash router instead of a compile server")
@@ -111,11 +110,9 @@ func main() {
 			log.Printf("avivd: disk cache at %s (max %d MiB)", disk.Dir(), *cacheMaxMB)
 		}
 		cfg := server.Config{
-			Options:      opts,
-			QueueLimit:   *queue,
-			Timeout:      *timeout,
-			Delta:        *deltaFlag,
-			DeltaEntries: *deltaEntries,
+			Options:    opts,
+			QueueLimit: *queue,
+			Timeout:    *timeout,
 		}
 
 		if *peers != "" {
@@ -134,13 +131,13 @@ func main() {
 				moved := node.Drain()
 				log.Printf("avivd: drained %d cache entries to peers", moved)
 			}
-			log.Printf("avivd: cluster node %s among %v (%d workers, timeout %v, delta=%v)",
-				*self, splitList(*peers), node.Server().Workers(), *timeout, *deltaFlag)
+			log.Printf("avivd: cluster node %s among %v (%d workers, timeout %v)",
+				*self, splitList(*peers), node.Server().Workers(), *timeout)
 		} else {
 			srv := server.New(cfg)
 			handler = srv.Handler()
-			log.Printf("avivd: listening on %s (%d workers, queue %s, timeout %v, delta=%v)",
-				*listen, srv.Workers(), queueDesc(*queue, srv.Workers()), *timeout, *deltaFlag)
+			log.Printf("avivd: listening on %s (%d workers, queue %s, timeout %v)",
+				*listen, srv.Workers(), queueDesc(*queue, srv.Workers()), *timeout)
 		}
 	}
 

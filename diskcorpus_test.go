@@ -25,7 +25,7 @@ func TestDiskCacheCorpusByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Cache = cover.NewCache()
+	opts.Cache = cover.NewBoundedCache(0)
 	opts.DiskCache = cold
 	if got := corpusProgramText(t, opts); got != want {
 		t.Fatalf("cold disk-cache corpus differs from uncached compilation (%d vs %d bytes)", len(got), len(want))
@@ -40,7 +40,7 @@ func TestDiskCacheCorpusByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts = DefaultOptions()
-	opts.Cache = cover.NewCache()
+	opts.Cache = cover.NewBoundedCache(0)
 	opts.DiskCache = warm
 	if got := corpusProgramText(t, opts); got != want {
 		t.Fatalf("warm disk-cache corpus differs from uncached compilation (%d vs %d bytes)", len(got), len(want))

@@ -1,6 +1,4 @@
-// The whole-pipeline fuzz harness lives in the external test package so
-// it can drive the delta engine (internal/delta imports aviv; an
-// in-package test importing it back would be an import cycle).
+// The whole-pipeline fuzz harness.
 package aviv_test
 
 import (
@@ -12,9 +10,9 @@ import (
 	"aviv"
 	"aviv/internal/asm"
 	"aviv/internal/bench"
+	"aviv/internal/cover"
 	"aviv/internal/dataflow"
 	"aviv/internal/dataflow/diag"
-	"aviv/internal/delta"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/lang"
@@ -51,9 +49,9 @@ func fuzzMachinePool() []*isdl.Machine {
 // the compiler never panics; whatever it accepts must round-trip through
 // the binary object format; if the reference interpreter finishes the
 // program within budget, the simulated program must finish too and leave
-// the same data memory behind; and a one-line edit compiled through the
-// block-level delta path must agree byte for byte with a from-scratch
-// compile of the edited program.
+// the same data memory behind; and a one-line edit compiled over warm
+// cache tiers must agree byte for byte with a from-scratch compile of
+// the edited program.
 func FuzzCompileSource(f *testing.F) {
 	seeds := []string{
 		"x = a + b;",
@@ -119,24 +117,31 @@ func FuzzCompileSource(f *testing.F) {
 		if res8.Program.String() != res.Program.String() {
 			t.Fatalf("parallel output differs for %q:\n%s\nvs\n%s", src, res.Program, res8.Program)
 		}
-		// The edit dimension: mutate the source, compile the mutant
-		// through a delta engine warmed on the original (so unchanged
-		// blocks actually stitch), and cross-check against a from-scratch
-		// compile of the mutant. Acceptance must agree, and on success the
-		// outputs must be byte-identical.
+		// The edit dimension: mutate the source, compile the mutant over
+		// cache tiers warmed on the original (so unchanged blocks are
+		// actually reused), and cross-check against a from-scratch compile
+		// of the mutant. Acceptance must agree, and on success the outputs
+		// must be byte-identical. A restart — a fresh memory tier over the
+		// same disk store — must agree too.
 		if edited := bench.MutateSource(src, int64(zooPick)); edited != src {
-			eng := delta.New(0, nil)
-			if _, werr := eng.CompileSource(src, m, 1, opts); werr != nil {
-				t.Fatalf("delta engine rejected %q after CompileSource accepted it: %v", src, werr)
+			warm := opts
+			warm.Cache = cover.NewBoundedCache(0)
+			warm.DiskCache = newMapStore()
+			if _, werr := aviv.CompileSource(src, m, 1, warm); werr != nil {
+				t.Fatalf("cached compile rejected %q after CompileSource accepted it: %v", src, werr)
 			}
-			dres, derr := eng.CompileSource(edited, m, 1, opts)
 			sres, serr := aviv.CompileSource(edited, m, 1, opts)
-			if (derr == nil) != (serr == nil) {
-				t.Fatalf("delta/scratch acceptance disagree for edit of %q: delta %v, scratch %v", src, derr, serr)
-			}
-			if derr == nil && dres.Program.String() != sres.Program.String() {
-				t.Fatalf("delta output differs from scratch for edit of %q:\n%s\nvs\n%s",
-					src, dres.Program, sres.Program)
+			restarted := warm
+			restarted.Cache = cover.NewBoundedCache(0)
+			for _, o := range []aviv.Options{warm, restarted} {
+				ires, ierr := aviv.CompileSource(edited, m, 1, o)
+				if (ierr == nil) != (serr == nil) {
+					t.Fatalf("cached/scratch acceptance disagree for edit of %q: cached %v, scratch %v", src, ierr, serr)
+				}
+				if ierr == nil && ires.Program.String() != sres.Program.String() {
+					t.Fatalf("cached output differs from scratch for edit of %q:\n%s\nvs\n%s",
+						src, ires.Program, sres.Program)
+				}
 			}
 		}
 		// Reference semantics with a finite budget: programs the

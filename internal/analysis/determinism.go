@@ -20,10 +20,10 @@ var detComponents = []string{
 	"internal/dataflow",
 	"internal/dataflow/diag",
 	"internal/verify",
-	// The delta engine's stitched output must be byte-identical to a
-	// from-scratch compile; any ordering leak in its key derivation or
-	// artifact assembly breaks that directly.
-	"internal/delta",
+	// The facade derives the per-block cache keys and assembles cached
+	// and fresh blocks into one program; any ordering leak there breaks
+	// byte-identical output directly.
+	"aviv",
 	// The machine-zoo generator is seed-deterministic by contract: the
 	// same seed must emit byte-identical machine descriptions, so it is
 	// compile-path for ordering purposes.

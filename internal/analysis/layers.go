@@ -22,6 +22,7 @@ var layerOf = map[string]int{
 	// Layer 0 — foundation: pure data structures and leaf utilities.
 	"internal/bitset":  0,
 	"internal/ir":      0,
+	"internal/lru":     0,
 	"internal/metrics": 0,
 
 	// Layer 1 — languages: the two front ends and the dataflow core,
@@ -57,11 +58,8 @@ var layerOf = map[string]int{
 	"internal/zoo":       7,
 	"internal/diskcache": 7,
 
-	// Layer 8 — engines over the facade, and the static-analysis suite
-	// itself (which must stay out of the compiler proper). The delta
-	// engine drives the whole per-block pipeline through aviv, so it
-	// sits above the facade but below the service that embeds it.
-	"internal/delta":    8,
+	// Layer 8 — the static-analysis suite, which must stay out of the
+	// compiler proper.
 	"internal/analysis": 8,
 
 	// Layer 9 — the compile service.
@@ -89,6 +87,7 @@ var layerOf = map[string]int{
 var allowedImports = map[string][]string{
 	"internal/bitset":  {},
 	"internal/ir":      {},
+	"internal/lru":     {},
 	"internal/metrics": {},
 
 	"internal/isdl":     {"internal/ir"},
@@ -100,7 +99,7 @@ var allowedImports = map[string][]string{
 	"internal/place":         {"internal/ir", "internal/isdl"},
 	"internal/dataflow/diag": {"internal/dataflow", "internal/ir", "internal/metrics"},
 
-	"internal/cover": {"internal/bitset", "internal/dataflow", "internal/ir", "internal/isdl", "internal/sndag"},
+	"internal/cover": {"internal/bitset", "internal/dataflow", "internal/ir", "internal/isdl", "internal/lru", "internal/sndag"},
 
 	"internal/regalloc": {"internal/cover", "internal/isdl"},
 	"internal/peephole": {"internal/cover", "internal/isdl"},
@@ -121,16 +120,9 @@ var allowedImports = map[string][]string{
 		"internal/sndag", "internal/verify",
 	},
 
-	"internal/delta": {
-		"aviv", "internal/asm", "internal/cover", "internal/dataflow",
-		"internal/ir", "internal/isdl", "internal/metrics",
-		"internal/peephole", "internal/regalloc", "internal/sim",
-		"internal/sndag", "internal/verify",
-	},
+	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/metrics"},
 
-	"internal/server": {"aviv", "internal/cover", "internal/delta", "internal/diskcache", "internal/isdl", "internal/metrics"},
-
-	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/metrics", "internal/server"},
+	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/lru", "internal/metrics", "internal/server"},
 
 	"internal/analysis":              {},
 	"internal/analysis/analysistest": {"internal/analysis"},

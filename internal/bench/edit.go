@@ -16,7 +16,7 @@ import (
 //
 // It is the edit model of the incremental-compilation studies: the
 // smallest change a developer makes between two compiles, against which
-// the delta path's blocks-recompiled ratio is measured.
+// the incremental compile's blocks-recompiled ratio is measured.
 func MutateSource(src string, seed int64) string {
 	state := uint64(seed)*2654435761 + 12345
 	next := func(n int) int {

@@ -1,19 +1,17 @@
 package cluster
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
-	"sync"
 
 	"aviv/internal/cover"
+	"aviv/internal/lru"
 )
 
 // peerStore is the node's cover.EntryStore: a local tier (diskcache or
 // in-memory) fronted by the cluster. Entry keys hash onto the same
-// ring as compile requests, so every block artifact and delta artifact
-// has one owning shard. A local miss asks the owner over the wire; a
+// ring as compile requests, so every block entry has one owning shard. A local miss asks the owner over the wire; a
 // local write replicates to the owner. Because the wire format is
 // diskcache's checksummed framing, a corrupt transfer is rejected at
 // decode and recorded as a miss — the covering engine then recompiles,
@@ -83,81 +81,32 @@ func (ps *peerStore) Delete(key [sha256.Size]byte) {
 // while the same set sharded across N nodes fits their aggregate
 // capacity.
 type MemStore struct {
-	mu  sync.Mutex
-	cap int // <= 0: unbounded
-	m   map[[sha256.Size]byte]*list.Element
-	lru *list.List // front = most recently used; values are *memEntry
-}
-
-type memEntry struct {
-	key  [sha256.Size]byte
-	data []byte
+	lru *lru.Cache[[sha256.Size]byte, []byte]
 }
 
 // NewMemStore builds a store holding at most capacity entries,
 // evicting least-recently-used beyond that; capacity <= 0 means
 // unbounded.
 func NewMemStore(capacity int) *MemStore {
-	return &MemStore{
-		cap: capacity,
-		m:   make(map[[sha256.Size]byte]*list.Element),
-		lru: list.New(),
-	}
+	return &MemStore{lru: lru.New[[sha256.Size]byte, []byte](capacity, nil)}
 }
 
-func (s *MemStore) Get(key [sha256.Size]byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*memEntry).data, true
-}
+func (s *MemStore) Get(key [sha256.Size]byte) ([]byte, bool) { return s.lru.Get(key) }
 
+// Put stores a copy of data, replacing any entry under key.
 func (s *MemStore) Put(key [sha256.Size]byte, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		el.Value.(*memEntry).data = append([]byte(nil), data...)
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.m[key] = s.lru.PushFront(&memEntry{key: key, data: append([]byte(nil), data...)})
-	if s.cap > 0 {
-		for len(s.m) > s.cap {
-			oldest := s.lru.Back()
-			s.lru.Remove(oldest)
-			delete(s.m, oldest.Value.(*memEntry).key)
-		}
-	}
+	s.lru.Remove(key)
+	s.lru.Add(key, append([]byte(nil), data...))
 }
 
-func (s *MemStore) Delete(key [sha256.Size]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		s.lru.Remove(el)
-		delete(s.m, key)
-	}
-}
+func (s *MemStore) Delete(key [sha256.Size]byte) { s.lru.Remove(key) }
 
 // Len returns the current entry count.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
+func (s *MemStore) Len() int { return s.lru.Stats().Len }
 
 // Keys enumerates the held keys in sorted order (for Drain).
 func (s *MemStore) Keys() [][sha256.Size]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([][sha256.Size]byte, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
+	keys := s.lru.Keys()
 	sort.Slice(keys, func(i, j int) bool {
 		return string(keys[i][:]) < string(keys[j][:])
 	})

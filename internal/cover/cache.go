@@ -1,21 +1,21 @@
 package cover
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"aviv/internal/ir"
 	"aviv/internal/isdl"
+	"aviv/internal/lru"
 )
 
-// EntryStore is a persistent second cache tier below Cache: a
-// byte-oriented content-addressed store (implemented by
-// internal/diskcache) keyed by the same fingerprints. CoverBlock
-// serializes coverings into it and treats every failure — absent key,
-// truncated or corrupted entry, version skew — as a miss, so a store
-// can never change compiled output, only skip recomputation.
+// EntryStore is the persistent tier below Cache: a byte-oriented
+// content-addressed store (implemented by internal/diskcache) keyed by
+// the same fingerprints. aviv serializes coverings into it
+// (EncodeResult) and treats every failure — absent key, truncated or
+// corrupted entry, version skew — as a miss, so a store can never
+// change compiled output, only skip recomputation.
 type EntryStore interface {
 	// Get returns the stored entry for key, or ok=false on any miss.
 	Get(key [sha256.Size]byte) ([]byte, bool)
@@ -24,65 +24,37 @@ type EntryStore interface {
 	Put(key [sha256.Size]byte, data []byte)
 }
 
-// Cache is a block-level compile cache for the covering engine, safe
-// for concurrent use by the compile worker pool. Keys are pure content
-// fingerprints — (IR block, machine description, covering options) — so
-// a hit is only possible when covering would deterministically recompute
-// the exact same result; cached results are returned as shallow copies
-// and never mutated downstream (the peephole pass clones before
-// editing, and register allocation, emission, and verification only
-// read the solution).
+// Cache is the per-block memory tier: a bounded LRU of finished block
+// compilations, safe for concurrent use by the compile worker pool.
+// Keys are content fingerprints that cover everything a block's code
+// depends on (aviv derives them from BlockKey), so a hit is only
+// possible when compiling would deterministically recompute the same
+// result. Values are opaque to this package: aviv stores its own
+// per-block artifact and asserts the type back on a hit. Entries are
+// never mutated after insertion.
 //
-// The cache stores cover.Result (the pre-peephole covering), not
-// emitted code: block layout mutates emitted branches per program, so
-// caching any later artifact would not be reuse-safe.
-//
-// Capacity is bounded (NewBoundedCache): entries are evicted least
-// recently used first, so a long-running server's memory stays
-// proportional to its working set, not its history.
+// The cache also memoizes machine fingerprints per *isdl.Machine, so a
+// many-block compile hashes its machine description once.
 type Cache struct {
-	mu         sync.Mutex
-	entries    map[cacheKey]*list.Element
-	order      *list.List // front = most recently used
-	maxEntries int        // <=0: unbounded
-	machFPs    map[*isdl.Machine][sha256.Size]byte
-	hits       int64
-	misses     int64
-	bytes      int64
-	evictions  int64
+	lru     *lru.Cache[[sha256.Size]byte, cached]
+	bytes   atomic.Int64
+	mu      sync.Mutex
+	machFPs map[*isdl.Machine][sha256.Size]byte
 }
 
-type cacheEntry struct {
-	key cacheKey
-	res *Result
+type cached struct {
+	val   any
+	bytes int64
 }
 
-type cacheKey struct {
-	block   [sha256.Size]byte
-	machine [sha256.Size]byte
-	options [sha256.Size]byte
-}
-
-// storeKey collapses the three content fingerprints into the single
-// address used by the persistent tier.
-func (k cacheKey) storeKey() [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(k.block[:])
-	h.Write(k.machine[:])
-	h.Write(k.options[:])
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-// CacheStats is a point-in-time snapshot of cache effectiveness.
+// CacheStats is a point-in-time snapshot of the memory tier.
 type CacheStats struct {
 	Entries int
 	Hits    int64
 	Misses  int64
 	// Evictions counts entries dropped to respect the entry cap.
 	Evictions int64
-	// Bytes estimates the memory retained by cached solutions.
+	// Bytes estimates the memory retained by cached entries.
 	Bytes int64
 }
 
@@ -94,99 +66,63 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// NewCache returns an empty, unbounded compile cache. Share one across
-// Compile calls to reuse coverings of unchanged blocks.
-func NewCache() *Cache {
-	return NewBoundedCache(0)
-}
-
-// NewBoundedCache returns a compile cache holding at most maxEntries
-// coverings, evicting least recently used first. maxEntries <= 0 means
+// NewBoundedCache returns a memory tier holding at most maxEntries
+// blocks, evicting least recently used first. maxEntries <= 0 means
 // unbounded.
 func NewBoundedCache(maxEntries int) *Cache {
-	return &Cache{
-		entries:    make(map[cacheKey]*list.Element),
-		order:      list.New(),
-		maxEntries: maxEntries,
-		machFPs:    make(map[*isdl.Machine][sha256.Size]byte),
+	c := &Cache{machFPs: make(map[*isdl.Machine][sha256.Size]byte)}
+	c.lru = lru.New(maxEntries, func(_ [sha256.Size]byte, e cached) { c.bytes.Add(-e.bytes) })
+	return c
+}
+
+// Get returns the entry stored under key, counting a hit or a miss.
+func (c *Cache) Get(key [sha256.Size]byte) (any, bool) {
+	e, ok := c.lru.Get(key)
+	return e.val, ok
+}
+
+// Add stores val under key, accounting bytes as its retained size. If
+// key is already present the first entry is kept and returned.
+func (c *Cache) Add(key [sha256.Size]byte, val any, bytes int64) any {
+	held, added := c.lru.Add(key, cached{val, bytes})
+	if added {
+		c.bytes.Add(bytes)
 	}
+	return held.val
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.Stats()
 	return CacheStats{
-		Entries:   len(c.entries),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
+		Entries:   st.Len,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Bytes:     c.bytes.Load(),
 	}
 }
 
-// key builds the content key for one covering request. The machine
-// fingerprint (a Describe render plus hash) is memoized per machine
+// MachineFingerprint returns m.Fingerprint(), memoized per machine
 // pointer.
-func (c *Cache) key(block *ir.Block, m *isdl.Machine, opts Options) cacheKey {
+func (c *Cache) MachineFingerprint(m *isdl.Machine) [sha256.Size]byte {
 	c.mu.Lock()
-	mfp, ok := c.machFPs[m]
+	fp, ok := c.machFPs[m]
 	c.mu.Unlock()
 	if !ok {
-		mfp = m.Fingerprint()
+		fp = m.Fingerprint()
 		c.mu.Lock()
-		c.machFPs[m] = mfp
+		c.machFPs[m] = fp
 		c.mu.Unlock()
 	}
-	return cacheKey{block: block.Fingerprint(), machine: mfp, options: optionsFingerprint(opts)}
+	return fp
 }
 
-// computeKey is Cache.key without the memoization, for callers that run
-// with a persistent store but no in-memory tier.
-func computeKey(block *ir.Block, m *isdl.Machine, opts Options) cacheKey {
-	return cacheKey{block: block.Fingerprint(), machine: m.Fingerprint(), options: optionsFingerprint(opts)}
-}
-
-func (c *Cache) get(key cacheKey) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-func (c *Cache) put(key cacheKey, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	c.bytes += approxResultBytes(res)
-	for c.maxEntries > 0 && len(c.entries) > c.maxEntries {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		ent := oldest.Value.(*cacheEntry)
-		c.order.Remove(oldest)
-		delete(c.entries, ent.key)
-		c.bytes -= approxResultBytes(ent.res)
-		c.evictions++
-	}
-}
-
-// approxResultBytes estimates the retained size of a cached covering:
-// the dominant costs are the solution-graph nodes reachable from the
-// schedule and the Split-Node DAG. It is an accounting estimate for
-// stats output, not an allocator measurement.
-func approxResultBytes(res *Result) int64 {
+// ApproxBytes estimates the retained size of a covering: the dominant
+// costs are the solution-graph nodes reachable from the schedule and
+// the Split-Node DAG. It is an accounting estimate for stats output,
+// not an allocator measurement.
+func (res *Result) ApproxBytes() int64 {
 	const (
 		nodeSize  = 200 // SNode + edge slices
 		sliceSize = 24
@@ -204,9 +140,8 @@ func approxResultBytes(res *Result) int64 {
 }
 
 // optionsFingerprint hashes every Options field that influences the
-// covering result. Trace is excluded (the cache is bypassed when
-// tracing) and Cache/Store are excluded (they have no effect on
-// output).
+// covering result. Trace is excluded (it has no effect on output, and
+// aviv bypasses the cache tiers when tracing).
 func optionsFingerprint(o Options) [sha256.Size]byte {
 	w := &fpWriter{h: sha256.New()}
 	w.int(o.BeamWidth)

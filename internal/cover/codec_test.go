@@ -5,33 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 )
-
-// memStore is a map-backed EntryStore for tests.
-type memStore struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte][]byte
-}
-
-func newMemStore() *memStore { return &memStore{m: make(map[[sha256.Size]byte][]byte)} }
-
-func (s *memStore) Get(key [sha256.Size]byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.m[key]
-	return data, ok
-}
-
-func (s *memStore) Put(key [sha256.Size]byte, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = data
-}
 
 // solutionSignature renders every field of a solution the downstream
 // passes (peephole, regalloc, asm, verify) can observe, in schedule
@@ -137,25 +115,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			res := mustCover(t, tc.block(), tc.mach, DefaultOptions())
-			if data, ok := encodeResult(res); !ok || len(data) == 0 {
+			data, ok := encodeResult(res)
+			if !ok || len(data) == 0 {
 				t.Fatal("encodeResult declined a fresh covering")
 			}
-			store := newMemStore()
-			opts := DefaultOptions()
-			opts.Store = store
-			// First compile populates the store.
-			first := mustCover(t, tc.block(), tc.mach, opts)
-			if first.DiskHit {
-				t.Fatal("first compile reported a disk hit on an empty store")
-			}
-			if len(store.m) != 1 {
-				t.Fatalf("store holds %d entries after first compile, want 1", len(store.m))
-			}
-			// Second compile of a fresh identical block must be served
-			// from the store with an identical solution.
-			second := mustCover(t, tc.block(), tc.mach, opts)
-			if !second.DiskHit || !second.CacheHit {
-				t.Fatalf("second compile: DiskHit=%v CacheHit=%v, want true/true", second.DiskHit, second.CacheHit)
+			// Decoding against a fresh identical block must rebuild an
+			// identical solution.
+			second, err := DecodeBlock(data, tc.block(), tc.mach, DefaultOptions())
+			if err != nil {
+				t.Fatalf("DecodeBlock: %v", err)
 			}
 			if got, want := solutionSignature(second.Best), solutionSignature(res.Best); got != want {
 				t.Errorf("decoded solution differs from fresh covering\n--- decoded ---\n%s--- fresh ---\n%s", got, want)
@@ -216,18 +184,10 @@ func TestCodecCorruptionDegradesToMiss(t *testing.T) {
 		t.Fatal("decode accepted a future codec version")
 	}
 
-	// A store full of garbage must fall back to a fresh, correct compile.
-	store := newMemStore()
-	opts := DefaultOptions()
-	opts.Store = store
-	key := computeKey(fig2Block(), isdl.ExampleArch(4), opts).storeKey()
-	store.Put(key, []byte("not a covering"))
-	got := mustCover(t, fig2Block(), isdl.ExampleArch(4), opts)
-	if got.DiskHit {
-		t.Fatal("garbage entry reported as disk hit")
-	}
-	if sig, want := solutionSignature(got.Best), solutionSignature(res.Best); sig != want {
-		t.Error("fallback compile after garbage entry differs from fresh covering")
+	// Garbage is a decode error, which callers treat as a miss (the
+	// aviv-level tier tests check the recompile that follows).
+	if _, err := DecodeBlock([]byte("not a covering"), fig2Block(), isdl.ExampleArch(4), DefaultOptions()); err == nil {
+		t.Fatal("DecodeBlock accepted garbage")
 	}
 }
 
@@ -248,26 +208,18 @@ func TestEncodeDecline(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheEviction exercises the LRU entry cap.
+// TestBoundedCacheEviction exercises the memory tier's LRU entry cap
+// and its byte accounting.
 func TestBoundedCacheEviction(t *testing.T) {
-	mkBlock := func(v string) *ir.Block {
-		bb := ir.NewBuilder("b" + v)
-		bb.Store("o"+v, bb.Add(bb.Load("a"+v), bb.Load("b"+v)))
-		bb.Return()
-		return bb.Finish()
-	}
-	m := isdl.ExampleArch(4)
+	key := func(v string) [sha256.Size]byte { return sha256.Sum256([]byte(v)) }
 	cache := NewBoundedCache(2)
-	opts := DefaultOptions()
-	opts.Cache = cache
-
-	mustCover(t, mkBlock("1"), m, opts)
-	mustCover(t, mkBlock("2"), m, opts)
+	cache.Add(key("1"), "one", 10)
+	cache.Add(key("2"), "two", 20)
 	// Refresh block 1 so block 2 is the LRU victim.
-	if r := mustCover(t, mkBlock("1"), m, opts); !r.CacheHit {
-		t.Fatal("expected cache hit for block 1")
+	if v, ok := cache.Get(key("1")); !ok || v != "one" {
+		t.Fatalf("Get(1) = %v, %v; want one, true", v, ok)
 	}
-	mustCover(t, mkBlock("3"), m, opts)
+	cache.Add(key("3"), "three", 30)
 
 	st := cache.Stats()
 	if st.Entries != 2 {
@@ -276,24 +228,26 @@ func TestBoundedCacheEviction(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
-	if r := mustCover(t, mkBlock("1"), m, opts); !r.CacheHit {
+	if st.Bytes != 40 {
+		t.Errorf("bytes = %d, want 40 after evicting the 20-byte entry", st.Bytes)
+	}
+	if _, ok := cache.Get(key("1")); !ok {
 		t.Error("block 1 should have survived eviction (recently used)")
 	}
-	if r := mustCover(t, mkBlock("2"), m, opts); r.CacheHit {
+	if _, ok := cache.Get(key("2")); ok {
 		t.Error("block 2 should have been evicted")
 	}
-	if st := cache.Stats(); st.Entries != 2 {
-		t.Errorf("entries after re-insert = %d, want 2", st.Entries)
+	if held := cache.Add(key("1"), "uno", 99); held != "one" {
+		t.Errorf("re-Add returned %v, want the first insert", held)
 	}
-	if st := cache.Stats(); st.Bytes <= 0 {
-		t.Errorf("bytes accounting went nonpositive: %d", st.Bytes)
+	if st := cache.Stats(); st.Entries != 2 || st.Bytes != 40 || st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("stats after re-insert = %+v, want 2 entries, 40 bytes, 2 hits, 1 miss", st)
 	}
 
 	// Unbounded cache never evicts.
-	unb := NewCache()
-	opts.Cache = unb
+	unb := NewBoundedCache(0)
 	for i := 0; i < 8; i++ {
-		mustCover(t, mkBlock(fmt.Sprint(i)), m, opts)
+		unb.Add(key(fmt.Sprint(i)), i, 1)
 	}
 	if st := unb.Stats(); st.Evictions != 0 || st.Entries != 8 {
 		t.Errorf("unbounded cache: entries=%d evictions=%d, want 8/0", st.Entries, st.Evictions)

@@ -85,13 +85,6 @@ type Result struct {
 	// assignments whose solution graph (and parallelism matrix) was
 	// identical to one already covered.
 	MemoHits int
-	// CacheHit reports that this result came from Options.Cache or
-	// Options.Store rather than a fresh covering.
-	CacheHit bool
-	// DiskHit reports that this result was deserialized from
-	// Options.Store (the persistent tier). Implies CacheHit on the
-	// returned copy.
-	DiskHit bool
 	// DAG is the Split-Node DAG the covering worked from.
 	DAG *sndag.DAG
 	// PrunedStores counts stores removed before covering because
@@ -104,74 +97,27 @@ type Result struct {
 // assignments, and cover each selected assignment with a minimal-cost
 // set of maximal groupings; the cheapest covering wins.
 func CoverBlock(block *ir.Block, m *isdl.Machine, opts Options) (*Result, error) {
-	cache, store := opts.Cache, opts.Store
-	if opts.Trace != nil {
-		cache, store = nil, nil
-	}
-	var key cacheKey
-	if cache != nil {
-		key = cache.key(block, m, opts)
-	} else if store != nil {
-		key = computeKey(block, m, opts)
-	}
-	if cache != nil {
-		if hit, ok := cache.get(key); ok {
-			// Shallow copy: CacheHit is per-call state, everything else is
-			// shared and immutable downstream.
-			cp := *hit
-			cp.CacheHit = true
-			return &cp, nil
-		}
-	}
-	pruned := 0
-	if opts.LiveOut != nil {
-		block, pruned = dataflow.PruneBlock(block, opts.LiveOut)
-	}
-	d, err := sndag.Build(block, m)
+	d, pruned, err := coveredDAG(block, m, opts)
 	if err != nil {
 		return nil, err
-	}
-	if store != nil {
-		// Persistent tier. The covered block and DAG above are
-		// deterministic functions of the key's components, so decoding
-		// against them resolves the serialized schedule's pointers; any
-		// decode failure (corruption, version skew, verify) is a miss.
-		if data, ok := store.Get(key.storeKey()); ok {
-			if res, derr := decodeResult(data, d); derr == nil {
-				res.PrunedStores = pruned
-				if cache != nil {
-					cache.put(key, res)
-				}
-				cp := *res
-				cp.CacheHit = true
-				cp.DiskHit = true
-				return &cp, nil
-			} else if del, ok := store.(DeletableStore); ok {
-				// The entry read back clean (the storage checksum held) but
-				// no longer decodes — codec version skew, or a block whose
-				// re-derived DAG drifted. Left in place it would be
-				// re-decoded and re-rejected on every future lookup while
-				// still counting as a fresh mtime for the store's LRU;
-				// delete it so the slot is rewritten by the Put below.
-				del.Delete(key.storeKey())
-			}
-		}
 	}
 	res, err := CoverDAG(d, opts)
 	if res != nil {
 		res.PrunedStores = pruned
 	}
-	if err == nil {
-		if cache != nil {
-			cache.put(key, res)
-		}
-		if store != nil {
-			if data, ok := encodeResult(res); ok {
-				store.Put(key.storeKey(), data)
-			}
-		}
-	}
 	return res, err
+}
+
+// coveredDAG prunes the stores opts.LiveOut proves dead past the block
+// and builds the Split-Node DAG of what is left, returning the number
+// of stores pruned.
+func coveredDAG(block *ir.Block, m *isdl.Machine, opts Options) (*sndag.DAG, int, error) {
+	pruned := 0
+	if opts.LiveOut != nil {
+		block, pruned = dataflow.PruneBlock(block, opts.LiveOut)
+	}
+	d, err := sndag.Build(block, m)
+	return d, pruned, err
 }
 
 // CoverDAG is CoverBlock for a pre-built Split-Node DAG.

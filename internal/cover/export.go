@@ -4,29 +4,54 @@ import (
 	"crypto/sha256"
 
 	"aviv/internal/ir"
+	"aviv/internal/isdl"
 	"aviv/internal/sndag"
 )
 
-// BlockKey returns the persistent-tier content address of one covering
-// request — the same key CoverBlock uses for Options.Store — given a
-// precomputed machine fingerprint (m.Fingerprint(), which callers that
-// key many blocks against one machine should memoize). The key covers
-// the block fingerprint, the machine fingerprint, and every Options
-// field that can change the covering (including LiveOut and
-// VarPlacement; see optionsFingerprint).
+// BlockKey returns the content address of one covering request, given
+// a precomputed machine fingerprint (m.Fingerprint(), which callers
+// that key many blocks against one machine should memoize — see
+// Cache.MachineFingerprint). The key covers the block fingerprint, the
+// machine fingerprint, and every Options field that can change the
+// covering (including LiveOut and VarPlacement; see
+// optionsFingerprint).
 //
-// internal/delta folds this key into its context fingerprints, so a
-// block artifact can never be reused across a change that would have
-// altered the covering.
+// aviv folds this key into its per-block cache key, so a block
+// artifact can never be reused across a change that would have altered
+// the covering.
 func BlockKey(block *ir.Block, machineFP [sha256.Size]byte, opts Options) [sha256.Size]byte {
-	return cacheKey{block: block.Fingerprint(), machine: machineFP, options: optionsFingerprint(opts)}.storeKey()
+	blockFP, optsFP := block.Fingerprint(), optionsFingerprint(opts)
+	h := sha256.New()
+	h.Write(blockFP[:])
+	h.Write(machineFP[:])
+	h.Write(optsFP[:])
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // EncodeResult serializes a covering for a persistent tier, declining
-// (ok=false) when the result is not representable. Exported for
-// internal/delta, which persists per-block coverings under its own
-// context keys; the format is the same versioned codec CoverBlock uses.
+// (ok=false) when the result is not representable. The format is
+// versioned; DecodeResult and DecodeBlock read it back.
 func EncodeResult(res *Result) (data []byte, ok bool) { return encodeResult(res) }
+
+// DecodeBlock is CoverBlock for a persisted covering: it re-derives the
+// covered block and its Split-Node DAG exactly as CoverBlock would
+// (both are deterministic functions of the block, the machine and
+// opts.LiveOut) and decodes data against them. Any error must be
+// treated as a cache miss.
+func DecodeBlock(data []byte, block *ir.Block, m *isdl.Machine, opts Options) (*Result, error) {
+	d, pruned, err := coveredDAG(block, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := decodeResult(data, d)
+	if err != nil {
+		return nil, err
+	}
+	res.PrunedStores = pruned
+	return res, nil
+}
 
 // DecodeResult rebuilds a covering from its serialized form against a
 // freshly derived Split-Node DAG of the covered block. Any

@@ -41,12 +41,11 @@ func TestOptionsFingerprintStability(t *testing.T) {
 		}
 		seen[fp] = mut.name
 	}
-	// Trace and Cache identity must NOT affect the key.
+	// Trace identity must NOT affect the key.
 	traced := DefaultOptions()
 	traced.Trace = &Trace{}
-	traced.Cache = NewCache()
 	if optionsFingerprint(traced) != optionsFingerprint(base) {
-		t.Fatal("Trace/Cache identity leaked into the options fingerprint")
+		t.Fatal("Trace identity leaked into the options fingerprint")
 	}
 }
 

@@ -83,21 +83,6 @@ type Options struct {
 	// Trace, when non-nil, collects a step-by-step record of the
 	// covering run (used by the figure-reproduction harness).
 	Trace *Trace
-
-	// Cache, when non-nil, is a block-level compile cache: CoverBlock
-	// returns the memoized covering when the (block, machine, options)
-	// content fingerprints match a previous call. Ignored while Trace is
-	// set so traced runs always cover in full. Cache identity does not
-	// affect output — results are byte-identical with and without it.
-	Cache *Cache
-
-	// Store, when non-nil, is a persistent second cache tier below
-	// Cache (typically internal/diskcache): coverings are serialized
-	// into it on a miss and deserialized from it before searching.
-	// Every storage or decode failure degrades to a miss, and decoded
-	// solutions are re-verified, so — like Cache — Store identity never
-	// affects output. Ignored while Trace is set.
-	Store EntryStore
 }
 
 // DefaultOptions returns the heuristics-on configuration used for the

@@ -313,8 +313,9 @@ func diskUsage(t *testing.T, c *Cache) int64 {
 	return total
 }
 
-// TestDeleteInvalidatesEntry pins the deletion-as-miss path the delta
-// engine uses for entries that read back clean but no longer decode.
+// TestDeleteInvalidatesEntry pins the deletion-as-miss path the
+// per-block cache uses for entries that read back clean but no longer
+// decode.
 func TestDeleteInvalidatesEntry(t *testing.T) {
 	c := openTemp(t, 0)
 	key := keyOf("stale-covering")
@@ -405,7 +406,7 @@ func TestTouchOnHitProtectsHotEntries(t *testing.T) {
 }
 
 // TestTwoProcessDeltaStress extends the multi-process stress to the
-// delta tier's access pattern: concurrent Put/Get/Delete over per-block
+// per-block tier's access pattern: concurrent Put/Get/Delete over per-block
 // keys from two OS processes sharing one directory. Every observed
 // payload must be intact, and the directory must end re-servable.
 func TestTwoProcessDeltaStress(t *testing.T) {
@@ -482,7 +483,7 @@ func TestDiskCacheDeltaHelperProcess(t *testing.T) {
 			}
 			c.Put(key, want)
 			// Each process invalidates a different key slice, mimicking two
-			// delta engines racing deletion-as-miss against re-population.
+			// compilers racing deletion-as-miss against re-population.
 			if (k+iter)%4 == 0 && (seed == "0") == (k%2 == 0) {
 				c.Delete(key)
 			}

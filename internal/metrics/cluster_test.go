@@ -7,7 +7,7 @@ import (
 
 // TestClusterStatsStringShape pins the "cluster:" line of the avivbench
 // -cluster report verbatim, like TestCacheStatsStringShape does for the
-// delta line.
+// "delta:" line.
 func TestClusterStatsStringShape(t *testing.T) {
 	s := ClusterStats{
 		Self:           "http://n1:8377",

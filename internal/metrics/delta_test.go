@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestCacheStatsStringShape pins the "delta:" line of avivcc -stats /
-// avivbench -edit verbatim: tooling that scrapes the reports depends on
-// this exact shape.
+// TestCacheStatsStringShape pins the "delta:" line of avivbench -edit
+// verbatim: tooling that scrapes the reports depends on this exact
+// shape.
 func TestCacheStatsStringShape(t *testing.T) {
 	s := CacheStats{
 		Entries:       56,

@@ -41,12 +41,20 @@ type BlockMetrics struct {
 	// MemoHits counts coverings answered by the intra-search memo
 	// (structurally identical solution graphs within one block).
 	MemoHits int
-	// CacheHit reports the whole covering came from the compile cache
-	// (either tier).
+	// CacheHit reports the block was reused from the per-block cache
+	// (either tier) instead of being covered fresh.
 	CacheHit bool
-	// DiskHit reports the covering was deserialized from the persistent
-	// cache tier (implies CacheHit).
+	// DiskHit reports the block was rebuilt from the persistent tier's
+	// covering (implies CacheHit); a CacheHit without DiskHit came from
+	// the memory tier.
 	DiskHit bool
+	// DiskMiss reports the block was looked up in the persistent tier
+	// and not found there (or found undecodable), so it was covered
+	// fresh.
+	DiskMiss bool
+	// Invalidated reports a persistent entry for the block read back but
+	// failed to decode, and was deleted.
+	Invalidated bool
 	// Violations counts translation-validation diagnostics flagged on the
 	// block (always 0 on a successful compile with verification on).
 	Violations int
@@ -60,6 +68,23 @@ type BlockMetrics struct {
 	// Total is the whole per-block pipeline, including overhead not
 	// attributed to a named phase.
 	Total time.Duration
+}
+
+// Effort returns the block name and effort counters of b — what a
+// reused block carries over from the compile that produced it — without
+// timings, cache flags, worker or verification results.
+func (b BlockMetrics) Effort() BlockMetrics {
+	return BlockMetrics{
+		Block:               b.Block,
+		DAGNodes:            b.DAGNodes,
+		Instructions:        b.Instructions,
+		Spills:              b.Spills,
+		AssignmentsExplored: b.AssignmentsExplored,
+		PeepholeSaved:       b.PeepholeSaved,
+		PrunedStores:        b.PrunedStores,
+		PrunedAssignments:   b.PrunedAssignments,
+		MemoHits:            b.MemoHits,
+	}
 }
 
 // AnalysisMetrics records wall time and output counts of the global
@@ -141,7 +166,7 @@ func (m *CompileMetrics) TotalMemoHits() int {
 	return n
 }
 
-// CacheHits counts blocks served entirely from the compile cache.
+// CacheHits counts blocks reused from the per-block cache (either tier).
 func (m *CompileMetrics) CacheHits() int {
 	n := 0
 	for _, b := range m.Blocks {
@@ -152,7 +177,7 @@ func (m *CompileMetrics) CacheHits() int {
 	return n
 }
 
-// DiskHits counts blocks served from the persistent cache tier.
+// DiskHits counts blocks rebuilt from the persistent cache tier.
 func (m *CompileMetrics) DiskHits() int {
 	n := 0
 	for _, b := range m.Blocks {
@@ -161,6 +186,33 @@ func (m *CompileMetrics) DiskHits() int {
 		}
 	}
 	return n
+}
+
+// Reuse returns the per-tier block counts of this compile. Entries and
+// Evictions are properties of the memory tier, not of a compile, and
+// stay 0.
+func (m *CompileMetrics) Reuse() CacheStats {
+	var s CacheStats
+	for _, b := range m.Blocks {
+		switch {
+		case b.DiskHit:
+			s.MemMisses++
+			s.DiskHits++
+		case b.CacheHit:
+			s.MemHits++
+		default:
+			s.MemMisses++
+			s.Recompiled++
+		}
+		if b.DiskMiss {
+			s.DiskMisses++
+		}
+		if b.Invalidated {
+			s.Invalidations++
+		}
+	}
+	s.Stitched = s.MemHits + s.DiskHits
+	return s
 }
 
 // TotalSpills sums spills across blocks.

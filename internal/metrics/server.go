@@ -33,15 +33,14 @@ type ServerCounters struct {
 	// MachinesInterned counts distinct machine descriptions parsed and
 	// cached by the interner.
 	MachinesInterned atomic.Int64
-	// BlocksStitched counts basic blocks served from the delta engine's
-	// artifact tiers across all requests (0 when the server runs without
-	// the incremental path).
+	// BlocksStitched counts basic blocks reused from the per-block cache
+	// tiers across all requests (0 when the server runs without them).
 	BlocksStitched atomic.Int64
-	// BlocksRecompiled counts basic blocks the delta engine had to push
-	// through the full per-block pipeline.
+	// BlocksRecompiled counts basic blocks pushed through the full
+	// per-block pipeline.
 	BlocksRecompiled atomic.Int64
-	// DeltaInvalidations counts persistent block entries the delta
-	// engine deleted because they no longer decoded (deletion-as-miss).
+	// DeltaInvalidations counts persistent block entries deleted because
+	// they no longer decoded (deletion-as-miss).
 	DeltaInvalidations atomic.Int64
 	// Forwarded counts compile requests answered by forwarding to the
 	// owning cluster shard; LocalFallbacks counts requests compiled
@@ -73,8 +72,8 @@ type ServerSnapshot struct {
 	Inflight         int64 `json:"inflight"`
 	Queued           int64 `json:"queued"`
 	MachinesInterned int64 `json:"machines_interned"`
-	// The three delta counters stay 0 (but present, for a stable shape)
-	// when the server runs without the incremental compile path.
+	// The three block counters stay 0 (but present, for a stable shape)
+	// when the server runs without cache tiers.
 	BlocksStitched     int64 `json:"blocks_stitched"`
 	BlocksRecompiled   int64 `json:"blocks_recompiled"`
 	DeltaInvalidations int64 `json:"delta_invalidations"`

@@ -24,7 +24,6 @@ import (
 
 	"aviv"
 	"aviv/internal/cover"
-	"aviv/internal/delta"
 	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
 	"aviv/internal/metrics"
@@ -60,14 +59,12 @@ type CompileResponse struct {
 	CodeSize int `json:"code_size,omitempty"`
 	// Blocks is the number of compiled basic blocks.
 	Blocks int `json:"blocks,omitempty"`
-	// CacheHits counts blocks served from the in-memory compile cache.
+	// CacheHits counts blocks reused from the memory tier.
 	CacheHits int `json:"cache_hits,omitempty"`
-	// DiskHits counts blocks served from the persistent cache tier.
+	// DiskHits counts blocks rebuilt from the persistent tier.
 	DiskHits int `json:"disk_hits,omitempty"`
-	// StitchedBlocks counts blocks stitched from the delta engine's
-	// artifact tiers (memory or disk) instead of being recompiled;
-	// RecompiledBlocks counts the rest. Both stay 0 when the server runs
-	// without the incremental path (Config.Delta off).
+	// StitchedBlocks = CacheHits + DiskHits; RecompiledBlocks counts the
+	// blocks covered fresh.
 	StitchedBlocks   int `json:"stitched_blocks,omitempty"`
 	RecompiledBlocks int `json:"recompiled_blocks,omitempty"`
 	// Error is the compile failure, if any.
@@ -81,13 +78,13 @@ type CompileResponse struct {
 // StatsResponse is the JSON body of GET /stats.
 type StatsResponse struct {
 	Server metrics.ServerSnapshot `json:"server"`
-	// MemCache reports the in-memory compile-cache tier, when present.
+	// MemCache reports the memory tier, when present.
 	MemCache *cover.CacheStats `json:"mem_cache,omitempty"`
 	// Disk reports the persistent tier, when it is an
 	// internal/diskcache store.
 	Disk *diskcache.Stats `json:"disk,omitempty"`
-	// Delta reports the incremental engine's per-tier block counters,
-	// when the server runs with Config.Delta.
+	// Delta reports the per-tier block counters over every request,
+	// whenever MemCache is present.
 	Delta *metrics.CacheStats `json:"delta,omitempty"`
 	// Cluster reports ring membership and the peer-path counters when
 	// the server runs as a cluster node (internal/cluster fills it in;
@@ -115,7 +112,9 @@ type PeerCompiler interface {
 // Config configures a Server.
 type Config struct {
 	// Options is the base compile configuration. Cache and DiskCache
-	// are shared across all requests (that is the point of the server);
+	// are shared across all requests (that is the point of the server:
+	// every block whose key an earlier request already compiled is
+	// reused instead of re-covered);
 	// Parallelism is resolved through aviv.ResolveParallelism into the
 	// server's worker-pool size. Each individual compile runs serially
 	// — concurrency comes from serving requests in parallel, and the
@@ -127,17 +126,15 @@ type Config struct {
 	// Timeout bounds each request's wait for its compile result;
 	// exceeding it answers 504. <= 0 selects 30s.
 	Timeout time.Duration
-	// Delta enables the incremental compile path: one delta.Engine,
-	// shared across all requests (machine and option fingerprints are
-	// part of its context keys), stitches unchanged blocks from cached
-	// artifacts instead of re-covering them. Served output stays
-	// byte-identical to a from-scratch compile — the engine's contract,
-	// held by the root differential tests — so the flag trades memory
-	// for edit latency, never fidelity. Options.DiskCache, when set,
-	// doubles as the engine's persistent artifact tier.
+	// Delta does nothing.
+	//
+	// Deprecated: every compile is incremental through Options.Cache
+	// and Options.DiskCache.
 	Delta bool
-	// DeltaEntries bounds the engine's in-memory artifact count;
-	// <= 0 selects 4096.
+	// DeltaEntries does nothing.
+	//
+	// Deprecated: Options.Cache (cover.NewBoundedCache) is the one
+	// memory tier and carries the one entry cap.
 	DeltaEntries int
 	// Peer, when set, is consulted before admission control for every
 	// compile: a cluster layer forwards keys owned by other nodes to
@@ -159,7 +156,9 @@ type Server struct {
 	flight   flightGroup
 	machines machineInterner
 	counters metrics.ServerCounters
-	delta    *delta.Engine // nil when Config.Delta is off
+
+	reuseMu sync.Mutex
+	reuse   metrics.CacheStats // block counts summed over every compile
 }
 
 // New builds a Server from cfg, applying defaults.
@@ -180,13 +179,6 @@ func New(cfg Config) *Server {
 		timeout:  timeout,
 		sem:      make(chan struct{}, workers),
 	}
-	if cfg.Delta {
-		entries := cfg.DeltaEntries
-		if entries <= 0 {
-			entries = 4096
-		}
-		s.delta = delta.New(entries, cfg.Options.DiskCache)
-	}
 	s.flight.onAbandon = func() { s.counters.Abandoned.Add(1) }
 	return s
 }
@@ -199,23 +191,19 @@ func (s *Server) Counters() *metrics.ServerCounters { return &s.counters }
 
 // Stats assembles the /stats payload.
 func (s *Server) Stats() StatsResponse {
-	if s.delta != nil {
-		// DeltaInvalidations mirrors the engine's own counter; syncing at
-		// snapshot time keeps it exact without per-request bookkeeping.
-		s.counters.DeltaInvalidations.Store(s.delta.Stats().Invalidations)
-	}
 	out := StatsResponse{Server: s.counters.Snapshot()}
 	if c := s.cfg.Options.Cache; c != nil {
 		st := c.Stats()
 		out.MemCache = &st
+		s.reuseMu.Lock()
+		d := s.reuse
+		s.reuseMu.Unlock()
+		d.Entries, d.Evictions = int64(st.Entries), st.Evictions
+		out.Delta = &d
 	}
 	if d, ok := s.cfg.Options.DiskCache.(interface{ Stats() diskcache.Stats }); ok {
 		st := d.Stats()
 		out.Disk = &st
-	}
-	if s.delta != nil {
-		st := s.delta.Stats()
-		out.Delta = &st
 	}
 	return out
 }
@@ -341,49 +329,28 @@ func (s *Server) compile(ctx context.Context, key string, req CompileRequest) (*
 	if unroll < 1 {
 		unroll = 1
 	}
-	if s.delta != nil {
-		// The incremental path: same front end, same options, same
-		// bytes — unchanged blocks are stitched from the engine's
-		// artifact tiers instead of re-covered.
-		res, err := s.delta.CompileSource(req.Source, m, unroll, opts)
-		if err != nil {
-			s.counters.Errors.Add(1)
-			return &CompileResponse{Error: err.Error()}, nil
-		}
-		s.counters.Completed.Add(1)
-		stitched := res.Stitched + res.DiskStitched
-		s.counters.BlocksStitched.Add(int64(stitched))
-		s.counters.BlocksRecompiled.Add(int64(res.Recompiled))
-		return &CompileResponse{
-			Assembly:         res.Program.String(),
-			CodeSize:         res.CodeSize(),
-			Blocks:           res.Blocks,
-			CacheHits:        res.CoverCacheHits,
-			DiskHits:         res.CoverDiskHits,
-			StitchedBlocks:   stitched,
-			RecompiledBlocks: res.Recompiled,
-		}, nil
-	}
 	res, err := aviv.CompileSource(req.Source, m, unroll, opts)
 	if err != nil {
 		s.counters.Errors.Add(1)
 		return &CompileResponse{Error: err.Error()}, nil
 	}
 	s.counters.Completed.Add(1)
-	resp := &CompileResponse{
-		Assembly: res.Program.String(),
-		CodeSize: res.CodeSize(),
-		Blocks:   len(res.Blocks),
-	}
-	for _, bm := range res.Metrics.Blocks {
-		if bm.CacheHit {
-			resp.CacheHits++
-		}
-		if bm.DiskHit {
-			resp.DiskHits++
-		}
-	}
-	return resp, nil
+	reuse := res.Metrics.Reuse()
+	s.reuseMu.Lock()
+	s.reuse.Add(reuse)
+	s.reuseMu.Unlock()
+	s.counters.BlocksStitched.Add(reuse.Stitched)
+	s.counters.BlocksRecompiled.Add(reuse.Recompiled)
+	s.counters.DeltaInvalidations.Add(reuse.Invalidations)
+	return &CompileResponse{
+		Assembly:         res.Program.String(),
+		CodeSize:         res.CodeSize(),
+		Blocks:           len(res.Blocks),
+		CacheHits:        int(reuse.MemHits),
+		DiskHits:         int(reuse.DiskHits),
+		StitchedBlocks:   int(reuse.Stitched),
+		RecompiledBlocks: int(reuse.Recompiled),
+	}, nil
 }
 
 // requestOptions maps a request onto compile options: the preset picks

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,14 @@ import (
 	"aviv/internal/cover"
 	"aviv/internal/isdl"
 )
+
+// multiBlockSource branches, so it lowers to several basic blocks.
+const multiBlockSource = `
+if (a > b) { m = a - b; } else { m = b - a; }
+s = m * 3;
+if (s > 9) { s = s - 9; }
+out = s + a;
+`
 
 const testSource = `
 x = 3;
@@ -340,7 +349,7 @@ func TestRequestTimeout(t *testing.T) {
 func TestConcurrentIdenticalRequestsDedup(t *testing.T) {
 	const clients = 6
 	s, ts := testServer(t, Config{
-		Options:    aviv.Options{Parallelism: 1, Cache: cover.NewCache()},
+		Options:    aviv.Options{Parallelism: 1, Cache: cover.NewBoundedCache(0)},
 		QueueLimit: clients,
 		Timeout:    10 * time.Second,
 	})
@@ -432,7 +441,7 @@ func TestStatsAndHealthz(t *testing.T) {
 // same machine text share one parsed machine, which is what lets the
 // compile cache memoize the machine fingerprint per pointer.
 func TestMachineInterningSharesPointers(t *testing.T) {
-	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cover.NewCache()}})
+	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cover.NewBoundedCache(0)}})
 	for i := 0; i < 3; i++ {
 		src := fmt.Sprintf("x = %d; y = x * 2;", i+1)
 		httpResp, resp := postCompile(t, ts.URL, CompileRequest{Source: src, Machine: isdl.ExampleArchISDL})
@@ -445,14 +454,13 @@ func TestMachineInterningSharesPointers(t *testing.T) {
 	}
 }
 
-// TestDeltaServerStitchesAndReportsStats drives the delta-enabled server
+// TestDeltaServerStitchesAndReportsStats drives the incremental server
 // path end to end: the first compile of a source recompiles every block,
-// a repeat (with a cache-busting distinct machine text is NOT needed —
-// the request-level memo is what we bypass via distinct unroll) stitches
-// them, the response reports per-request stitch counts, and /stats grows
-// the "delta" section with the engine's counters.
+// a repeat reuses them from the memory tier, the response reports
+// per-request reuse counts, and /stats carries the "delta" section with
+// the per-tier block counters.
 func TestDeltaServerStitchesAndReportsStats(t *testing.T) {
-	_, ts := testServer(t, Config{Delta: true})
+	_, ts := testServer(t, Config{Options: aviv.Options{Cache: cover.NewBoundedCache(64)}})
 
 	_, first := postCompile(t, ts.URL, CompileRequest{Source: testSource, Machine: isdl.ExampleArchISDL})
 	if first.Error != "" {
@@ -462,8 +470,8 @@ func TestDeltaServerStitchesAndReportsStats(t *testing.T) {
 		t.Fatalf("first compile: stitched %d, recompiled %d; want all recompiled",
 			first.StitchedBlocks, first.RecompiledBlocks)
 	}
-	// A verify-enabled repeat misses the request-level memo (different
-	// request key) but hits the delta tier for every block.
+	// A verify-enabled repeat is a different request but reuses every
+	// block from the memory tier.
 	_, second := postCompile(t, ts.URL, CompileRequest{Source: testSource, Machine: isdl.ExampleArchISDL, Verify: true})
 	if second.Error != "" {
 		t.Fatalf("second compile failed: %s", second.Error)
@@ -486,8 +494,8 @@ func TestDeltaServerStitchesAndReportsStats(t *testing.T) {
 	if err := json.NewDecoder(io.TeeReader(httpResp.Body, &raw)).Decode(&stats); err != nil {
 		t.Fatalf("decoding /stats: %v", err)
 	}
-	if stats.Delta == nil {
-		t.Fatalf("/stats lacks the delta section: %s", raw.String())
+	if stats.Delta == nil || stats.MemCache == nil {
+		t.Fatalf("/stats lacks the delta or mem_cache section: %s", raw.String())
 	}
 	if stats.Delta.MemHits != int64(second.StitchedBlocks) || stats.Delta.Recompiled != int64(first.RecompiledBlocks) {
 		t.Fatalf("delta stats %+v disagree with responses (stitched %d, recompiled %d)",
@@ -498,10 +506,120 @@ func TestDeltaServerStitchesAndReportsStats(t *testing.T) {
 		t.Fatalf("server counters %+v disagree with responses", stats.Server)
 	}
 	// The JSON shape itself is the monitoring contract.
-	for _, field := range []string{`"delta"`, `"stitched"`, `"blocks_stitched"`, `"blocks_recompiled"`, `"delta_invalidations"`} {
+	for _, field := range []string{`"delta"`, `"mem_cache"`, `"stitched"`, `"blocks_stitched"`, `"blocks_recompiled"`, `"delta_invalidations"`} {
 		if !strings.Contains(raw.String(), field) {
 			t.Fatalf("/stats JSON lacks %s: %s", field, raw.String())
 		}
+	}
+}
+
+// countingStore is a map-backed cover.DeletableStore that counts its
+// calls.
+type countingStore struct {
+	mu                  sync.Mutex
+	m                   map[[sha256.Size]byte][]byte
+	gets, puts, deletes int
+}
+
+func (s *countingStore) Get(key [sha256.Size]byte) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gets++
+	data, ok := s.m[key]
+	return data, ok
+}
+
+func (s *countingStore) Put(key [sha256.Size]byte, data []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts++
+	s.m[key] = data
+}
+
+func (s *countingStore) Delete(key [sha256.Size]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deletes++
+	delete(s.m, key)
+}
+
+// counts returns and resets the call counters.
+func (s *countingStore) counts() (gets, puts, deletes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gets, puts, deletes = s.gets, s.puts, s.deletes
+	s.gets, s.puts, s.deletes = 0, 0, 0
+	return gets, puts, deletes
+}
+
+// TestServerWritesEachBlockOnce pins the single per-block cache behind
+// the server: one key per block, one write per fresh block, no disk
+// traffic on a memory hit, disk hits after a restart, and deletion-as-
+// miss for an entry that no longer decodes.
+func TestServerWritesEachBlockOnce(t *testing.T) {
+	store := &countingStore{m: make(map[[sha256.Size]byte][]byte)}
+	newServer := func() (*Server, *httptest.Server) {
+		return testServer(t, Config{
+			Options: aviv.Options{Cache: cover.NewBoundedCache(64), DiskCache: store},
+			Delta:   true,
+		})
+	}
+	req := CompileRequest{Source: multiBlockSource, Machine: isdl.ExampleArchFullISDL}
+	compile := func(ts *httptest.Server) CompileResponse {
+		t.Helper()
+		httpResp, resp := postCompile(t, ts.URL, req)
+		if httpResp.StatusCode != http.StatusOK || resp.Error != "" {
+			t.Fatalf("compile: %d %s", httpResp.StatusCode, resp.Error)
+		}
+		return resp
+	}
+
+	s, ts := newServer()
+	cold := compile(ts)
+	n := cold.Blocks
+	if n < 3 {
+		t.Fatalf("workload has %d blocks, want several", n)
+	}
+	if gets, puts, _ := store.counts(); gets != n || puts != n {
+		t.Fatalf("cold request: %d gets, %d puts; want %d each", gets, puts, n)
+	}
+
+	warm := compile(ts)
+	if warm.Assembly != cold.Assembly {
+		t.Fatal("warm response differs from cold")
+	}
+	if gets, puts, _ := store.counts(); gets != 0 || puts != 0 || warm.CacheHits != n {
+		t.Fatalf("warm request: %d gets, %d puts, %d memory hits; want 0, 0, %d", gets, puts, warm.CacheHits, n)
+	}
+	if d := s.Stats().Delta; d.MemHits != int64(n) || d.Recompiled != int64(n) || d.DiskMisses != int64(n) {
+		t.Fatalf("delta stats %+v, want %d memory hits, recompiles and disk misses", d, n)
+	}
+
+	_, restarted := newServer()
+	fromDisk := compile(restarted)
+	if fromDisk.Assembly != cold.Assembly {
+		t.Fatal("restarted response differs from cold")
+	}
+	if _, puts, _ := store.counts(); fromDisk.DiskHits != n || puts != 0 {
+		t.Fatalf("restarted request: %d disk hits, %d puts; want %d, 0", fromDisk.DiskHits, puts, n)
+	}
+
+	store.mu.Lock()
+	for k := range store.m {
+		store.m[k] = []byte("not a covering")
+		break
+	}
+	store.mu.Unlock()
+	s, bad := newServer()
+	repaired := compile(bad)
+	if repaired.Assembly != cold.Assembly {
+		t.Fatal("response over an undecodable entry differs from cold")
+	}
+	if _, puts, deletes := store.counts(); deletes != 1 || puts != 1 || repaired.RecompiledBlocks != 1 {
+		t.Fatalf("undecodable entry: %d deletes, %d puts, %d recompiled; want 1 each", deletes, puts, repaired.RecompiledBlocks)
+	}
+	if got := s.Stats().Server.DeltaInvalidations; got != 1 {
+		t.Fatalf("delta_invalidations = %d, want 1", got)
 	}
 }
 

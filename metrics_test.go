@@ -43,7 +43,7 @@ func TestMetricsSearchCounters(t *testing.T) {
 	}
 
 	cached := opts
-	cached.Cache = cover.NewCache()
+	cached.Cache = cover.NewBoundedCache(0)
 	if _, err := Compile(f, m, cached); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func BenchmarkCompileMultiBlock(b *testing.B) {
 	b.Run("cache", func(b *testing.B) {
 		opts := DefaultOptions()
 		opts.Parallelism = 1
-		opts.Cache = cover.NewCache()
+		opts.Cache = cover.NewBoundedCache(0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := Compile(f, m, opts); err != nil {

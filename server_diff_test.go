@@ -41,11 +41,9 @@ func TestServerDifferentialCorpus(t *testing.T) {
 			Cache:     cover.NewBoundedCache(256),
 			DiskCache: disk,
 		},
+		// Both per-block tiers are on, as in avivd by default, so this is
+		// also the byte-identity gate for blocks reused across requests.
 		QueueLimit: 256,
-		// The delta engine is how avivd serves by default; running the
-		// whole differential corpus through it makes this test the
-		// byte-identity gate for the stitched path too.
-		Delta: true,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
