@@ -1,5 +1,5 @@
 # Convenience targets; `make check` is the gate ci.sh runs in CI.
-.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke benchjson servesmoke servejson zoosmoke zoojson editsmoke editjson clustersmoke clusterjson
+.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench benchjson servesmoke servejson zoosmoke zoojson editsmoke editjson clustersmoke clusterjson
 
 check:
 	./ci.sh
@@ -57,6 +57,11 @@ bench:
 # cost of a real measurement run (also part of ci.sh).
 benchsmoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
+
+# One iteration of the covering and peephole layer benchmarks (also
+# part of ci.sh, -short included).
+layerbench:
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock' -benchtime 1x ./internal/peephole ./internal/cover
 
 # Regenerate the machine-readable compile-benchmark report.
 benchjson:

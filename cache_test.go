@@ -3,6 +3,7 @@ package aviv
 import (
 	"testing"
 
+	"aviv/internal/bench"
 	"aviv/internal/cover"
 	"aviv/internal/isdl"
 )
@@ -49,7 +50,7 @@ func TestCompileCacheByteIdentical(t *testing.T) {
 // the current block (pointer-unequal), and verification must still
 // accept the program.
 func TestCompileCacheVerifiedHit(t *testing.T) {
-	src, _ := genProgram(3, false)
+	src, _ := bench.DiffProgram(3, false)
 	m := isdl.ExampleArchFull(4)
 	opts := DefaultOptions()
 	opts.Verify = true
@@ -73,7 +74,7 @@ func TestCompileCacheVerifiedHit(t *testing.T) {
 // TestCompileCacheKeyedByOptions checks that option changes miss: the
 // same source under a different level window must not reuse a covering.
 func TestCompileCacheKeyedByOptions(t *testing.T) {
-	src, _ := genProgram(5, false)
+	src, _ := bench.DiffProgram(5, false)
 	m := isdl.ExampleArchFull(4)
 	cache := cover.NewBoundedCache(0)
 	opts := DefaultOptions()

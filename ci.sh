@@ -95,6 +95,11 @@ echo "== clustersmoke: cluster differential (race) =="
 # Under -race this is also the data-race gate for the cluster layer.
 go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
 
+echo "== layerbench: covering + peephole Go benchmarks (one iteration) =="
+# The per-layer Go benchmarks of the compile tail a disk-tier hit pays
+# for, run in -short mode too so neither can rot between full runs.
+go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock' -benchtime 1x ./internal/peephole ./internal/cover
+
 if [ "${1:-}" != "-short" ]; then
     echo "== fuzz smoke (FuzzCompileSource, 10s) =="
     go test -run '^$' -fuzz='^FuzzCompileSource$' -fuzztime=10s .

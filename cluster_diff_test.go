@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aviv"
+	"aviv/internal/bench"
 	"aviv/internal/cluster"
 	"aviv/internal/cover"
 	"aviv/internal/isdl"
@@ -57,7 +58,7 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 	const seeds = 50
 	requestFor := func(seed int) server.CompileRequest {
 		bitwise := seed%2 == 1
-		src, _ := aviv.GenProgram(int64(seed), bitwise)
+		src, _ := bench.DiffProgram(int64(seed), bitwise)
 		machine := isdl.ExampleArchFullISDL
 		if bitwise {
 			machine = isdl.SingleIssueDSPISDL

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"aviv/internal/bench"
 	"aviv/internal/isdl"
 )
 
@@ -20,7 +21,7 @@ func corpusProgramText(t testing.TB, opts Options) string {
 	var all string
 	for seed := int64(0); seed < 50; seed++ {
 		bitwise := seed%2 == 1
-		src, _ := genProgram(seed, bitwise)
+		src, _ := bench.DiffProgram(seed, bitwise)
 		m := vliw
 		if bitwise {
 			m = dsp

@@ -1,10 +1,6 @@
 package aviv
 
-// Exports for the external (package aviv_test) differential tests: the
-// server diff harness replays the same seeded corpus the in-package
-// property tests use, so "byte-identical to a local compile" means
-// identical to these exact programs.
-var (
-	GenProgram        = genProgram
-	CorpusProgramText = corpusProgramText
-)
+// CorpusProgramText is exported for the external (package aviv_test)
+// differential tests: the server diff harness compares against the same
+// compiled corpus the in-package property tests use.
+var CorpusProgramText = corpusProgramText

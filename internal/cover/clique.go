@@ -489,23 +489,45 @@ func splitIllegal(group []*SNode, m *isdl.Machine) [][]*SNode {
 }
 
 // legalGroup reports whether the grouping forms a legal instruction.
-func legalGroup(group []*SNode, m *isdl.Machine) bool {
-	var slots []isdl.SlotRef
-	busUse := make(map[string]int)
+func legalGroup(group []*SNode, m *isdl.Machine) bool { return legalWith(group, nil, m) }
+
+// legalWith reports whether group, plus the node extra when it is not
+// nil, forms a legal instruction. The slot and bus tallies live in
+// fixed-size stack buffers, so checking a group of ordinary width
+// allocates nothing.
+func legalWith(group []*SNode, extra *SNode, m *isdl.Machine) bool {
+	var slotBuf [16]isdl.SlotRef
+	var busBuf [16]isdl.BusUse
+	slots, buses := slotBuf[:0], busBuf[:0]
 	for _, n := range group {
-		if n.Kind == OpNode {
-			// Synthetic immediate materializations (Op == CONST) occupy
-			// the unit but are outside the ISDL op repertoire; unit
-			// exclusivity for them is already enforced by the
-			// parallelism matrix, so they add no constraint slot.
-			if n.Op.IsComputation() {
-				slots = append(slots, isdl.SlotRef{Unit: n.Unit, Op: n.Op})
-			}
-		} else {
-			busUse[n.Step.Bus]++
+		slots, buses = tally(slots, buses, n)
+	}
+	if extra != nil {
+		slots, buses = tally(slots, buses, extra)
+	}
+	return m.LegalGroup(slots, buses)
+}
+
+// tally adds one grouped node to the instruction's slot list or to its
+// per-bus transfer counts.
+func tally(slots []isdl.SlotRef, buses []isdl.BusUse, n *SNode) ([]isdl.SlotRef, []isdl.BusUse) {
+	if n.Kind == OpNode {
+		// Synthetic immediate materializations (Op == CONST) occupy
+		// the unit but are outside the ISDL op repertoire; unit
+		// exclusivity for them is already enforced by the
+		// parallelism matrix, so they add no constraint slot.
+		if n.Op.IsComputation() {
+			slots = append(slots, isdl.SlotRef{Unit: n.Unit, Op: n.Op})
+		}
+		return slots, buses
+	}
+	for i := range buses {
+		if buses[i].Bus == n.Step.Bus {
+			buses[i].N++
+			return slots, buses
 		}
 	}
-	return m.CheckGroup(slots, busUse) == nil
+	return slots, append(buses, isdl.BusUse{Bus: n.Step.Bus, N: 1})
 }
 
 // dedupeCliques removes duplicate groupings by a binary key over the

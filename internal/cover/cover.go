@@ -334,6 +334,40 @@ func memoListSchedule(d *sndag.DAG, a *Assignment, opts Options, memo *coverMemo
 	return sol, nil
 }
 
+// CanMove reports whether moving the scheduled node n into instruction
+// j keeps every Verify condition that such a move can break:
+//
+//   - each operand predecessor p completes in time: pos[p] + latency(p) <= j;
+//   - each ordering predecessor p issues strictly earlier: pos[p] < j;
+//   - instruction j plus n uses no functional unit twice;
+//   - instruction j plus n is a legal grouping.
+//
+// pos maps every scheduled node to its instruction index before the
+// move. Each condition is one Verify checks on the moved schedule, so
+// false implies the move fails Verify; true leaves register pressure and
+// everything else to Verify. It allocates nothing, which makes it the
+// cheap first test of a peephole trial move.
+func (s *Solution) CanMove(n *SNode, j int, pos map[*SNode]int) bool {
+	for _, p := range n.Preds {
+		if pp, ok := pos[p]; !ok || pp+nodeLatency(s.Machine, p) > j {
+			return false
+		}
+	}
+	for _, p := range n.OrdPreds {
+		if pp, ok := pos[p]; !ok || pp >= j {
+			return false
+		}
+	}
+	if n.Kind == OpNode {
+		for _, o := range s.Instrs[j] {
+			if o.Kind == OpNode && o.Unit == n.Unit {
+				return false
+			}
+		}
+	}
+	return legalWith(s.Instrs[j], n, s.Machine)
+}
+
 // Verify checks solution invariants: every instruction is a legal
 // grouping, dependences are respected by the schedule, and per-bank
 // register pressure never exceeds the bank size. It is used heavily in

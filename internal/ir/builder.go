@@ -7,34 +7,42 @@ import "fmt"
 // subexpression elimination, a machine-independent optimization the
 // paper's front end performs).
 //
-// Loads are value-numbered against the most recent store to the same
-// location, so a load after a store within the block reuses the stored
-// value; stores invalidate prior loads of the same location only.
+// Loads are value-numbered through the location's current value: a
+// load after a store within the block reuses the stored value, and a
+// repeated load reuses the first; stores replace the current value of
+// their own location only.
 type Builder struct {
 	Block *Block
 
-	memo map[string]*Node
+	memo map[memoKey]*Node
 	// curVal maps a memory location to the node currently holding its
 	// value within the block (last store value or first load).
 	curVal map[string]*Node
-	// storeEpoch increments per store; load memo keys include it so loads
-	// across a clobbering store are not merged.
-	storeEpoch map[string]int
+}
+
+// memoKey identifies one hash-consed value: a constant, or an operation
+// over operand node IDs. Every operation takes at most two operands and
+// its arity is fixed, so unused operand slots stay zero without
+// ambiguity.
+type memoKey struct {
+	constant bool
+	op       Op
+	val      int64 // the constant's value
+	args     [2]int
 }
 
 // NewBuilder returns a Builder targeting a fresh block with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{
-		Block:      NewBlock(name),
-		memo:       make(map[string]*Node),
-		curVal:     make(map[string]*Node),
-		storeEpoch: make(map[string]int),
+		Block:  NewBlock(name),
+		memo:   make(map[memoKey]*Node),
+		curVal: make(map[string]*Node),
 	}
 }
 
 // Const returns a (shared) constant node.
 func (bb *Builder) Const(v int64) *Node {
-	key := fmt.Sprintf("C%d", v)
+	key := memoKey{constant: true, val: v}
 	if n, ok := bb.memo[key]; ok {
 		return n
 	}
@@ -49,12 +57,7 @@ func (bb *Builder) Load(name string) *Node {
 	if n, ok := bb.curVal[name]; ok {
 		return n
 	}
-	key := fmt.Sprintf("L%d@%s", bb.storeEpoch[name], name)
-	if n, ok := bb.memo[key]; ok {
-		return n
-	}
 	n := bb.Block.NewLoad(name)
-	bb.memo[key] = n
 	bb.curVal[name] = n
 	return n
 }
@@ -62,7 +65,6 @@ func (bb *Builder) Load(name string) *Node {
 // Store appends a store of val to the named location.
 func (bb *Builder) Store(name string, val *Node) *Node {
 	n := bb.Block.NewStore(name, val)
-	bb.storeEpoch[name]++
 	bb.curVal[name] = val
 	return n
 }
@@ -85,10 +87,10 @@ func (bb *Builder) Op(op Op, args ...*Node) *Node {
 	return n
 }
 
-func opKey(op Op, args []*Node) string {
-	key := fmt.Sprintf("O%d", op)
-	for _, a := range args {
-		key += fmt.Sprintf(",%d", a.ID)
+func opKey(op Op, args []*Node) memoKey {
+	key := memoKey{op: op}
+	for i, a := range args {
+		key.args[i] = a.ID
 	}
 	return key
 }

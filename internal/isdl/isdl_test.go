@@ -151,37 +151,48 @@ func TestCheckGroup(t *testing.T) {
 	if err := m.CheckGroup(ok, nil); err != nil {
 		t.Errorf("legal group rejected: %v", err)
 	}
-	// Unit used twice.
-	dup := []SlotRef{{Unit: "U1", Op: ir.OpAdd}, {Unit: "U1", Op: ir.OpSub}}
-	if err := m.CheckGroup(dup, nil); err == nil {
-		t.Error("double-issue on U1 accepted")
-	}
-	// Op the unit cannot perform.
-	bad := []SlotRef{{Unit: "U3", Op: ir.OpSub}}
-	if err := m.CheckGroup(bad, nil); err == nil {
-		t.Error("SUB on U3 accepted")
-	}
-	// Bus over width.
-	if err := m.CheckGroup(nil, map[string]int{"DB": 2}); err == nil {
-		t.Error("2 transfers on width-1 bus accepted")
-	}
 	if err := m.CheckGroup(nil, map[string]int{"DB": 1}); err != nil {
 		t.Errorf("1 transfer on width-1 bus rejected: %v", err)
 	}
-	// Unknown unit / bus.
-	if err := m.CheckGroup([]SlotRef{{Unit: "U9", Op: ir.OpAdd}}, nil); err == nil {
-		t.Error("unknown unit accepted")
-	}
-	if err := m.CheckGroup(nil, map[string]int{"ZZ": 1}); err == nil {
-		t.Error("unknown bus accepted")
+	// Each violation, with the exact message the verifier's asm/group
+	// diagnostics print.
+	for _, c := range []struct {
+		name  string
+		slots []SlotRef
+		buses map[string]int
+		want  string
+	}{
+		{"unit used twice", []SlotRef{{Unit: "U1", Op: ir.OpAdd}, {Unit: "U1", Op: ir.OpSub}}, nil,
+			"isdl: illegal grouping: unit U1 used twice"},
+		{"op the unit cannot perform", []SlotRef{{Unit: "U3", Op: ir.OpSub}}, nil,
+			"isdl: illegal grouping: unit U3 cannot perform SUB"},
+		{"bus over width", nil, map[string]int{"DB": 2},
+			"isdl: illegal grouping: bus DB carries 2 transfers, width 1"},
+		{"unknown unit", []SlotRef{{Unit: "U9", Op: ir.OpAdd}}, nil,
+			"isdl: illegal grouping: unknown unit U9"},
+		{"unknown bus", nil, map[string]int{"ZZ": 1},
+			"isdl: illegal grouping: unknown bus ZZ"},
+	} {
+		err := m.CheckGroup(c.slots, c.buses)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if _, ok := err.(*GroupError); !ok {
+			t.Errorf("%s: error is %T, want *GroupError", c.name, err)
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
 	}
 }
 
 func TestExplicitConstraint(t *testing.T) {
 	m := WideDSP(4)
 	viol := []SlotRef{{Unit: "M1", Op: ir.OpMul}, {Unit: "M2", Op: ir.OpMul}}
-	if err := m.CheckGroup(viol, nil); err == nil {
-		t.Error("constrained MUL/MUL co-issue accepted")
+	const want = "isdl: illegal grouping: violates constraint !(M1.MUL & M2.MUL)"
+	if err := m.CheckGroup(viol, nil); err == nil || err.Error() != want {
+		t.Errorf("constrained MUL/MUL co-issue: error %v, want %q", err, want)
 	}
 	// Only one of the constrained slots present: fine.
 	if err := m.CheckGroup(viol[:1], nil); err != nil {

@@ -175,7 +175,7 @@ func compact(sol *cover.Solution) (*cover.Solution, bool) {
 					}
 				}
 				for j := earliest; j < i; j++ {
-					if tryMove(c, n, i, j) {
+					if tryMove(c, n, i, j, pos) {
 						pos = positions(c)
 						moved = true
 						changed = true
@@ -199,16 +199,40 @@ func compact(sol *cover.Solution) (*cover.Solution, bool) {
 }
 
 // tryMove relocates node n from instruction i to j, keeping the move only
-// if the solution still verifies.
-func tryMove(c *cover.Solution, n *cover.SNode, i, j int) bool {
-	c.Instrs[i] = removeFrom(c.Instrs[i], n)
+// if the solution still verifies. cover.CanMove screens the move first
+// with the Verify conditions it can break, so most illegal moves are
+// rejected without a whole-block Verify; since each screened condition
+// is one of Verify's own, the decisions are exactly those of running
+// Verify on every trial. Every tried move first puts n last in
+// instruction i, so a rejected move leaves the same instruction order
+// (which the solution's output shows) whichever check rejected it, and
+// the same as a remove-and-reinsert trial would.
+func tryMove(c *cover.Solution, n *cover.SNode, i, j int, pos map[*cover.SNode]int) bool {
+	instr := c.Instrs[i]
+	moveToEnd(instr, n)
+	if !c.CanMove(n, j, pos) {
+		return false
+	}
+	c.Instrs[i] = instr[:len(instr)-1]
 	c.Instrs[j] = append(c.Instrs[j], n)
 	if err := c.Verify(); err != nil {
-		c.Instrs[j] = removeFrom(c.Instrs[j], n)
-		c.Instrs[i] = append(c.Instrs[i], n)
+		c.Instrs[j] = c.Instrs[j][:len(c.Instrs[j])-1]
+		c.Instrs[i] = instr
 		return false
 	}
 	return true
+}
+
+// moveToEnd shifts x to the last position of list in place, keeping the
+// order of the other nodes.
+func moveToEnd(list []*cover.SNode, x *cover.SNode) {
+	for k, n := range list {
+		if n == x {
+			copy(list[k:], list[k+1:])
+			list[len(list)-1] = x
+			return
+		}
+	}
 }
 
 func positions(c *cover.Solution) map[*cover.SNode]int {
@@ -219,16 +243,6 @@ func positions(c *cover.Solution) map[*cover.SNode]int {
 		}
 	}
 	return pos
-}
-
-func removeFrom(list []*cover.SNode, x *cover.SNode) []*cover.SNode {
-	var out []*cover.SNode
-	for _, n := range list {
-		if n != x {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func filterInstrs(instrs [][]*cover.SNode, removed map[*cover.SNode]bool) [][]*cover.SNode {

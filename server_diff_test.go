@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aviv"
+	"aviv/internal/bench"
 	"aviv/internal/cover"
 	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
@@ -70,7 +71,7 @@ func TestServerDifferentialCorpus(t *testing.T) {
 			defer wg.Done()
 			for j := range jobs {
 				bitwise := j.seed%2 == 1
-				src, _ := aviv.GenProgram(int64(j.seed), bitwise)
+				src, _ := bench.DiffProgram(int64(j.seed), bitwise)
 				machine := isdl.ExampleArchFullISDL
 				if bitwise {
 					machine = isdl.SingleIssueDSPISDL

@@ -58,7 +58,7 @@ func zooCorpus() []struct {
 		mem   map[string]int64
 	}
 	for seed := int64(0); seed < 50; seed++ {
-		src, mem := genProgram(seed, seed%2 == 1)
+		src, mem := bench.DiffProgram(seed, seed%2 == 1)
 		corpus = append(corpus, struct {
 			label string
 			src   string
