@@ -186,7 +186,6 @@ func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error
 	bm.PeepholeSaved = saved
 	bm.PrunedStores = res.PrunedStores
 	bm.PrunedAssignments = res.PrunedAssignments
-	bm.MemoHits = res.MemoHits
 	return &BlockResult{
 		Block:               b,
 		DAG:                 res.DAG,

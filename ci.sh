@@ -98,6 +98,8 @@ go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
 echo "== layerbench: covering + peephole Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the compile tail a disk-tier hit pays
 # for, run in -short mode too so neither can rot between full runs.
+# BenchmarkCoverBlock runs both presets; its exhaustive sub-benchmark is
+# the only CI run of the heuristics-off covering path.
 go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock' -benchtime 1x ./internal/peephole ./internal/cover
 
 if [ "${1:-}" != "-short" ]; then

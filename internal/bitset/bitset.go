@@ -176,9 +176,6 @@ func (m *Matrix) SetSym(i, j int) {
 	m.Row(j).Set(i)
 }
 
-// Words exposes the backing words (read-only use: fingerprinting).
-func (m *Matrix) Words() []uint64 { return m.words }
-
 // Equal reports whether two matrices have identical dimension and bits.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.n != o.n {

@@ -2,6 +2,8 @@ package cover
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"hash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,6 +139,40 @@ func (res *Result) ApproxBytes() int64 {
 		n += int64(res.DAG.Counts.Total()) * nodeSize
 	}
 	return n + 256
+}
+
+// fpWriter accumulates fingerprint material, length-prefixing every
+// field so adjacent records cannot alias.
+type fpWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *fpWriter) flush() {
+	if len(w.buf) > 0 {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *fpWriter) int(v int) {
+	w.buf = binary.AppendVarint(w.buf, int64(v))
+	if len(w.buf) > 4096 {
+		w.flush()
+	}
+}
+
+func (w *fpWriter) str(s string) {
+	w.int(len(s))
+	w.buf = append(w.buf, s...)
+}
+
+func (w *fpWriter) bool(b bool) {
+	if b {
+		w.int(1)
+	} else {
+		w.int(0)
+	}
 }
 
 // optionsFingerprint hashes every Options field that influences the

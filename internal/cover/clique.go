@@ -449,8 +449,8 @@ func buildCliques(nodes []*SNode, m *isdl.Machine, opts Options) [][]*SNode {
 }
 
 // cliquesFromMatrix is buildCliques from a precomputed parallelism
-// matrix; cliqueCover computes the matrix itself so it can also serve as
-// the memo key.
+// matrix; coverAssignment computes the matrix itself so it can also
+// compare it across level windows.
 func cliquesFromMatrix(nodes []*SNode, par *bitset.Matrix, m *isdl.Machine, budget int) [][]*SNode {
 	raw := GenMaxCliquesLimit(par, budget)
 	var out [][]*SNode

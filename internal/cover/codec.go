@@ -24,9 +24,9 @@ import (
 //
 // Only the schedule itself plus the search counters are written. The
 // Assignment is deliberately dropped: it is presentation-only (nothing
-// downstream of covering reads it — see rebindAssignment), and edge
-// lists keep their order because assembly emission matches operands to
-// predecessors first-match-wins. Edges to nodes outside the schedule
+// downstream of covering reads it), and edge lists keep their order
+// because assembly emission matches operands to predecessors
+// first-match-wins. Edges to nodes outside the schedule
 // are dropped, exactly as Solution.Clone does; every consumer guards
 // against them.
 //
@@ -35,7 +35,7 @@ import (
 // results. Integrity (truncation, bit rot) is the storage layer's job —
 // decodeResult only needs to fail cleanly on garbage, which the
 // bounds-checked reader plus a final Solution.Verify guarantee.
-const codecVersion = 1
+const codecVersion = 2
 
 type encBuf struct{ b []byte }
 
@@ -160,7 +160,6 @@ func encodeResult(res *Result) (data []byte, ok bool) {
 	e.uint(codecVersion)
 	e.int(res.AssignmentsExplored)
 	e.int(res.PrunedAssignments)
-	e.int(res.MemoHits)
 	e.int(sol.SpillCount)
 
 	// Schedule shape: instruction count then clique sizes. Node payloads
@@ -265,7 +264,6 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 	res := &Result{DAG: dag}
 	res.AssignmentsExplored = d.int()
 	res.PrunedAssignments = d.int()
-	res.MemoHits = d.int()
 	spills := d.int()
 
 	nodeByID := make(map[int]*ir.Node, len(dag.Block.Nodes))

@@ -81,10 +81,6 @@ type Result struct {
 	// because their admissible lower bound already exceeded the
 	// incumbent cost.
 	PrunedAssignments int
-	// MemoHits counts coverings answered by the intra-search memo:
-	// assignments whose solution graph (and parallelism matrix) was
-	// identical to one already covered.
-	MemoHits int
 	// DAG is the Split-Node DAG the covering worked from.
 	DAG *sndag.DAG
 	// PrunedStores counts stores removed before covering because
@@ -136,13 +132,6 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 	}
 	res := &Result{DAG: d}
 
-	// Intra-search memo: nil under tracing so every covering is logged
-	// in full.
-	var memo *coverMemo
-	if opts.Trace == nil {
-		memo = newCoverMemo()
-	}
-
 	// Lower-bound prepass. Graphs are built and discarded: the scheduler
 	// mutates its graph, so each explored assignment rebuilds anyway, and
 	// holding one graph per assignment would bloat exhaustive runs.
@@ -190,7 +179,7 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 		if opts.Trace != nil {
 			opts.Trace.logf("covering assignment %d (heuristic cost %d, lower bound %d)", c.idx, c.a.HeurCost, c.lb)
 		}
-		sol, err := coverAssignment(d, c.a, opts, memo)
+		sol, err := coverAssignment(d, c.a, opts)
 		if err != nil {
 			if c.idx < firstErrIdx {
 				firstErr, firstErrIdx = err, c.idx
@@ -228,9 +217,6 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 		res.Best = sol
 		res.AssignmentsExplored++
 	}
-	if memo != nil {
-		res.MemoHits = memo.hits
-	}
 	return res, nil
 }
 
@@ -242,16 +228,32 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 // list schedule always competes; with the level-window heuristic
 // disabled (heuristics-off mode) the windowed covering competes too, so
 // the exhaustive candidate set is a strict superset of the heuristic one.
-func coverAssignment(d *sndag.DAG, a *Assignment, opts Options, memo *coverMemo) (*Solution, error) {
-	best, firstErr := cliqueCover(d, a, opts, memo)
+//
+// The window reaches the greedy covering only through its parallelism
+// matrix: the initial groupings, and the groupings rebuilt after a
+// spill. So when the unwindowed covering succeeded without spilling and
+// the windowed matrix is the same, the windowed covering would repeat it
+// step for step, and it is skipped.
+func coverAssignment(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) {
+	g, pm, err := cliqueGraph(d, a, opts)
+	if err != nil {
+		// buildGraph ignores the level window, so the windowed covering
+		// and ListSchedule would fail the same way.
+		return nil, err
+	}
+	best, firstErr := cliqueCover(d, a, g, pm, opts)
 	if opts.LevelWindow < 0 {
 		windowed := opts
 		windowed.LevelWindow = DefaultOptions().LevelWindow
-		if sol, err := cliqueCover(d, a, windowed, memo); err == nil {
-			best = betterSolution(best, sol)
+		if wg, wpm, err := cliqueGraph(d, a, windowed); err == nil {
+			if best != nil && best.SpillCount == 0 && pm != nil && pm.Equal(wpm) {
+				opts.Trace.logf("windowed covering skipped: matrix unchanged")
+			} else if sol, err := cliqueCover(d, a, wg, wpm, windowed); err == nil {
+				best = betterSolution(best, sol)
+			}
 		}
 	}
-	if ls, err := memoListSchedule(d, a, opts, memo); err == nil {
+	if ls, err := ListSchedule(d, a, opts); err == nil {
 		best = betterSolution(best, ls)
 	}
 	if best == nil {
@@ -273,22 +275,22 @@ func betterSolution(a, b *Solution) *Solution {
 	return a
 }
 
-func cliqueCover(d *sndag.DAG, a *Assignment, opts Options, memo *coverMemo) (*Solution, error) {
+// cliqueGraph builds the solution graph of assignment a and its
+// parallelism matrix under opts.LevelWindow (nil for an empty graph).
+func cliqueGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, *bitset.Matrix, error) {
 	g, err := buildGraph(d, a, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var key memoKey
-	var pm *bitset.Matrix
-	if len(g.nodes) > 0 {
-		pm = parallelMatrix(g.nodes, g.machine, opts.LevelWindow)
-		if memo != nil {
-			key = memoKey{algo: 'C', graph: graphFingerprint(g), matrix: matrixFingerprint(pm)}
-			if sol, ok := memo.lookup(key, opts.LevelWindow); ok {
-				return rebindAssignment(sol, a), nil
-			}
-		}
+	if len(g.nodes) == 0 {
+		return g, nil, nil
 	}
+	return g, parallelMatrix(g.nodes, g.machine, opts.LevelWindow), nil
+}
+
+// cliqueCover runs the greedy clique covering on a fresh graph g from
+// cliqueGraph, starting from the maximal groupings of its matrix pm.
+func cliqueCover(d *sndag.DAG, a *Assignment, g *graph, pm *bitset.Matrix, opts Options) (*Solution, error) {
 	sched := newScheduler(g, opts)
 	if pm != nil {
 		sched.initialCliques = cliquesFromMatrix(g.nodes, pm, g.machine, opts.CliqueBudget)
@@ -296,42 +298,14 @@ func cliqueCover(d *sndag.DAG, a *Assignment, opts Options, memo *coverMemo) (*S
 	if err := sched.run(); err != nil {
 		return nil, err
 	}
-	sol := &Solution{
+	return &Solution{
 		Block:        d.Block,
 		Machine:      d.Machine,
 		Assignment:   a,
 		Instrs:       sched.instrs,
 		SpillCount:   sched.spillCount,
 		ExternalUses: g.externalUses,
-	}
-	if memo != nil && pm != nil {
-		memo.store(key, opts.LevelWindow, sol)
-	}
-	return sol, nil
-}
-
-// memoListSchedule is ListSchedule behind the intra-search memo. The
-// list schedule is a deterministic function of the solution graph alone
-// (it never consults the parallelism matrix or level window), so hits
-// are reusable unconditionally.
-func memoListSchedule(d *sndag.DAG, a *Assignment, opts Options, memo *coverMemo) (*Solution, error) {
-	if memo == nil {
-		return ListSchedule(d, a, opts)
-	}
-	g, err := buildGraph(d, a, opts)
-	if err != nil {
-		return nil, err
-	}
-	key := memoKey{algo: 'L', graph: graphFingerprint(g)}
-	if sol, ok := memo.lookup(key, 0); ok {
-		return rebindAssignment(sol, a), nil
-	}
-	sol, err := listScheduleGraph(d, a, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	memo.store(key, 0, sol)
-	return sol, nil
+	}, nil
 }
 
 // CanMove reports whether moving the scheduled node n into instruction

@@ -384,19 +384,7 @@ func TestBranchOnConstant(t *testing.T) {
 func TestVarPlacementDualMemory(t *testing.T) {
 	// A 4-tap FIR with x[] in XM and c[] in YM must beat the all-in-XM
 	// placement: the two operand loads of each tap share an instruction.
-	bb := ir.NewBuilder("fir4")
-	var acc *ir.Node
-	for i := 0; i < 4; i++ {
-		term := bb.Mul(bb.Load(varName("x", i)), bb.Load(varName("c", i)))
-		if acc == nil {
-			acc = term
-		} else {
-			acc = bb.Add(acc, term)
-		}
-	}
-	bb.Store("y", acc)
-	bb.Return()
-	blk := bb.Finish()
+	blk := firBlock(4)
 
 	m := isdl.DualMemDSP(4)
 	split := DefaultOptions()

@@ -1,11 +1,6 @@
 package cover
 
-import (
-	"testing"
-
-	"aviv/internal/isdl"
-	"aviv/internal/sndag"
-)
+import "testing"
 
 // TestOptionsFingerprintStability pins down the compile-cache keying
 // over options: equal option sets hash equal, every knob that changes
@@ -46,67 +41,5 @@ func TestOptionsFingerprintStability(t *testing.T) {
 	traced.Trace = &Trace{}
 	if optionsFingerprint(traced) != optionsFingerprint(base) {
 		t.Fatal("Trace identity leaked into the options fingerprint")
-	}
-}
-
-// TestGraphFingerprintStability checks the intra-search memo keying: the
-// same (DAG, assignment) builds to the same fingerprint on every build,
-// and different assignments of the same block hash apart.
-func TestGraphFingerprintStability(t *testing.T) {
-	m := isdl.ExampleArch(4)
-	d, err := sndag.Build(fig2Block(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	as := exploreAssignments(d, opts)
-	if len(as) < 2 {
-		t.Fatalf("expected several assignments, got %d", len(as))
-	}
-	g1, err := buildGraph(d, as[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(d, as[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graphFingerprint(g1) != graphFingerprint(g2) {
-		t.Fatal("same assignment builds to different graph fingerprints")
-	}
-	gOther, err := buildGraph(d, as[1], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graphFingerprint(g1) == graphFingerprint(gOther) {
-		t.Fatal("distinct assignments collide on the graph fingerprint")
-	}
-}
-
-// TestMatrixFingerprintStability checks that the parallelism-matrix hash
-// depends on the bits, not on object identity.
-func TestMatrixFingerprintStability(t *testing.T) {
-	m := isdl.ExampleArch(4)
-	d, err := sndag.Build(fig2Block(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	a := exploreAssignments(d, opts)[0]
-	g, err := buildGraph(d, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := parallelMatrix(g.nodes, g.machine, opts.LevelWindow)
-	p2 := parallelMatrix(g.nodes, g.machine, opts.LevelWindow)
-	if matrixFingerprint(p1) != matrixFingerprint(p2) {
-		t.Fatal("same matrix hashes differently")
-	}
-	pWindow := parallelMatrix(g.nodes, g.machine, 1)
-	if p1.Equal(pWindow) {
-		t.Skip("level window 1 did not change the matrix on this workload")
-	}
-	if matrixFingerprint(p1) == matrixFingerprint(pWindow) {
-		t.Fatal("different matrices collide")
 	}
 }

@@ -62,8 +62,9 @@ type scheduler struct {
 	spillCount int
 
 	// initialCliques, when non-nil, is the first grouping inventory; the
-	// caller computed it from a parallelism matrix it also needed for
-	// memoization. Rebuilds after spills always go through buildCliques.
+	// caller computed it from a parallelism matrix it also compares
+	// across level windows. Rebuilds after spills always go through
+	// buildCliques.
 	initialCliques [][]*SNode
 
 	// goal, when set, is the pressure-blocked node the last spill freed a

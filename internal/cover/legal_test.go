@@ -35,7 +35,7 @@ func TestLegalGroupAllocs(t *testing.T) {
 		}
 	}
 
-	res, err := CoverBlock(benchBlock(), m, DefaultOptions())
+	res, err := CoverBlock(firBlock(6), m, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

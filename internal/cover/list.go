@@ -23,13 +23,6 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 	if err != nil {
 		return nil, err
 	}
-	return listScheduleGraph(d, a, g, opts)
-}
-
-// listScheduleGraph runs the list scheduler on an already-built (and
-// not yet mutated) solution graph, which memoListSchedule fingerprints
-// first.
-func listScheduleGraph(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solution, error) {
 	s := newScheduler(g, opts)
 
 	heights := func() map[*SNode]int {

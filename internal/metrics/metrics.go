@@ -38,9 +38,6 @@ type BlockMetrics struct {
 	// PrunedAssignments counts assignments the covering skipped by
 	// branch-and-bound (admissible lower bound above the incumbent).
 	PrunedAssignments int
-	// MemoHits counts coverings answered by the intra-search memo
-	// (structurally identical solution graphs within one block).
-	MemoHits int
 	// CacheHit reports the block was reused from the per-block cache
 	// (either tier) instead of being covered fresh.
 	CacheHit bool
@@ -83,7 +80,6 @@ func (b BlockMetrics) Effort() BlockMetrics {
 		PeepholeSaved:       b.PeepholeSaved,
 		PrunedStores:        b.PrunedStores,
 		PrunedAssignments:   b.PrunedAssignments,
-		MemoHits:            b.MemoHits,
 	}
 }
 
@@ -153,15 +149,6 @@ func (m *CompileMetrics) TotalPrunedAssignments() int {
 	n := 0
 	for _, b := range m.Blocks {
 		n += b.PrunedAssignments
-	}
-	return n
-}
-
-// TotalMemoHits sums intra-search memo hits across blocks.
-func (m *CompileMetrics) TotalMemoHits() int {
-	n := 0
-	for _, b := range m.Blocks {
-		n += b.MemoHits
 	}
 	return n
 }
@@ -286,8 +273,8 @@ func (m *CompileMetrics) String() string {
 	}
 	fmt.Fprintf(&sb, "effort:  %d assignments explored, %d spills, %d instrs saved by peephole, %d stores pruned by liveness, %d verifier violations\n",
 		m.TotalAssignments(), m.TotalSpills(), m.TotalPeepholeSaved(), m.TotalPrunedStores(), m.TotalViolations())
-	fmt.Fprintf(&sb, "search:  %d assignments pruned by lower bound, %d memo hits, %d/%d blocks from compile cache (%d via disk tier)\n",
-		m.TotalPrunedAssignments(), m.TotalMemoHits(), m.CacheHits(), len(m.Blocks), m.DiskHits())
+	fmt.Fprintf(&sb, "search:  %d assignments pruned by lower bound, %d/%d blocks from compile cache (%d via disk tier)\n",
+		m.TotalPrunedAssignments(), m.CacheHits(), len(m.Blocks), m.DiskHits())
 	for _, b := range m.Blocks {
 		fmt.Fprintf(&sb, "block %-10s w%-2d %4d SN-DAG nodes, %3d instrs, %2d spills, %6d assignments, peephole -%d, %v\n",
 			b.Block, b.Worker, b.DAGNodes, b.Instructions, b.Spills,

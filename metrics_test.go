@@ -10,7 +10,7 @@ import (
 )
 
 // TestMetricsSearchCounters sanity-checks the fast-path counters fed to
-// the -stats report: the branch-and-bound and memo counts are
+// the -stats report: the branch-and-bound count is
 // deterministic across identical compiles, cache hits appear only with
 // a warm cache (and then on every block), and the report prints them.
 func TestMetricsSearchCounters(t *testing.T) {
@@ -31,14 +31,10 @@ func TestMetricsSearchCounters(t *testing.T) {
 		t.Fatalf("pruned-assignment count not deterministic: %d vs %d",
 			r1.Metrics.TotalPrunedAssignments(), r2.Metrics.TotalPrunedAssignments())
 	}
-	if r1.Metrics.TotalMemoHits() != r2.Metrics.TotalMemoHits() {
-		t.Fatalf("memo-hit count not deterministic: %d vs %d",
-			r1.Metrics.TotalMemoHits(), r2.Metrics.TotalMemoHits())
-	}
 	if r1.Metrics.CacheHits() != 0 {
 		t.Fatalf("cache hits without a cache: %d", r1.Metrics.CacheHits())
 	}
-	if r1.Metrics.TotalPrunedAssignments() < 0 || r1.Metrics.TotalMemoHits() < 0 {
+	if r1.Metrics.TotalPrunedAssignments() < 0 {
 		t.Fatal("negative search counters")
 	}
 
