@@ -58,10 +58,10 @@ bench:
 benchsmoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
-# One iteration of the covering and peephole layer benchmarks (also
-# part of ci.sh, -short included).
+# One iteration of the optimizer, covering and peephole layer
+# benchmarks (also part of ci.sh, -short included).
 layerbench:
-	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock' -benchtime 1x ./internal/peephole ./internal/cover
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt
 
 # Regenerate the machine-readable compile-benchmark report.
 benchjson:

@@ -95,12 +95,13 @@ echo "== clustersmoke: cluster differential (race) =="
 # Under -race this is also the data-race gate for the cluster layer.
 go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
 
-echo "== layerbench: covering + peephole Go benchmarks (one iteration) =="
+echo "== layerbench: optimizer + covering + peephole Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the compile tail a disk-tier hit pays
-# for, run in -short mode too so neither can rot between full runs.
-# BenchmarkCoverBlock runs both presets; its exhaustive sub-benchmark is
-# the only CI run of the heuristics-off covering path.
-go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock' -benchtime 1x ./internal/peephole ./internal/cover
+# for, and of the front-end optimizer every request runs before its
+# first cache lookup, run in -short mode too so none can rot between
+# full runs. BenchmarkCoverBlock runs both presets; its exhaustive
+# sub-benchmark is the only CI run of the heuristics-off covering path.
+go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt
 
 if [ "${1:-}" != "-short" ]; then
     echo "== fuzz smoke (FuzzCompileSource, 10s) =="

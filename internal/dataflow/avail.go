@@ -70,22 +70,25 @@ func AvailableCFG(g *CFG) *AvailResult {
 		Gen:  make([]BitSet, n),
 		Kill: make([]BitSet, n),
 	}
+	// killedBy[v] lists the facts a store to v kills: those holding v and
+	// those whose expression reads v.
+	killedBy := make(map[string][]int)
+	for fi, fact := range facts {
+		killedBy[fact.Var] = append(killedBy[fact.Var], fi)
+		for _, v := range exprVars[fact.Expr] {
+			killedBy[v] = append(killedBy[v], fi)
+		}
+	}
 	for i, b := range g.F.Blocks {
 		gen := NewBitSet(len(facts))
 		for _, fact := range blockGens[i] {
 			gen.Set(idx[fact])
 		}
 		kill := NewBitSet(len(facts))
-		stored := storedVars(b)
-		for fi, fact := range facts {
-			if stored[fact.Var] {
-				kill.Set(fi)
-				continue
-			}
-			for _, v := range exprVars[fact.Expr] {
-				if stored[v] {
+		for _, n := range b.Nodes {
+			if n.Op == ir.OpStore {
+				for _, fi := range killedBy[n.Var] {
 					kill.Set(fi)
-					break
 				}
 			}
 		}

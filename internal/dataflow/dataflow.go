@@ -141,35 +141,13 @@ func (g *CFG) Vars() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, b := range g.F.Blocks {
-		for _, v := range b.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+		for _, n := range b.Nodes {
+			if (n.Op == ir.OpLoad || n.Op == ir.OpStore) && !seen[n.Var] {
+				seen[n.Var] = true
+				out = append(out, n.Var)
 			}
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// liveNodes marks the nodes of b reachable from its roots (stores and
-// the branch condition). Blocks produced by ir.Builder contain no dead
-// nodes, but hand-built blocks may; analyses ignore dead loads so a
-// stray unreferenced load does not manufacture liveness.
-func liveNodes(b *ir.Block) map[*ir.Node]bool {
-	live := make(map[*ir.Node]bool, len(b.Nodes))
-	var mark func(*ir.Node)
-	mark = func(n *ir.Node) {
-		if live[n] {
-			return
-		}
-		live[n] = true
-		for _, a := range n.Args {
-			mark(a)
-		}
-	}
-	for _, r := range b.Roots() {
-		mark(r)
-	}
-	return live
 }

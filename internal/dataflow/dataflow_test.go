@@ -224,6 +224,33 @@ func TestAnalysesMatchOraclesOnRandomFuncs(t *testing.T) {
 	}
 }
 
+// TestLivenessPruneMatchesMapPrune: pruning block i straight from the
+// liveness bit sets gives the same block and count as the map-based
+// PruneBlock on OutSets()[i], and returns the block itself when nothing
+// is dead.
+func TestLivenessPruneMatchesMapPrune(t *testing.T) {
+	total := 0
+	for seed := int64(1); seed <= 150; seed++ {
+		f := randFunc(seed)
+		live := Liveness(f)
+		outs := live.OutSets()
+		for i, b := range f.Blocks {
+			got, gotN := live.PruneBlock(i)
+			want, wantN := PruneBlock(b, outs[i])
+			if gotN != wantN || got.String() != want.String() {
+				t.Fatalf("seed %d block %s: pruned %d stores to\n%s\nmap-based prune: %d stores to\n%s", seed, b.Name, gotN, got, wantN, want)
+			}
+			if gotN == 0 && got != b {
+				t.Errorf("seed %d block %s: nothing pruned but a copy came back", seed, b.Name)
+			}
+			total += gotN
+		}
+	}
+	if total == 0 {
+		t.Fatal("no store pruned on any random function; the comparison is vacuous")
+	}
+}
+
 func TestLivenessExitBoundary(t *testing.T) {
 	f := testFuncs(t)["straight"]
 	live := Liveness(f)

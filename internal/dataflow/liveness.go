@@ -58,11 +58,11 @@ func LivenessCFG(g *CFG) *LivenessResult {
 func blockUseDef(b *ir.Block, idx map[string]int) (use, def BitSet) {
 	use = NewBitSet(len(idx))
 	def = NewBitSet(len(idx))
-	live := liveNodes(b)
+	live := b.LiveByID()
 	for _, n := range b.Nodes {
 		switch n.Op {
 		case ir.OpLoad:
-			if live[n] && !def.Get(idx[n.Var]) {
+			if live[n.ID] && !def.Get(idx[n.Var]) {
 				use.Set(idx[n.Var])
 			}
 		case ir.OpStore:
@@ -116,32 +116,61 @@ func (r *LivenessResult) OutSets() []map[string]bool {
 // liveOut == nil means every variable is live at exit (the pessimistic
 // assumption), under which only locally-shadowed stores are dead.
 func DeadStores(b *ir.Block, liveOut map[string]bool) map[int]bool {
+	idx, live := blockLiveOut(b, liveOut)
 	dead := make(map[int]bool)
-	live := make(map[string]bool, len(liveOut))
-	if liveOut == nil {
-		for _, v := range b.Vars() {
-			live[v] = true
+	for i, d := range deadStoreScan(b, live, idx) {
+		if d {
+			dead[i] = true
 		}
-	} else {
-		for v, ok := range liveOut {
-			if ok {
-				live[v] = true
+	}
+	return dead
+}
+
+// blockLiveOut indexes the variables b reads or writes and returns the
+// bit set of those live under liveOut (all of them when liveOut is
+// nil). Variables b never touches cannot affect its dead stores.
+func blockLiveOut(b *ir.Block, liveOut map[string]bool) (map[string]int, BitSet) {
+	idx := make(map[string]int)
+	for _, n := range b.Nodes {
+		if n.Op == ir.OpLoad || n.Op == ir.OpStore {
+			if _, ok := idx[n.Var]; !ok {
+				idx[n.Var] = len(idx)
 			}
 		}
 	}
-	reach := liveNodes(b)
+	live := NewBitSet(len(idx))
+	for v, j := range idx {
+		if liveOut == nil || liveOut[v] {
+			live.Set(j)
+		}
+	}
+	return idx, live
+}
+
+// deadStoreScan is the backward scan behind DeadStores and both
+// PruneBlock forms. live holds the variables live at the block's exit,
+// bits indexed by idx (which must cover every variable b touches); the
+// scan consumes it. It returns a mark per position in b.Nodes, or nil
+// when no store is dead.
+func deadStoreScan(b *ir.Block, live BitSet, idx map[string]int) []bool {
+	var dead []bool
+	reach := b.LiveByID()
 	for i := len(b.Nodes) - 1; i >= 0; i-- {
 		n := b.Nodes[i]
 		switch n.Op {
 		case ir.OpStore:
-			if !live[n.Var] {
+			j := idx[n.Var]
+			if !live.Get(j) {
+				if dead == nil {
+					dead = make([]bool, len(b.Nodes))
+				}
 				dead[i] = true
 			} else {
-				live[n.Var] = false
+				live.Clear(j)
 			}
 		case ir.OpLoad:
-			if reach[n] {
-				live[n.Var] = true
+			if reach[n.ID] {
+				live.Set(idx[n.Var])
 			}
 		}
 	}

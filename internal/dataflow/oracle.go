@@ -62,7 +62,7 @@ func OracleLiveIn(g *CFG, i int, v string) bool {
 // blockReadsBeforeWrite scans b in execution order and reports whether
 // it reads v before any store to v, and whether it stores v at all.
 func blockReadsBeforeWrite(b *ir.Block, v string) (reads, writes bool) {
-	live := liveNodes(b)
+	live := oracleLiveNodes(b)
 	for _, n := range b.Nodes {
 		if n.Op == ir.OpLoad && n.Var == v && live[n] && !writes {
 			return true, writes
@@ -75,12 +75,36 @@ func blockReadsBeforeWrite(b *ir.Block, v string) (reads, writes bool) {
 }
 
 func varInFunc(g *CFG, v string) bool {
-	for _, u := range g.Vars() {
-		if u == v {
-			return true
+	for _, b := range g.F.Blocks {
+		for _, u := range b.Vars() {
+			if u == v {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// oracleLiveNodes marks the nodes of b reachable from its roots by
+// pointer, independently of the Node.ID-indexed ir.Block.LiveByID the
+// analyses use. Analyses ignore dead loads, so a stray unreferenced
+// load does not manufacture liveness; the oracles must agree.
+func oracleLiveNodes(b *ir.Block) map[*ir.Node]bool {
+	live := make(map[*ir.Node]bool, len(b.Nodes))
+	var mark func(*ir.Node)
+	mark = func(n *ir.Node) {
+		if live[n] {
+			return
+		}
+		live[n] = true
+		for _, a := range n.Args {
+			mark(a)
+		}
+	}
+	for _, r := range b.Roots() {
+		mark(r)
+	}
+	return live
 }
 
 // OracleReachesIn reports whether definition d may reach the entry of

@@ -14,22 +14,43 @@ import (
 // turn can expose the previous store of that variable as dead, so the
 // scan iterates to a fixpoint; each round removes at least one store.
 func PruneBlock(b *ir.Block, liveOut map[string]bool) (*ir.Block, int) {
+	idx, live := blockLiveOut(b, liveOut)
+	return pruneBlock(b, live, idx)
+}
+
+// PruneBlock is the package-level PruneBlock for block i of the analysed
+// function, reading its live-out set straight from r.Out[i]: the same
+// result as PruneBlock(b, r.OutSets()[i]), with no map per block.
+func (r *LivenessResult) PruneBlock(i int) (*ir.Block, int) {
+	return pruneBlock(r.G.F.Blocks[i], r.Out[i], r.varIndex)
+}
+
+// pruneBlock iterates deadStoreScan to a fixpoint from the live-out set
+// liveOut, bits indexed by idx; liveOut itself is not modified.
+func pruneBlock(b *ir.Block, liveOut BitSet, idx map[string]int) (*ir.Block, int) {
 	pruned := 0
+	live := NewBitSet(len(idx))
 	for {
-		dead := DeadStores(b, liveOut)
-		if len(dead) == 0 {
+		copy(live, liveOut)
+		dead := deadStoreScan(b, live, idx)
+		if dead == nil {
 			return b, pruned
 		}
 		b = cloneBlockSkipping(b, dead)
-		pruned += len(dead)
+		for _, d := range dead {
+			if d {
+				pruned++
+			}
+		}
 	}
 }
 
-// cloneBlockSkipping deep-copies b without the nodes at the skip
-// indices, then drops anything unreachable from the new block's roots.
-func cloneBlockSkipping(b *ir.Block, skip map[int]bool) *ir.Block {
+// cloneBlockSkipping deep-copies b without the nodes marked in skip
+// (indexed like b.Nodes), then drops anything unreachable from the new
+// block's roots.
+func cloneBlockSkipping(b *ir.Block, skip []bool) *ir.Block {
 	nb := ir.NewBlock(b.Name)
-	newOf := make(map[*ir.Node]*ir.Node, len(b.Nodes))
+	newOf := make([]*ir.Node, b.IDBound())
 	for i, n := range b.Nodes {
 		if skip[i] {
 			continue
@@ -37,8 +58,11 @@ func cloneBlockSkipping(b *ir.Block, skip map[int]bool) *ir.Block {
 		args := make([]*ir.Node, 0, len(n.Args))
 		ok := true
 		for _, a := range n.Args {
-			na, found := newOf[a]
-			if !found {
+			var na *ir.Node
+			if a.ID < len(newOf) {
+				na = newOf[a.ID]
+			}
+			if na == nil {
 				ok = false // operand was skipped; node dies with it
 				break
 			}
@@ -58,12 +82,12 @@ func cloneBlockSkipping(b *ir.Block, skip map[int]bool) *ir.Block {
 		default:
 			c = nb.NewNode(n.Op, args...)
 		}
-		newOf[n] = c
+		newOf[n.ID] = c
 	}
 	nb.Term = b.Term
 	nb.Succs = append([]string(nil), b.Succs...)
-	if b.Cond != nil {
-		nb.Cond = newOf[b.Cond]
+	if b.Cond != nil && b.Cond.ID < len(newOf) {
+		nb.Cond = newOf[b.Cond.ID]
 	}
 	nb.RemoveDead()
 	return nb

@@ -143,29 +143,57 @@ func (b *Block) Users() map[*Node][]*Node {
 	return users
 }
 
-// RemoveDead drops nodes not reachable from any root and renumbers the
-// remaining nodes densely in topological order.
-func (b *Block) RemoveDead() {
-	live := make(map[*Node]bool)
+// IDBound returns one more than the largest node ID in the block: the
+// length of a slice indexed by Node.ID. Node IDs are unique within a
+// block and dense after Renumber, so such slices replace maps keyed by
+// node pointer.
+func (b *Block) IDBound() int {
+	bound := 0
+	for _, n := range b.Nodes {
+		if n.ID >= bound {
+			bound = n.ID + 1
+		}
+	}
+	return bound
+}
+
+// LiveByID marks the nodes reachable from the block's roots, indexed by
+// Node.ID (the slice has length IDBound). Operands outside that range
+// are not block nodes (Verify rejects them) and are not marked.
+func (b *Block) LiveByID() []bool {
+	live := make([]bool, b.IDBound())
 	var mark func(*Node)
 	mark = func(n *Node) {
-		if live[n] {
+		if n.ID >= len(live) || live[n.ID] {
 			return
 		}
-		live[n] = true
+		live[n.ID] = true
 		for _, a := range n.Args {
 			mark(a)
 		}
 	}
-	for _, r := range b.Roots() {
-		mark(r)
-	}
-	var kept []*Node
 	for _, n := range b.Nodes {
-		if live[n] {
+		if n.Op == OpStore {
+			mark(n)
+		}
+	}
+	if b.Term == TermBranch && b.Cond != nil {
+		mark(b.Cond)
+	}
+	return live
+}
+
+// RemoveDead drops nodes not reachable from any root and renumbers the
+// remaining nodes densely in topological order.
+func (b *Block) RemoveDead() {
+	live := b.LiveByID()
+	kept := b.Nodes[:0]
+	for _, n := range b.Nodes {
+		if live[n.ID] {
 			kept = append(kept, n)
 		}
 	}
+	clear(b.Nodes[len(kept):])
 	b.Nodes = kept
 	b.Renumber()
 }

@@ -16,11 +16,13 @@ import (
 // globalOptimize runs the dataflow-driven passes to a fixpoint. Each
 // accepted rewrite strictly shrinks the function (fewer stores, or
 // fewer computation nodes at no store increase), so the loop
-// terminates.
+// terminates. Both passes rewrite block bodies but never a terminator,
+// so one CFG serves every round.
 func globalOptimize(f *ir.Func) {
+	g := dataflow.NewCFG(f)
 	for {
-		changed := globalDeadStores(f)
-		if globalCSE(f) {
+		changed := globalDeadStores(g)
+		if globalCSE(g) {
 			changed = true
 		}
 		if !changed {
@@ -33,14 +35,14 @@ func globalOptimize(f *ir.Func) {
 // variable is overwritten on every path from the store before any load
 // and before function exit (final memory is observable, so a value that
 // can reach the exit is never dead). Reports whether anything changed.
-func globalDeadStores(f *ir.Func) bool {
+func globalDeadStores(g *dataflow.CFG) bool {
+	f := g.F
 	changed := false
 	for {
-		live := dataflow.Liveness(f)
-		outs := live.OutSets()
+		live := dataflow.LivenessCFG(g)
 		round := false
-		for i, b := range f.Blocks {
-			nb, pruned := dataflow.PruneBlock(b, outs[i])
+		for i := range f.Blocks {
+			nb, pruned := live.PruneBlock(i)
 			if pruned > 0 {
 				f.Blocks[i] = nb
 				round = true
@@ -60,19 +62,23 @@ func globalDeadStores(f *ir.Func) bool {
 // a load of that location. A rewrite is only kept when it makes the
 // block strictly smaller — fewer computation nodes without growing the
 // node count — so bench code size can only improve.
-func globalCSE(f *ir.Func) bool {
-	avail := dataflow.Available(f)
+func globalCSE(g *dataflow.CFG) bool {
+	avail := dataflow.AvailableCFG(g)
 	if len(avail.Facts) == 0 {
 		return false
 	}
-	g := avail.G
+	f := g.F
 	changed := false
+	byExpr := make(map[string]string) // expr key -> smallest source var, per block
 	for i, b := range f.Blocks {
 		if i == 0 || !g.Reach[i] {
 			continue // nothing is available at entry; skip dead islands
 		}
-		byExpr := make(map[string]string) // expr key -> smallest source var
-		for _, fact := range avail.InFacts(i) {
+		clear(byExpr)
+		for j, fact := range avail.Facts {
+			if !avail.In[i].Get(j) {
+				continue
+			}
 			if v, ok := byExpr[fact.Expr]; !ok || fact.Var < v {
 				byExpr[fact.Expr] = fact.Var
 			}
@@ -114,7 +120,11 @@ func rewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
 		return true
 	}
 
-	rewrites := make(map[*ir.Node]string) // computation node -> source var to load
+	// rewrite[n.ID] marks a computation node replaced by a load of
+	// src[n.ID].
+	rewrite := make([]bool, b.IDBound())
+	src := make([]string, len(rewrite))
+	nRewrites := 0
 	for idx, n := range b.Nodes {
 		if n.Op == ir.OpConst || n.Op == ir.OpLoad || n.Op == ir.OpStore {
 			continue
@@ -123,7 +133,7 @@ func rewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
 		if !ok {
 			continue
 		}
-		src, ok := byExpr[key]
+		v, ok := byExpr[key]
 		if !ok {
 			continue
 		}
@@ -132,40 +142,41 @@ func rewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
 		if !entryValue(idx, vars) {
 			continue
 		}
-		if fs, ok := firstStore[src]; ok && fs < idx {
+		if fs, ok := firstStore[v]; ok && fs < idx {
 			continue
 		}
-		rewrites[n] = src
+		rewrite[n.ID], src[n.ID] = true, v
+		nRewrites++
 	}
-	if len(rewrites) == 0 {
+	if nRewrites == 0 {
 		return nil, false
 	}
 
 	nb := ir.NewBuilder(b.Name)
-	newOf := make(map[*ir.Node]*ir.Node, len(b.Nodes))
+	newOf := make([]*ir.Node, len(rewrite))
 	for _, n := range b.Nodes {
-		if src, ok := rewrites[n]; ok {
-			newOf[n] = nb.Load(src)
+		if rewrite[n.ID] {
+			newOf[n.ID] = nb.Load(src[n.ID])
 			continue
 		}
 		switch n.Op {
 		case ir.OpConst:
-			newOf[n] = nb.Const(n.Const)
+			newOf[n.ID] = nb.Const(n.Const)
 		case ir.OpLoad:
-			newOf[n] = nb.Load(n.Var)
+			newOf[n.ID] = nb.Load(n.Var)
 		case ir.OpStore:
-			nb.Store(n.Var, newOf[n.Args[0]])
+			nb.Store(n.Var, newOf[n.Args[0].ID])
 		default:
 			args := make([]*ir.Node, len(n.Args))
 			for j, a := range n.Args {
-				args[j] = newOf[a]
+				args[j] = newOf[a.ID]
 			}
-			newOf[n] = emitSimplified(nb, n.Op, args)
+			newOf[n.ID] = emitSimplified(nb, n.Op, args)
 		}
 	}
 	switch b.Term {
 	case ir.TermBranch:
-		nb.Branch(newOf[b.Cond], b.Succs[0], b.Succs[1])
+		nb.Branch(newOf[b.Cond.ID], b.Succs[0], b.Succs[1])
 	case ir.TermJump:
 		nb.Jump(b.Succs[0])
 	case ir.TermReturn:

@@ -14,6 +14,16 @@ import (
 // Optimize returns an optimized copy of the function. The input is not
 // modified.
 func Optimize(f *ir.Func) *ir.Func {
+	out := optimizeLocal(f)
+	// Whole-function passes over the dataflow framework: cross-block
+	// dead-store elimination and common-subexpression elimination.
+	globalOptimize(out)
+	return out
+}
+
+// optimizeLocal runs Optimize's block-local and control-flow passes on
+// a copy of f: everything before the whole-function passes.
+func optimizeLocal(f *ir.Func) *ir.Func {
 	out := &ir.Func{Name: f.Name}
 	for _, b := range f.Blocks {
 		out.Blocks = append(out.Blocks, reassociateBlock(optimizeBlock(b)))
@@ -24,12 +34,15 @@ func Optimize(f *ir.Func) *ir.Func {
 	mergeBlocks(out)
 	// Merging exposes new local folding (stores feeding loads across the
 	// former block boundary) and new chains; one more pass picks them up.
+	// It runs on every block, not only merged ones: optimizeBlock after
+	// reassociateBlock is not idempotent. Rebalancing a chain can pair
+	// constants that only the next folding pass combines (the first pass
+	// leaves x * (-3 * -2), the second x * 6), and re-emitting the
+	// reordered nodes can flip commutative operands into another
+	// canonical order (TestSecondLocalPassOnUnmergedBlocks).
 	for i, b := range out.Blocks {
 		out.Blocks[i] = reassociateBlock(optimizeBlock(b))
 	}
-	// Whole-function passes over the dataflow framework: cross-block
-	// dead-store elimination and common-subexpression elimination.
-	globalOptimize(out)
 	return out
 }
 
@@ -75,30 +88,33 @@ func mergeBlocks(f *ir.Func) {
 // and removes c from the function.
 func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 	bb := ir.NewBuilder(b.Name)
-	newOf := make(map[*ir.Node]*ir.Node)
-	emit := func(blk *ir.Block) {
+	// emit re-emits blk and returns its new nodes, indexed by the old
+	// Node.ID (IDs are unique only within one block).
+	emit := func(blk *ir.Block) []*ir.Node {
+		newOf := make([]*ir.Node, blk.IDBound())
 		for _, n := range blk.Nodes {
 			switch n.Op {
 			case ir.OpConst:
-				newOf[n] = bb.Const(n.Const)
+				newOf[n.ID] = bb.Const(n.Const)
 			case ir.OpLoad:
-				newOf[n] = bb.Load(n.Var)
+				newOf[n.ID] = bb.Load(n.Var)
 			case ir.OpStore:
-				bb.Store(n.Var, newOf[n.Args[0]])
+				bb.Store(n.Var, newOf[n.Args[0].ID])
 			default:
 				args := make([]*ir.Node, len(n.Args))
 				for j, a := range n.Args {
-					args[j] = newOf[a]
+					args[j] = newOf[a.ID]
 				}
-				newOf[n] = emitSimplified(bb, n.Op, args)
+				newOf[n.ID] = emitSimplified(bb, n.Op, args)
 			}
 		}
+		return newOf
 	}
 	emit(b)
-	emit(c)
+	newOf := emit(c)
 	switch c.Term {
 	case ir.TermBranch:
-		bb.Branch(newOf[c.Cond], c.Succs[0], c.Succs[1])
+		bb.Branch(newOf[c.Cond.ID], c.Succs[0], c.Succs[1])
 	case ir.TermJump:
 		bb.Jump(c.Succs[0])
 	case ir.TermReturn:
@@ -130,9 +146,10 @@ func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 // dead too. Each round removes at least one store, so the loop
 // terminates.
 func optimizeBlock(b *ir.Block) *ir.Block {
+	dead := deadStores(b)
 	for {
-		nb := optimizeBlockOnce(b)
-		if len(deadStores(nb)) == 0 {
+		nb := optimizeBlockOnce(b, dead)
+		if dead = deadStores(nb); len(dead) == 0 {
 			return nb
 		}
 		b = nb
@@ -141,34 +158,34 @@ func optimizeBlock(b *ir.Block) *ir.Block {
 
 // optimizeBlockOnce re-emits the block through a fresh builder, applying
 // constant folding and algebraic simplification per node; the builder's
-// hash-consing provides CSE and Finish removes dead code. Dead stores
-// (overwritten within the block with no intervening load) are dropped.
-func optimizeBlockOnce(b *ir.Block) *ir.Block {
-	dead := deadStores(b)
+// hash-consing provides CSE and Finish removes dead code. The stores
+// marked in dead (deadStores(b): overwritten within the block with no
+// intervening load) are dropped.
+func optimizeBlockOnce(b *ir.Block, dead map[int]bool) *ir.Block {
 	bb := ir.NewBuilder(b.Name)
-	newOf := make(map[*ir.Node]*ir.Node, len(b.Nodes))
+	newOf := make([]*ir.Node, b.IDBound())
 	for i, n := range b.Nodes {
 		switch n.Op {
 		case ir.OpConst:
-			newOf[n] = bb.Const(n.Const)
+			newOf[n.ID] = bb.Const(n.Const)
 		case ir.OpLoad:
-			newOf[n] = bb.Load(n.Var)
+			newOf[n.ID] = bb.Load(n.Var)
 		case ir.OpStore:
 			if dead[i] {
 				continue
 			}
-			bb.Store(n.Var, newOf[n.Args[0]])
+			bb.Store(n.Var, newOf[n.Args[0].ID])
 		default:
 			args := make([]*ir.Node, len(n.Args))
 			for j, a := range n.Args {
-				args[j] = newOf[a]
+				args[j] = newOf[a.ID]
 			}
-			newOf[n] = emitSimplified(bb, n.Op, args)
+			newOf[n.ID] = emitSimplified(bb, n.Op, args)
 		}
 	}
 	switch b.Term {
 	case ir.TermBranch:
-		bb.Branch(newOf[b.Cond], b.Succs[0], b.Succs[1])
+		bb.Branch(newOf[b.Cond.ID], b.Succs[0], b.Succs[1])
 	case ir.TermJump:
 		bb.Jump(b.Succs[0])
 	case ir.TermReturn:
@@ -181,9 +198,10 @@ func optimizeBlockOnce(b *ir.Block) *ir.Block {
 }
 
 // deadStores marks stores that are overwritten later in the same block
-// with no intervening load of the variable.
+// with no intervening load of the variable. It returns nil when there
+// are none.
 func deadStores(b *ir.Block) map[int]bool {
-	dead := make(map[int]bool)
+	var dead map[int]bool
 	for i, n := range b.Nodes {
 		if n.Op != ir.OpStore {
 			continue
@@ -194,6 +212,9 @@ func deadStores(b *ir.Block) map[int]bool {
 				break
 			}
 			if m.Op == ir.OpStore && m.Var == n.Var {
+				if dead == nil {
+					dead = make(map[int]bool)
+				}
 				dead[i] = true
 				break
 			}
@@ -358,16 +379,12 @@ func threadJumps(f *ir.Func) {
 			name = next
 		}
 	}
+	// An empty entry block is kept even when it threads away (it is still
+	// the entry point); removeUnreachable drops the bypassed blocks.
 	for _, b := range f.Blocks {
 		for i, s := range b.Succs {
 			b.Succs[i] = resolve(s)
 		}
-	}
-	if len(f.Blocks) > 0 {
-		// If the entry itself threads away, keep it (it may be empty but
-		// is still the entry point); unreachable-block removal handles
-		// the rest.
-		_ = f.Blocks[0]
 	}
 }
 

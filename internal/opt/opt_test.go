@@ -365,3 +365,91 @@ func TestReassociateLoadNotForwardedPastStore(t *testing.T) {
 		t.Errorf("d = %d, want 5:\n%s", mem["d"], of)
 	}
 }
+
+// TestSecondLocalPassOnUnmergedBlocks pins Optimize's output on the two
+// smallest differential-corpus programs (difftest seeds 268 and 466)
+// where the second local pass changes a block that mergeBlocks did not
+// touch. optimizeBlock after reassociateBlock is not idempotent: the
+// re-emission renumbers the nodes reassociation reordered, so commutative
+// operands come back in a different canonical order (seed 268), and
+// rebalancing a chain can pair two constants that only the next folding
+// pass combines, x * (-3 * -2) into x * 6 (seed 466). Running the second
+// pass on merged blocks only would leave both blocks as the first pass
+// made them.
+func TestSecondLocalPassOnUnmergedBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, block, want string
+	}{
+		{
+			name: "reorder", block: "entry",
+			src: "d = b;\nb = (b + 0);\nv0 = ((9 + b) + (a - b));\n",
+			want: `func main:
+block entry:
+  n0:LOAD(b)
+  n1:STORE(d)<-n0
+  n2:STORE(b)<-n0
+  n3:LOAD(a)
+  n4:SUB(n3,n0)
+  n5:CONST(9)
+  n6:ADD(n4,n5)
+  n7:ADD(n0,n6)
+  n8:STORE(v0)<-n7
+  return
+`,
+		},
+		{
+			name: "fold", block: "b2",
+			src: "v0 = d;\nif (b == (a + b)) {\nv1 = ((v0 + d) * (8 + c));\n} else {\nv2 = ((d + d) * (-3 - c));\n}\n" +
+				"v3 = (v1 * v1);\nv4 = ((-3 * v3) * -2);\nv1 = v0;\n",
+			want: `func main:
+block entry:
+  n0:LOAD(d)
+  n1:STORE(v0)<-n0
+  n2:LOAD(b)
+  n3:LOAD(a)
+  n4:ADD(n2,n3)
+  n5:CMPEQ(n2,n4)
+  branch n5 ? b1 : b3
+block b1:
+  n0:LOAD(v0)
+  n1:LOAD(d)
+  n2:ADD(n0,n1)
+  n3:LOAD(c)
+  n4:CONST(8)
+  n5:ADD(n3,n4)
+  n6:MUL(n2,n5)
+  n7:STORE(v1)<-n6
+  jump b2
+block b3:
+  n0:LOAD(d)
+  n1:ADD(n0,n0)
+  n2:LOAD(c)
+  n3:CONST(-3)
+  n4:SUB(n3,n2)
+  n5:MUL(n1,n4)
+  n6:STORE(v2)<-n5
+  jump b2
+block b2:
+  n0:LOAD(v1)
+  n1:MUL(n0,n0)
+  n2:STORE(v3)<-n1
+  n3:CONST(6)
+  n4:MUL(n1,n3)
+  n5:STORE(v4)<-n4
+  n6:LOAD(v0)
+  n7:STORE(v1)<-n6
+  return
+`,
+		},
+	} {
+		f := lower(t, tc.src)
+		got := Optimize(f)
+		if got.String() != tc.want {
+			t.Errorf("%s: Optimize output changed\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+		once := reassociateBlock(optimizeBlock(f.Block(tc.block)))
+		if final := got.Block(tc.block); final == nil || final.String() == once.String() {
+			t.Errorf("%s: block %s is already final after one local pass; the pinned case no longer needs the second", tc.name, tc.block)
+		}
+	}
+}

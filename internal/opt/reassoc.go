@@ -22,18 +22,31 @@ var reassociable = map[ir.Op]bool{
 	ir.OpXor: true,
 }
 
+// uses records how many nodes consume a node's value within its block,
+// and the last of them (the only one when n == 1).
+type uses struct {
+	n    int
+	user *ir.Node
+}
+
 // reassociateBlock returns a copy of the block with associative chains
 // rebalanced.
 func reassociateBlock(b *ir.Block) *ir.Block {
-	users := b.Users()
+	users := make([]uses, b.IDBound()) // indexed by Node.ID
+	for _, n := range b.Nodes {
+		for _, a := range n.Args {
+			users[a.ID].n++
+			users[a.ID].user = n
+		}
+	}
 	bb := ir.NewBuilder(b.Name)
-	newOf := make(map[*ir.Node]*ir.Node, len(b.Nodes))
+	newOf := make([]*ir.Node, len(users))
 
 	// get lazily materializes the new node for an old one, rebalancing
 	// chain roots on the way.
 	var get func(n *ir.Node) *ir.Node
 	get = func(n *ir.Node) *ir.Node {
-		if nn, ok := newOf[n]; ok {
+		if nn := newOf[n.ID]; nn != nil {
 			return nn
 		}
 		var nn *ir.Node
@@ -56,7 +69,7 @@ func reassociateBlock(b *ir.Block) *ir.Block {
 			}
 			nn = bb.Op(n.Op, args...)
 		}
-		newOf[n] = nn
+		newOf[n.ID] = nn
 		return nn
 	}
 
@@ -92,19 +105,19 @@ func reassociateBlock(b *ir.Block) *ir.Block {
 
 // isChainRoot reports whether n heads a same-op chain (it is not itself a
 // single-use operand of a same-op parent — that parent will absorb it).
-func isChainRoot(n *ir.Node, users map[*ir.Node][]*ir.Node) bool {
-	us := users[n]
-	if len(us) != 1 {
+func isChainRoot(n *ir.Node, users []uses) bool {
+	u := users[n.ID]
+	if u.n != 1 {
 		return true
 	}
-	return us[0].Op != n.Op
+	return u.user.Op != n.Op
 }
 
 // chainLeaves collects the operands of the maximal same-op chain rooted
 // at n: single-use same-op children are absorbed recursively, everything
 // else is a leaf.
-func chainLeaves(n *ir.Node, op ir.Op, users map[*ir.Node][]*ir.Node, isRoot bool) []*ir.Node {
-	if n.Op != op || (!isRoot && len(users[n]) != 1) {
+func chainLeaves(n *ir.Node, op ir.Op, users []uses, isRoot bool) []*ir.Node {
+	if n.Op != op || (!isRoot && users[n.ID].n != 1) {
 		return []*ir.Node{n}
 	}
 	var out []*ir.Node
