@@ -58,10 +58,10 @@ bench:
 benchsmoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
-# One iteration of the optimizer, covering and peephole layer
+# One iteration of the optimizer, covering, peephole and warm-path
 # benchmarks (also part of ci.sh, -short included).
 layerbench:
-	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileWarm' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
 # Regenerate the machine-readable compile-benchmark report.
 benchjson:

@@ -66,7 +66,7 @@ type Options struct {
 	// Cache, when non-nil, is the per-block memory tier shared across
 	// Compile calls (cover.NewBoundedCache): it holds finished blocks
 	// under a key covering everything a block's code depends on (see
-	// blockKey), so recompiling an unchanged block skips covering,
+	// domainKey), so recompiling an unchanged block skips covering,
 	// peephole, register allocation and emission. Emitted programs are
 	// byte-identical with and without it.
 	Cache *cover.Cache
@@ -273,17 +273,19 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 			return nil, fmt.Errorf("aviv: source IR rejected by verifier: %w", verr)
 		}
 	}
-	// Global liveness runs once up front; each block's live-out set lets
-	// the covering prune stores no successor ever observes, so dead
-	// values stop occupying register banks and generating spill traffic.
+	// Global liveness runs once up front. Its bit sets feed every block's
+	// cache key directly; the live-out map the covering's store prune
+	// reads is built per block only when the block misses the memory tier
+	// (liveOuts), or for every block here when Verify needs them all.
 	analysisTimer := metrics.StartTimer()
-	liveOuts := dataflow.Liveness(f).OutSets()
+	lo := &liveOuts{r: dataflow.Liveness(f)}
 	analysisTime := analysisTimer.Elapsed()
 	if opts.Verify {
+		lo.sets = lo.r.OutSets()
 		// Self-distrust: re-derive liveness by an independent path search
 		// and refuse to compile on any disagreement — a wrong live-out set
 		// licenses an unsound store prune.
-		if vs := verify.CheckLiveness(f, liveOuts); len(vs) > 0 {
+		if vs := verify.CheckLiveness(f, lo.sets); len(vs) > 0 {
 			return nil, fmt.Errorf("aviv: liveness cross-check failed: %w", &verify.VerifyError{Violations: vs})
 		}
 	}
@@ -293,10 +295,9 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	coll := metrics.NewCollector(par)
 	results := make([]*BlockResult, len(f.Blocks))
 	errs := make([]error, len(f.Blocks))
+	names := make([][]string, par) // per-worker scratch for live-out names
 	compileOne := func(i, worker int) {
-		o := opts
-		o.Cover.LiveOut = liveOuts[i]
-		br, err := tiers.compile(f.Blocks[i], m, o)
+		br, err := tiers.compile(i, f.Blocks[i], m, opts, lo, &names[worker])
 		if err != nil {
 			errs[i] = err
 			return
@@ -343,7 +344,7 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	LayoutProgram(out.Program)
 	var verr *verify.VerifyError
 	if opts.Verify {
-		verr = verifyResult(out, liveOuts)
+		verr = verifyResult(out, lo.sets)
 	}
 	out.Metrics = coll.Finish()
 	out.Metrics.Analysis.Liveness = analysisTime

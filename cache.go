@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 
 	"aviv/internal/cover"
+	"aviv/internal/dataflow"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/metrics"
@@ -14,28 +15,48 @@ import (
 // colliding.
 const keyDomain = "aviv-block-v2"
 
-// blockKey is the one per-block cache key:
+// The one per-block cache key is
 //
 //	sha256(keyDomain | cover.BlockKey(b, machineFP, opts.Cover) | peephole)
 //
-// cover.BlockKey already covers the block's content, the machine and
-// every covering option, live-out set and variable placement included;
-// the peephole flag is the only other input CompileBlock reads. The
-// live-in set is deliberately absent: it is use ∪ (live-out − def),
-// which the block content and live-out already fix.
-func blockKey(b *ir.Block, machineFP [sha256.Size]byte, opts Options) [sha256.Size]byte {
-	base := cover.BlockKey(b, machineFP, opts.Cover)
-	h := sha256.New()
-	h.Write([]byte(keyDomain))
-	h.Write(base[:])
-	if opts.Peephole {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+// with opts.Cover.LiveOut set to the block's live-out set. cover.BlockKey
+// already covers the block's content, the machine and every covering
+// option, live-out set and variable placement included; the peephole
+// flag is the only other input CompileBlock reads. The live-in set is
+// deliberately absent: it is use ∪ (live-out − def), which the block
+// content and live-out already fix. Compile hashes the same bytes
+// without building a live-out map per block: cover.BlockKeyer
+// serializes the options once per compile, and each block's live-out
+// names come straight from the liveness bit sets
+// (dataflow.LivenessResult.AppendOutVars).
+
+// domainKey finishes a block key from its cover.BlockKey part.
+func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
+	var in [len(keyDomain) + sha256.Size + 1]byte
+	n := copy(in[:], keyDomain)
+	n += copy(in[n:], base[:])
+	if peephole {
+		in[n] = 1
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	return sha256.Sum256(in[:])
+}
+
+// liveOuts hands out the blocks' live-out sets of one Compile: as sorted
+// names read from the liveness bit sets for keying, and as the map
+// cover.Options.LiveOut consumes, built only for a block that is
+// covered or decoded — or for every block up front when Verify needs
+// them all.
+type liveOuts struct {
+	r    *dataflow.LivenessResult
+	sets []map[string]bool // every block's map, or nil to build on demand
+}
+
+// set returns block i's live-out map.
+func (l *liveOuts) set(i int) map[string]bool {
+	if l.sets != nil {
+		return l.sets[i]
+	}
+	return l.r.OutSet(i)
 }
 
 // blockCache is one Compile's view of the per-block cache tiers. A nil
@@ -49,7 +70,7 @@ func blockKey(b *ir.Block, machineFP [sha256.Size]byte, opts Options) [sha256.Si
 type blockCache struct {
 	mem  *cover.Cache
 	disk cover.EntryStore
-	mfp  [sha256.Size]byte
+	keys *cover.BlockKeyer
 }
 
 // newBlockCache returns the tiers of opts, or nil when there are none or
@@ -58,23 +79,25 @@ func newBlockCache(m *isdl.Machine, opts Options) *blockCache {
 	if opts.Cover.Trace != nil || (opts.Cache == nil && opts.DiskCache == nil) {
 		return nil
 	}
-	bc := &blockCache{mem: opts.Cache, disk: opts.DiskCache}
-	if bc.mem != nil {
-		bc.mfp = bc.mem.MachineFingerprint(m)
+	var mfp [sha256.Size]byte
+	if opts.Cache != nil {
+		mfp = opts.Cache.MachineFingerprint(m)
 	} else {
-		bc.mfp = m.Fingerprint()
+		mfp = m.Fingerprint()
 	}
-	return bc
+	return &blockCache{mem: opts.Cache, disk: opts.DiskCache, keys: cover.NewBlockKeyer(mfp, opts.Cover)}
 }
 
-// compile returns block b's result from the first tier that has it, or
-// compiles it fresh and writes it back.
-func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, error) {
+// compile returns the result of b, block i of the function lo
+// describes, from the first tier that has it, or compiles it fresh and
+// writes it back. names is scratch space for the live-out names.
+func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options, lo *liveOuts, names *[]string) (*BlockResult, error) {
 	if bc == nil {
+		opts.Cover.LiveOut = lo.set(i)
 		return CompileBlock(b, m, opts)
 	}
 	total := metrics.StartTimer()
-	key := blockKey(b, bc.mfp, opts)
+	key := bc.key(i, b, lo, opts.Peephole, names)
 	if bc.mem != nil {
 		if v, ok := bc.mem.Get(key); ok {
 			hit := v.(*BlockResult)
@@ -87,6 +110,7 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 			return &br, nil
 		}
 	}
+	opts.Cover.LiveOut = lo.set(i)
 	invalidated := false
 	if bc.disk != nil {
 		if data, ok := bc.disk.Get(key); ok {
@@ -128,6 +152,12 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	}
 	br.Metrics.Total = total.Elapsed()
 	return br, nil
+}
+
+// key returns the cache key of b, block i of the function lo describes.
+func (bc *blockCache) key(i int, b *ir.Block, lo *liveOuts, peephole bool, names *[]string) [sha256.Size]byte {
+	*names = lo.r.AppendOutVars((*names)[:0], i)
+	return domainKey(bc.keys.Key(b, *names), peephole)
 }
 
 // remember stores a private copy of br in the memory tier, so the

@@ -95,13 +95,14 @@ echo "== clustersmoke: cluster differential (race) =="
 # Under -race this is also the data-race gate for the cluster layer.
 go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
 
-echo "== layerbench: optimizer + covering + peephole Go benchmarks (one iteration) =="
+echo "== layerbench: optimizer + covering + peephole + warm-path Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the compile tail a disk-tier hit pays
-# for, and of the front-end optimizer every request runs before its
-# first cache lookup, run in -short mode too so none can rot between
+# for, of the front-end optimizer every request runs before its first
+# cache lookup, and of the whole warm path (BenchmarkCompileWarm: every
+# block hits memory), run in -short mode too so none can rot between
 # full runs. BenchmarkCoverBlock runs both presets; its exhaustive
 # sub-benchmark is the only CI run of the heuristics-off covering path.
-go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt
+go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileWarm' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
 if [ "${1:-}" != "-short" ]; then
     echo "== fuzz smoke (FuzzCompileSource, 10s) =="

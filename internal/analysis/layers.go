@@ -120,7 +120,7 @@ var allowedImports = map[string][]string{
 		"internal/sndag", "internal/verify",
 	},
 
-	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/metrics"},
+	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/lru", "internal/metrics"},
 
 	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/lru", "internal/metrics", "internal/server"},
 

@@ -9,7 +9,7 @@ package asm
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"aviv/internal/cover"
 	"aviv/internal/ir"
@@ -25,11 +25,13 @@ type Operand struct {
 	Reg   int
 }
 
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendTo(nil)) }
+
+func (o Operand) appendTo(dst []byte) []byte {
 	if o.IsImm {
-		return fmt.Sprintf("#%d", o.Imm)
+		return strconv.AppendInt(append(dst, '#'), o.Imm, 10)
 	}
-	return fmt.Sprintf("R%d", o.Reg)
+	return strconv.AppendInt(append(dst, 'R'), int64(o.Reg), 10)
 }
 
 // MicroOp is one occupied operation slot: Op executed on Unit, writing
@@ -42,16 +44,26 @@ type MicroOp struct {
 	Srcs []Operand
 }
 
-func (m MicroOp) String() string {
-	name := m.Op.String()
+func (m MicroOp) String() string { return string(m.appendTo(nil)) }
+
+// appendTo renders "Unit: OP Rdst, src, src"; with no sources the text
+// keeps its trailing ", ".
+func (m MicroOp) appendTo(dst []byte) []byte {
+	dst = append(append(dst, m.Unit...), ": "...)
 	if m.Op == ir.OpConst {
-		name = "MOVI"
+		dst = append(dst, "MOVI"...)
+	} else {
+		dst = append(dst, m.Op.String()...)
 	}
-	parts := make([]string, len(m.Srcs))
+	dst = strconv.AppendInt(append(dst, " R"...), int64(m.Dst), 10)
+	dst = append(dst, ", "...)
 	for i, s := range m.Srcs {
-		parts[i] = s.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = s.appendTo(dst)
 	}
-	return fmt.Sprintf("%s: %s R%d, %s", m.Unit, name, m.Dst, strings.Join(parts, ", "))
+	return dst
 }
 
 // Move is one occupied bus slot: a register-to-register, memory-to-
@@ -66,16 +78,23 @@ type Move struct {
 	ToMem    string // memory location name when storing
 }
 
-func (m Move) String() string {
-	src := fmt.Sprintf("%s.R%d", m.FromUnit, m.FromReg)
-	if m.FromUnit == "" {
-		src = "[" + m.FromMem + "]"
+func (m Move) String() string { return string(m.appendTo(nil)) }
+
+func (m Move) appendTo(dst []byte) []byte {
+	dst = append(append(dst, m.Bus...), ": "...)
+	dst = appendLoc(dst, m.FromUnit, m.FromReg, m.FromMem)
+	dst = append(dst, " -> "...)
+	return appendLoc(dst, m.ToUnit, m.ToReg, m.ToMem)
+}
+
+// appendLoc renders a transfer endpoint: "Unit.Rn", or "[mem]" when unit
+// is empty.
+func appendLoc(dst []byte, unit string, reg int, mem string) []byte {
+	if unit == "" {
+		return append(append(append(dst, '['), mem...), ']')
 	}
-	dst := fmt.Sprintf("%s.R%d", m.ToUnit, m.ToReg)
-	if m.ToUnit == "" {
-		dst = "[" + m.ToMem + "]"
-	}
-	return fmt.Sprintf("%s: %s -> %s", m.Bus, src, dst)
+	dst = append(append(dst, unit...), ".R"...)
+	return strconv.AppendInt(dst, int64(reg), 10)
 }
 
 // Instr is one VLIW instruction word.
@@ -84,18 +103,22 @@ type Instr struct {
 	Moves []Move
 }
 
-func (in Instr) String() string {
-	var parts []string
+func (in Instr) String() string { return string(in.appendTo(nil)) }
+
+func (in Instr) appendTo(dst []byte) []byte {
+	if len(in.Ops)+len(in.Moves) == 0 {
+		return append(dst, "{ NOP }"...)
+	}
+	sep := "{ "
 	for _, op := range in.Ops {
-		parts = append(parts, op.String())
+		dst = op.appendTo(append(dst, sep...))
+		sep = " | "
 	}
 	for _, mv := range in.Moves {
-		parts = append(parts, mv.String())
+		dst = mv.appendTo(append(dst, sep...))
+		sep = " | "
 	}
-	if len(parts) == 0 {
-		return "{ NOP }"
-	}
-	return "{ " + strings.Join(parts, " | ") + " }"
+	return append(dst, " }"...)
 }
 
 // BranchKind distinguishes the control-flow instructions appended to a
@@ -122,22 +145,30 @@ type Branch struct {
 	CondConst *int64
 }
 
-func (b *Branch) String() string {
+func (b *Branch) String() string { return string(b.appendTo(nil)) }
+
+// appendTo renders the control-flow instruction; a bare "FALL" (no
+// target) is the implicit end of the program.
+func (b *Branch) appendTo(dst []byte) []byte {
 	switch b.Kind {
 	case BranchJump:
-		return fmt.Sprintf("JMP %s", b.Target)
+		return append(append(dst, "JMP "...), b.Target...)
 	case BranchCond:
+		dst = append(dst, "BNZ "...)
 		if b.CondConst != nil {
-			return fmt.Sprintf("BNZ #%d, %s else %s", *b.CondConst, b.Target, b.Else)
+			dst = strconv.AppendInt(append(dst, '#'), *b.CondConst, 10)
+		} else {
+			dst = appendLoc(dst, b.CondUnit, b.CondReg, "")
 		}
-		return fmt.Sprintf("BNZ %s.R%d, %s else %s", b.CondUnit, b.CondReg, b.Target, b.Else)
+		dst = append(append(dst, ", "...), b.Target...)
+		return append(append(dst, " else "...), b.Else...)
 	case BranchHalt:
-		return "HALT"
+		return append(dst, "HALT"...)
 	}
 	if b.Target != "" {
-		return fmt.Sprintf("FALL %s", b.Target)
+		return append(append(dst, "FALL "...), b.Target...)
 	}
-	return "FALL"
+	return append(dst, "FALL"...)
 }
 
 // Block is the generated code for one basic block.
@@ -184,18 +215,22 @@ func (p *Program) CodeSize() int {
 }
 
 func (p *Program) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; program for %s\n", p.Machine.Name)
+	buf := append([]byte("; program for "), p.Machine.Name...)
+	buf = append(buf, '\n')
 	for _, b := range p.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.Name)
+		buf = append(append(buf, b.Name...), ":\n"...)
 		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "  %s\n", in.String())
+			buf = append(in.appendTo(append(buf, "  "...)), '\n')
 		}
-		if s := b.Branch.String(); s != "FALL" { // bare FALL (end of program) is implicit
-			fmt.Fprintf(&sb, "  %s\n", s)
+		line := len(buf)
+		buf = b.Branch.appendTo(append(buf, "  "...))
+		if string(buf[line+2:]) == "FALL" { // bare FALL (end of program) is implicit
+			buf = buf[:line]
+		} else {
+			buf = append(buf, '\n')
 		}
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // EmitBlock lowers one covering solution plus its register allocation to

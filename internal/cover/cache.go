@@ -3,9 +3,7 @@ package cover
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"aviv/internal/isdl"
@@ -35,14 +33,20 @@ type EntryStore interface {
 // per-block artifact and asserts the type back on a hit. Entries are
 // never mutated after insertion.
 //
-// The cache also memoizes machine fingerprints per *isdl.Machine, so a
-// many-block compile hashes its machine description once.
+// The cache also memoizes the fingerprints of the MaxMachineFingerprints
+// most recently used *isdl.Machine values, so a many-block compile
+// hashes its machine description once.
 type Cache struct {
 	lru     *lru.Cache[[sha256.Size]byte, cached]
 	bytes   atomic.Int64
-	mu      sync.Mutex
-	machFPs map[*isdl.Machine][sha256.Size]byte
+	machFPs *lru.Cache[*isdl.Machine, [sha256.Size]byte]
 }
+
+// MaxMachineFingerprints caps Cache's machine-fingerprint memo. Compiles
+// use a handful of machines; the cap keeps a stream of distinct machine
+// pointers (a server re-parsing evicted machine texts, say) from growing
+// the memo without bound.
+const MaxMachineFingerprints = 64
 
 type cached struct {
 	val   any
@@ -72,7 +76,7 @@ func (s CacheStats) HitRate() float64 {
 // blocks, evicting least recently used first. maxEntries <= 0 means
 // unbounded.
 func NewBoundedCache(maxEntries int) *Cache {
-	c := &Cache{machFPs: make(map[*isdl.Machine][sha256.Size]byte)}
+	c := &Cache{machFPs: lru.New[*isdl.Machine, [sha256.Size]byte](MaxMachineFingerprints, nil)}
 	c.lru = lru.New(maxEntries, func(_ [sha256.Size]byte, e cached) { c.bytes.Add(-e.bytes) })
 	return c
 }
@@ -108,17 +112,16 @@ func (c *Cache) Stats() CacheStats {
 // MachineFingerprint returns m.Fingerprint(), memoized per machine
 // pointer.
 func (c *Cache) MachineFingerprint(m *isdl.Machine) [sha256.Size]byte {
-	c.mu.Lock()
-	fp, ok := c.machFPs[m]
-	c.mu.Unlock()
-	if !ok {
-		fp = m.Fingerprint()
-		c.mu.Lock()
-		c.machFPs[m] = fp
-		c.mu.Unlock()
+	if fp, ok := c.machFPs.Get(m); ok {
+		return fp
 	}
+	fp, _ := c.machFPs.Add(m, m.Fingerprint())
 	return fp
 }
+
+// MachineFingerprints returns how many machine fingerprints the cache
+// memoizes, at most MaxMachineFingerprints.
+func (c *Cache) MachineFingerprints() int { return c.machFPs.Stats().Len }
 
 // ApproxBytes estimates the retained size of a covering: the dominant
 // costs are the solution-graph nodes reachable from the schedule and
@@ -144,23 +147,10 @@ func (res *Result) ApproxBytes() int64 {
 // fpWriter accumulates fingerprint material, length-prefixing every
 // field so adjacent records cannot alias.
 type fpWriter struct {
-	h   hash.Hash
 	buf []byte
 }
 
-func (w *fpWriter) flush() {
-	if len(w.buf) > 0 {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
-	}
-}
-
-func (w *fpWriter) int(v int) {
-	w.buf = binary.AppendVarint(w.buf, int64(v))
-	if len(w.buf) > 4096 {
-		w.flush()
-	}
-}
+func (w *fpWriter) int(v int) { w.buf = binary.AppendVarint(w.buf, int64(v)) }
 
 func (w *fpWriter) str(s string) {
 	w.int(len(s))
@@ -175,11 +165,11 @@ func (w *fpWriter) bool(b bool) {
 	}
 }
 
-// optionsFingerprint hashes every Options field that influences the
-// covering result. Trace is excluded (it has no effect on output, and
-// aviv bypasses the cache tiers when tracing).
-func optionsFingerprint(o Options) [sha256.Size]byte {
-	w := &fpWriter{h: sha256.New()}
+// options writes every Options field that influences the covering
+// result except LiveOut, which follows it (liveOut). Trace is excluded
+// (it has no effect on output, and aviv bypasses the cache tiers when
+// tracing).
+func (w *fpWriter) options(o Options) {
 	w.int(o.BeamWidth)
 	w.bool(o.PruneIncremental)
 	w.int(o.MaxAssignments)
@@ -193,6 +183,22 @@ func optionsFingerprint(o Options) [sha256.Size]byte {
 		w.str(k)
 		w.str(o.VarPlacement[k])
 	}
+}
+
+// liveOut writes a non-nil live-out set given as its variables in
+// ascending order.
+func (w *fpWriter) liveOut(sorted []string) {
+	w.int(len(sorted))
+	for _, v := range sorted {
+		w.str(v)
+	}
+}
+
+// optionsFingerprint hashes every Options field that influences the
+// covering result.
+func optionsFingerprint(o Options) [sha256.Size]byte {
+	var w fpWriter
+	w.options(o)
 	if o.LiveOut == nil {
 		// nil disables store pruning entirely; an empty set prunes
 		// aggressively. The two must not collide.
@@ -205,15 +211,9 @@ func optionsFingerprint(o Options) [sha256.Size]byte {
 			}
 		}
 		sort.Strings(live)
-		w.int(len(live))
-		for _, v := range live {
-			w.str(v)
-		}
+		w.liveOut(live)
 	}
-	w.flush()
-	var sum [sha256.Size]byte
-	w.h.Sum(sum[:0])
-	return sum
+	return sha256.Sum256(w.buf)
 }
 
 func sortedKeys(m map[string]string) []string {

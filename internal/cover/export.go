@@ -20,14 +20,41 @@ import (
 // artifact can never be reused across a change that would have altered
 // the covering.
 func BlockKey(block *ir.Block, machineFP [sha256.Size]byte, opts Options) [sha256.Size]byte {
-	blockFP, optsFP := block.Fingerprint(), optionsFingerprint(opts)
-	h := sha256.New()
-	h.Write(blockFP[:])
-	h.Write(machineFP[:])
-	h.Write(optsFP[:])
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	return blockKeyOf(block, machineFP, optionsFingerprint(opts))
+}
+
+func blockKeyOf(block *ir.Block, machineFP, optsFP [sha256.Size]byte) [sha256.Size]byte {
+	var in [3 * sha256.Size]byte
+	blockFP := block.Fingerprint()
+	copy(in[:], blockFP[:])
+	copy(in[sha256.Size:], machineFP[:])
+	copy(in[2*sha256.Size:], optsFP[:])
+	return sha256.Sum256(in[:])
+}
+
+// BlockKeyer computes BlockKey for the blocks of one compile: every
+// option but LiveOut is serialized once, and each block's live-out set
+// arrives as a sorted list of names instead of a map to sort.
+type BlockKeyer struct {
+	machineFP [sha256.Size]byte
+	opts      []byte // fingerprint material of opts up to LiveOut
+}
+
+// NewBlockKeyer returns a keyer for blocks compiled against the machine
+// with fingerprint machineFP under opts; opts.LiveOut is ignored.
+func NewBlockKeyer(machineFP [sha256.Size]byte, opts Options) *BlockKeyer {
+	var w fpWriter
+	w.options(opts)
+	return &BlockKeyer{machineFP: machineFP, opts: w.buf}
+}
+
+// Key returns BlockKey(block, machineFP, opts) with opts.LiveOut set to
+// the variables of liveOut, which must be ascending and distinct.
+func (k *BlockKeyer) Key(block *ir.Block, liveOut []string) [sha256.Size]byte {
+	w := fpWriter{buf: make([]byte, 0, len(k.opts)+8+16*len(liveOut))}
+	w.buf = append(w.buf, k.opts...)
+	w.liveOut(liveOut)
+	return blockKeyOf(block, k.machineFP, sha256.Sum256(w.buf))
 }
 
 // EncodeResult serializes a covering for a persistent tier, declining

@@ -1,66 +1,55 @@
 package dataflow
 
 import (
-	"sort"
+	"slices"
 
 	"aviv/internal/ir"
 )
 
 // ExprFact is one available-expression fact: "memory location Var holds
-// the value of Expr evaluated over the current memory state". Expr is a
-// canonical ExprKey containing at least one operation. A fact is
-// generated by a block whose last store to Var stores exactly that
-// expression computed from entry values, with no store to any variable
-// the expression reads anywhere in the block (so the expression means
-// the same thing at block exit as where it was computed); it is killed
-// by any store to Var or to a variable the expression reads.
+// the value of Expr evaluated over the current memory state". Expr is an
+// interned expression (see Exprs) containing at least one operation. A
+// fact is generated by a block whose last store to Var stores exactly
+// that expression computed from entry values, with no store to any
+// variable the expression reads anywhere in the block (so the
+// expression means the same thing at block exit as where it was
+// computed); it is killed by any store to Var or to a variable the
+// expression reads.
 type ExprFact struct {
 	Var  string
-	Expr string
+	Expr ExprID
 }
 
 // AvailResult holds the available-expressions solution: the facts that
 // hold at each block boundary along *every* execution path from entry.
 type AvailResult struct {
-	G     *CFG
+	G *CFG
+	// X interns the expressions the facts name.
+	X     *Exprs
 	Facts []ExprFact // sorted fact universe
 	// In and Out per block, bits indexed by Facts.
 	In, Out []BitSet
-
-	factIndex map[ExprFact]int
-	// ExprVars maps each fact's Expr to the variables it reads.
-	ExprVars map[string][]string
 }
 
 // Available computes available expressions for f over the full CFG.
 func Available(f *ir.Func) *AvailResult { return AvailableCFG(NewCFG(f)) }
 
 // AvailableCFG computes available expressions over a prebuilt CFG.
-func AvailableCFG(g *CFG) *AvailResult {
+func AvailableCFG(g *CFG) *AvailResult { return AvailableExprs(g, NewExprs()) }
+
+// AvailableExprs is AvailableCFG interning expressions in x, which must
+// not have seen a block of another function. Blocks x has already keyed
+// are not keyed again.
+func AvailableExprs(g *CFG, x *Exprs) *AvailResult {
 	// Universe: every fact any block can generate.
-	factSet := make(map[ExprFact]bool)
-	exprVars := make(map[string][]string)
 	blockGens := make([][]ExprFact, len(g.F.Blocks))
+	var facts []ExprFact
 	for i, b := range g.F.Blocks {
-		for _, fact := range blockGenFacts(b, exprVars) {
-			factSet[fact] = true
-			blockGens[i] = append(blockGens[i], fact)
-		}
+		blockGens[i] = blockGenFacts(b, x.Block(i, b), x)
+		facts = append(facts, blockGens[i]...)
 	}
-	facts := make([]ExprFact, 0, len(factSet))
-	for fact := range factSet {
-		facts = append(facts, fact)
-	}
-	sort.Slice(facts, func(a, b int) bool {
-		if facts[a].Var != facts[b].Var {
-			return facts[a].Var < facts[b].Var
-		}
-		return facts[a].Expr < facts[b].Expr
-	})
-	idx := make(map[ExprFact]int, len(facts))
-	for i, fact := range facts {
-		idx[fact] = i
-	}
+	slices.SortFunc(facts, compareFacts)
+	facts = slices.Compact(facts)
 
 	n := len(g.F.Blocks)
 	p := Problem{
@@ -75,14 +64,15 @@ func AvailableCFG(g *CFG) *AvailResult {
 	killedBy := make(map[string][]int)
 	for fi, fact := range facts {
 		killedBy[fact.Var] = append(killedBy[fact.Var], fi)
-		for _, v := range exprVars[fact.Expr] {
+		for _, v := range x.Vars(fact.Expr) {
 			killedBy[v] = append(killedBy[v], fi)
 		}
 	}
 	for i, b := range g.F.Blocks {
 		gen := NewBitSet(len(facts))
 		for _, fact := range blockGens[i] {
-			gen.Set(idx[fact])
+			j, _ := slices.BinarySearchFunc(facts, fact, compareFacts)
+			gen.Set(j)
 		}
 		kill := NewBitSet(len(facts))
 		for _, n := range b.Nodes {
@@ -97,48 +87,44 @@ func AvailableCFG(g *CFG) *AvailResult {
 	}
 	// Nothing is available at function entry; p.Boundary stays nil (∅).
 	solved := Solve(g, p)
-	return &AvailResult{
-		G: g, Facts: facts, In: solved.In, Out: solved.Out,
-		factIndex: idx, ExprVars: exprVars,
-	}
+	return &AvailResult{G: g, X: x, Facts: facts, In: solved.In, Out: solved.Out}
 }
 
-// blockGenFacts returns the facts b generates, recording each
-// expression's variable set in exprVars.
-func blockGenFacts(b *ir.Block, exprVars map[string][]string) []ExprFact {
-	stored := storedVars(b)
-	last := make(map[string]*ir.Node)
-	for _, n := range b.Nodes {
-		if n.Op == ir.OpStore {
-			last[n.Var] = n
+func compareFacts(a, b ExprFact) int {
+	if a.Var != b.Var {
+		if a.Var < b.Var {
+			return -1
 		}
+		return 1
 	}
-	vars := make([]string, 0, len(last))
-	for v := range last {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
+	return int(a.Expr) - int(b.Expr)
+}
+
+// blockGenFacts returns the facts b generates; ids are b's expression
+// IDs from x.
+func blockGenFacts(b *ir.Block, ids []ExprID, x *Exprs) []ExprFact {
+	stored := storedVars(b)
 	var out []ExprFact
-	for _, v := range vars {
-		key, keyVars, ok := ExprKey(last[v].Args[0])
-		if !ok || !isComputationKey(key) {
+	// Walking backward, the first store seen to each variable is its
+	// last store in the block.
+	seen := make(map[string]bool, len(stored))
+	for k := len(b.Nodes) - 1; k >= 0; k-- {
+		n := b.Nodes[k]
+		if n.Op != ir.OpStore || seen[n.Var] {
+			continue
+		}
+		seen[n.Var] = true
+		id := ids[n.Args[0].ID]
+		if id == NoExpr || !x.IsComputation(id) {
 			continue
 		}
 		// The expression must be over entry values: none of the
 		// variables it reads may be stored anywhere in the block. (This
-		// also excludes v itself — v is stored.)
-		clean := true
-		for _, kv := range keyVars {
-			if stored[kv] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
+		// also excludes n.Var itself — it is stored.)
+		if slices.ContainsFunc(x.Vars(id), func(v string) bool { return stored[v] }) {
 			continue
 		}
-		exprVars[key] = keyVars
-		out = append(out, ExprFact{Var: v, Expr: key})
+		out = append(out, ExprFact{Var: n.Var, Expr: id})
 	}
 	return out
 }
@@ -152,15 +138,6 @@ func storedVars(b *ir.Block) map[string]bool {
 		}
 	}
 	return s
-}
-
-// AvailIn reports whether fact holds at the entry of block i.
-func (r *AvailResult) AvailIn(i int, fact ExprFact) bool {
-	j, ok := r.factIndex[fact]
-	if !ok {
-		return false
-	}
-	return r.In[i].Get(j)
 }
 
 // InFacts returns the facts holding at the entry of block i, sorted.

@@ -191,8 +191,9 @@ func checkAllAnalyses(t *testing.T, label string, f *ir.Func, g *CFG) {
 	avail := AvailableCFG(g)
 	for i := range f.Blocks {
 		for j, fact := range avail.Facts {
-			if got, want := avail.In[i].Get(j), OracleAvailIn(g, i, fact, avail.ExprVars); got != want {
-				t.Errorf("%s: availIn(%s, %+v) = %v, oracle %v", label, f.Blocks[i].Name, fact, got, want)
+			of, vars := OracleFactOf(avail.X, fact)
+			if got, want := avail.In[i].Get(j), OracleAvailIn(g, i, of, vars); got != want {
+				t.Errorf("%s: availIn(%s, %+v) = %v, oracle %v", label, f.Blocks[i].Name, of, got, want)
 			}
 		}
 	}

@@ -94,16 +94,34 @@ func (r *LivenessResult) LiveInOf(i int, v string) bool {
 // like F.Blocks — the form cover.Options.LiveOut consumes.
 func (r *LivenessResult) OutSets() []map[string]bool {
 	out := make([]map[string]bool, len(r.Out))
-	for i, s := range r.Out {
-		m := make(map[string]bool, len(r.Vars))
-		for j, v := range r.Vars {
-			if s.Get(j) {
-				m[v] = true
-			}
-		}
-		out[i] = m
+	for i := range r.Out {
+		out[i] = r.OutSet(i)
 	}
 	return out
+}
+
+// OutSet materializes the live-out set of block i as a map: OutSets()[i]
+// alone.
+func (r *LivenessResult) OutSet(i int) map[string]bool {
+	m := make(map[string]bool, len(r.Vars))
+	for j, v := range r.Vars {
+		if r.Out[i].Get(j) {
+			m[v] = true
+		}
+	}
+	return m
+}
+
+// AppendOutVars appends the variables live at the exit of block i to
+// dst in ascending order, straight from the bit set, and returns the
+// extended slice.
+func (r *LivenessResult) AppendOutVars(dst []string, i int) []string {
+	for j, v := range r.Vars {
+		if r.Out[i].Get(j) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // DeadStores returns the indices into b.Nodes of stores that are dead

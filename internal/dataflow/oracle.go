@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sort"
 
 	"aviv/internal/ir"
 )
@@ -169,14 +170,65 @@ func blockStores(b *ir.Block, v string) bool {
 	return false
 }
 
+// OracleFact is an available-expression fact in the oracles' string
+// form: Expr is the fact's ExprKey rather than an interned ID.
+type OracleFact struct {
+	Var  string
+	Expr string
+}
+
+// OracleFactOf converts fact into the oracles' string form, re-deriving
+// its key and variables with ExprKey from the node x interned first
+// under fact.Expr.
+func OracleFactOf(x *Exprs, fact ExprFact) (OracleFact, []string) {
+	key, vars, _ := ExprKey(x.info[fact.Expr].rep)
+	return OracleFact{Var: fact.Var, Expr: key}, vars
+}
+
+// OracleGenFacts returns the facts block b generates, derived from
+// ExprKey strings independently of the Exprs interner: for each
+// variable's last store, the stored expression when it contains an
+// operation and reads no variable b stores.
+func OracleGenFacts(b *ir.Block) []OracleFact {
+	stored := storedVars(b)
+	last := make(map[string]*ir.Node)
+	for _, n := range b.Nodes {
+		if n.Op == ir.OpStore {
+			last[n.Var] = n
+		}
+	}
+	vars := make([]string, 0, len(last))
+	for v := range last {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var out []OracleFact
+	for _, v := range vars {
+		key, keyVars, ok := ExprKey(last[v].Args[0])
+		if !ok || !isComputationKey(key) {
+			continue
+		}
+		clean := true
+		for _, kv := range keyVars {
+			if stored[kv] {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			out = append(out, OracleFact{Var: v, Expr: key})
+		}
+	}
+	return out
+}
+
 // OracleAvailIn reports whether fact holds at the entry of block i on
 // every path from the entry: it searches for a witness path on which
 // the fact does NOT hold, over the product graph of (block, holds).
-// exprVars must map fact.Expr to the variables it reads (AvailResult
-// records this).
-func OracleAvailIn(g *CFG, i int, fact ExprFact, exprVars map[string][]string) bool {
+// exprVars must list the variables fact.Expr reads.
+func OracleAvailIn(g *CFG, i int, fact OracleFact, exprVars []string) bool {
 	gens := func(b *ir.Block) bool {
-		for _, f := range blockGenFacts(b, map[string][]string{}) {
+		for _, f := range OracleGenFacts(b) {
 			if f == fact {
 				return true
 			}
@@ -188,7 +240,7 @@ func OracleAvailIn(g *CFG, i int, fact ExprFact, exprVars map[string][]string) b
 		if stored[fact.Var] {
 			return true
 		}
-		for _, v := range exprVars[fact.Expr] {
+		for _, v := range exprVars {
 			if stored[v] {
 				return true
 			}
@@ -301,8 +353,9 @@ func CheckOracles(f *ir.Func) error {
 		avail := AvailableCFG(g)
 		for i := range f.Blocks {
 			for j, fact := range avail.Facts {
-				if got, want := avail.In[i].Get(j), OracleAvailIn(g, i, fact, avail.ExprVars); got != want {
-					return fmt.Errorf("%s: availIn(%s, %+v) = %v, oracle says %v", variant.label, f.Blocks[i].Name, fact, got, want)
+				of, vars := OracleFactOf(avail.X, fact)
+				if got, want := avail.In[i].Get(j), OracleAvailIn(g, i, of, vars); got != want {
+					return fmt.Errorf("%s: availIn(%s, %+v) = %v, oracle says %v", variant.label, f.Blocks[i].Name, of, got, want)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 // Package lru is the repository's one bounded least-recently-used map:
-// the per-block memory tier (cover.Cache) and the cluster's in-memory
-// entry store (cluster.MemStore) both sit on it.
+// the per-block memory tier (cover.Cache) and its machine-fingerprint
+// memo, the server's machine interner, and the cluster's in-memory
+// entry store (cluster.MemStore) all sit on it.
 package lru
 
 import (

@@ -20,9 +20,12 @@ import (
 // so one CFG serves every round.
 func globalOptimize(f *ir.Func) {
 	g := dataflow.NewCFG(f)
+	// One interner for every round: only blocks a round replaced get
+	// keyed again.
+	x := dataflow.NewExprs()
 	for {
 		changed := globalDeadStores(g)
-		if globalCSE(g) {
+		if globalCSE(g, x) {
 			changed = true
 		}
 		if !changed {
@@ -62,14 +65,14 @@ func globalDeadStores(g *dataflow.CFG) bool {
 // a load of that location. A rewrite is only kept when it makes the
 // block strictly smaller — fewer computation nodes without growing the
 // node count — so bench code size can only improve.
-func globalCSE(g *dataflow.CFG) bool {
-	avail := dataflow.AvailableCFG(g)
+func globalCSE(g *dataflow.CFG, x *dataflow.Exprs) bool {
+	avail := dataflow.AvailableExprs(g, x)
 	if len(avail.Facts) == 0 {
 		return false
 	}
 	f := g.F
 	changed := false
-	byExpr := make(map[string]string) // expr key -> smallest source var, per block
+	byExpr := make(map[dataflow.ExprID]string) // expression -> smallest source var, per block
 	for i, b := range f.Blocks {
 		if i == 0 || !g.Reach[i] {
 			continue // nothing is available at entry; skip dead islands
@@ -86,7 +89,7 @@ func globalCSE(g *dataflow.CFG) bool {
 		if len(byExpr) == 0 {
 			continue
 		}
-		if nb, ok := rewriteBlockCSE(b, byExpr); ok {
+		if nb, ok := rewriteBlockCSE(b, x.Block(i, b), x, byExpr); ok {
 			f.Blocks[i] = nb
 			changed = true
 		}
@@ -96,9 +99,10 @@ func globalCSE(g *dataflow.CFG) bool {
 
 // rewriteBlockCSE re-emits b replacing eligible computations with loads
 // of the memory locations known (at block entry) to hold their value.
-// It returns ok=false when no eligible rewrite exists or when the
-// rewritten block is not strictly smaller.
-func rewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
+// ids are b's expression IDs from x. It returns ok=false when no
+// eligible rewrite exists or when the rewritten block is not strictly
+// smaller.
+func rewriteBlockCSE(b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byExpr map[dataflow.ExprID]string) (*ir.Block, bool) {
 	// firstStore[v] = node index of the first store to v in b.
 	firstStore := make(map[string]int)
 	for idx, n := range b.Nodes {
@@ -129,17 +133,17 @@ func rewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
 		if n.Op == ir.OpConst || n.Op == ir.OpLoad || n.Op == ir.OpStore {
 			continue
 		}
-		key, vars, ok := dataflow.ExprKey(n)
-		if !ok {
+		id := ids[n.ID]
+		if id == dataflow.NoExpr {
 			continue
 		}
-		v, ok := byExpr[key]
+		v, ok := byExpr[id]
 		if !ok {
 			continue
 		}
 		// The node must compute over entry values, and the source
 		// location must still hold its entry value at this point.
-		if !entryValue(idx, vars) {
+		if !entryValue(idx, x.Vars(id)) {
 			continue
 		}
 		if fs, ok := firstStore[v]; ok && fs < idx {

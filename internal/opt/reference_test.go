@@ -55,9 +55,10 @@ func forEachCorpusFunc(t *testing.T, step int, fn func(label string, f *ir.Func)
 
 // refGlobalOptimize is globalOptimize over the map-based interfaces of
 // package dataflow: a fresh CFG for every analysis, one live-out map per
-// block from OutSets, the package-level PruneBlock, and the
-// available-fact list from InFacts. globalOptimize must produce the same
-// blocks from one CFG and the liveness bit sets.
+// block from OutSets, the package-level PruneBlock, the available-fact
+// list from InFacts, and a CSE rewrite keyed by ExprKey strings.
+// globalOptimize must produce the same blocks from one CFG, the
+// liveness bit sets and one expression interner.
 func refGlobalOptimize(f *ir.Func) {
 	for {
 		changed := refGlobalDeadStores(f)
@@ -100,19 +101,106 @@ func refGlobalCSE(f *ir.Func) bool {
 		}
 		byExpr := make(map[string]string)
 		for _, fact := range avail.InFacts(i) {
-			if v, ok := byExpr[fact.Expr]; !ok || fact.Var < v {
-				byExpr[fact.Expr] = fact.Var
+			of, _ := dataflow.OracleFactOf(avail.X, fact)
+			if v, ok := byExpr[of.Expr]; !ok || of.Var < v {
+				byExpr[of.Expr] = of.Var
 			}
 		}
 		if len(byExpr) == 0 {
 			continue
 		}
-		if nb, ok := rewriteBlockCSE(b, byExpr); ok {
+		if nb, ok := refRewriteBlockCSE(b, byExpr); ok {
 			f.Blocks[i] = nb
 			changed = true
 		}
 	}
 	return changed
+}
+
+// refRewriteBlockCSE is rewriteBlockCSE keyed by ExprKey strings
+// instead of interned expression IDs.
+func refRewriteBlockCSE(b *ir.Block, byExpr map[string]string) (*ir.Block, bool) {
+	firstStore := make(map[string]int)
+	for idx, n := range b.Nodes {
+		if n.Op == ir.OpStore {
+			if _, ok := firstStore[n.Var]; !ok {
+				firstStore[n.Var] = idx
+			}
+		}
+	}
+	entryValue := func(idx int, vars []string) bool {
+		for _, v := range vars {
+			if fs, ok := firstStore[v]; ok && fs < idx {
+				return false
+			}
+		}
+		return true
+	}
+	rewrite := make([]bool, b.IDBound())
+	src := make([]string, len(rewrite))
+	nRewrites := 0
+	for idx, n := range b.Nodes {
+		if n.Op == ir.OpConst || n.Op == ir.OpLoad || n.Op == ir.OpStore {
+			continue
+		}
+		key, vars, ok := dataflow.ExprKey(n)
+		if !ok {
+			continue
+		}
+		v, ok := byExpr[key]
+		if !ok {
+			continue
+		}
+		if !entryValue(idx, vars) {
+			continue
+		}
+		if fs, ok := firstStore[v]; ok && fs < idx {
+			continue
+		}
+		rewrite[n.ID], src[n.ID] = true, v
+		nRewrites++
+	}
+	if nRewrites == 0 {
+		return nil, false
+	}
+	nb := ir.NewBuilder(b.Name)
+	newOf := make([]*ir.Node, len(rewrite))
+	for _, n := range b.Nodes {
+		if rewrite[n.ID] {
+			newOf[n.ID] = nb.Load(src[n.ID])
+			continue
+		}
+		switch n.Op {
+		case ir.OpConst:
+			newOf[n.ID] = nb.Const(n.Const)
+		case ir.OpLoad:
+			newOf[n.ID] = nb.Load(n.Var)
+		case ir.OpStore:
+			nb.Store(n.Var, newOf[n.Args[0].ID])
+		default:
+			args := make([]*ir.Node, len(n.Args))
+			for j, a := range n.Args {
+				args[j] = newOf[a.ID]
+			}
+			newOf[n.ID] = emitSimplified(nb, n.Op, args)
+		}
+	}
+	switch b.Term {
+	case ir.TermBranch:
+		nb.Branch(newOf[b.Cond.ID], b.Succs[0], b.Succs[1])
+	case ir.TermJump:
+		nb.Jump(b.Succs[0])
+	case ir.TermReturn:
+		nb.Return()
+	default:
+		nb.Block.Term = b.Term
+		nb.Block.Succs = append([]string(nil), b.Succs...)
+	}
+	out := nb.Finish()
+	if compCount(out) < compCount(b) && len(out.Nodes) < len(b.Nodes) {
+		return out, true
+	}
+	return nil, false
 }
 
 // TestGlobalOptimizeMatchesReference compares Optimize block by block

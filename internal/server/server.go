@@ -26,6 +26,7 @@ import (
 	"aviv/internal/cover"
 	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
+	"aviv/internal/lru"
 	"aviv/internal/metrics"
 )
 
@@ -178,6 +179,7 @@ func New(cfg Config) *Server {
 		queueCap: queueCap,
 		timeout:  timeout,
 		sem:      make(chan struct{}, workers),
+		machines: newMachineInterner(),
 	}
 	s.flight.onAbandon = func() { s.counters.Abandoned.Add(1) }
 	return s
@@ -395,37 +397,38 @@ func RequestKey(req CompileRequest) string {
 	return string(h.Sum(nil))
 }
 
+// maxInternedMachines caps the machine interner. A server sees a
+// handful of machine descriptions; the cap only keeps a client that
+// sends ever-new texts from growing the map without bound.
+const maxInternedMachines = 64
+
 // machineInterner parses and fingerprints each distinct machine text
 // once, sharing the resulting *isdl.Machine pointer across requests —
 // which also lets the compile cache's per-pointer machine-fingerprint
-// memoization work across requests.
+// memoization work across requests. It keeps the most recently used
+// maxInternedMachines texts; an evicted text is parsed again on its
+// next request, into an equal machine.
 type machineInterner struct {
-	mu     sync.Mutex
-	byText map[string]*isdl.Machine
+	byText *lru.Cache[string, *isdl.Machine]
+}
+
+func newMachineInterner() machineInterner {
+	return machineInterner{byText: lru.New[string, *isdl.Machine](maxInternedMachines, nil)}
 }
 
 func (mi *machineInterner) intern(text string, counters *metrics.ServerCounters) (*isdl.Machine, error) {
-	mi.mu.Lock()
-	m, ok := mi.byText[text]
-	mi.mu.Unlock()
-	if ok {
+	if m, ok := mi.byText.Get(text); ok {
 		return m, nil
 	}
 	parsed, err := isdl.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	if mi.byText == nil {
-		mi.byText = make(map[string]*isdl.Machine)
-	}
 	// Two racers may parse the same text; keep the first so the pointer
 	// stays stable for fingerprint memoization.
-	if m, ok := mi.byText[text]; ok {
-		return m, nil
+	m, added := mi.byText.Add(text, parsed)
+	if added {
+		counters.MachinesInterned.Add(1)
 	}
-	mi.byText[text] = parsed
-	counters.MachinesInterned.Add(1)
-	return parsed, nil
+	return m, nil
 }

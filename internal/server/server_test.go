@@ -681,3 +681,44 @@ func TestRetryAfterJitter(t *testing.T) {
 	}
 	s.sem <- struct{}{} // restore for the deferred release
 }
+
+// TestMachineMapsStayBounded sends twice the interner's cap of distinct
+// machine texts. The interner and the cache's machine-fingerprint memo
+// stay within their caps, and a machine evicted from both compiles
+// byte-identically to its first response when it is sent again.
+func TestMachineMapsStayBounded(t *testing.T) {
+	cache := cover.NewBoundedCache(0)
+	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cache}})
+	machine := func(i int) string { return fmt.Sprintf("# variant %d\n%s", i, isdl.ExampleArchISDL) }
+	compile := func(i int) string {
+		t.Helper()
+		httpResp, resp := postCompile(t, ts.URL, CompileRequest{Source: testSource, Machine: machine(i)})
+		if httpResp.StatusCode != http.StatusOK || resp.Error != "" {
+			t.Fatalf("machine %d: %d %s", i, httpResp.StatusCode, resp.Error)
+		}
+		return resp.Assembly
+	}
+	n := 2 * maxInternedMachines
+	first := compile(0)
+	for i := 1; i < n; i++ {
+		compile(i)
+		if got := s.machines.byText.Stats().Len; got > maxInternedMachines {
+			t.Fatalf("after %d machines the interner holds %d texts, cap %d", i+1, got, maxInternedMachines)
+		}
+		if got := cache.MachineFingerprints(); got > cover.MaxMachineFingerprints {
+			t.Fatalf("after %d machines the fingerprint memo holds %d, cap %d", i+1, got, cover.MaxMachineFingerprints)
+		}
+	}
+	if got := s.Counters().MachinesInterned.Load(); got != int64(n) {
+		t.Fatalf("machines interned = %d, want %d", got, n)
+	}
+	if s.machines.byText.Stats().Len != maxInternedMachines || cache.MachineFingerprints() != cover.MaxMachineFingerprints {
+		t.Fatal("both maps should be full: nothing was evicted")
+	}
+	if again := compile(0); again != first {
+		t.Fatalf("evicted machine compiled differently:\nfirst:\n%s\nagain:\n%s", first, again)
+	}
+	if got := s.Counters().MachinesInterned.Load(); got != int64(n)+1 {
+		t.Fatalf("machines interned = %d after re-sending an evicted text, want %d", got, n+1)
+	}
+}

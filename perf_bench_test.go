@@ -39,3 +39,47 @@ func BenchmarkCompileMultiBlock(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCompileWarm is the warm request path of a compile server:
+// sixteen 25-block MultiBlockSource programs are compiled once into a
+// shared memory tier, then each iteration recompiles all sixteen from
+// source and renders their assembly while every block hits memory. It
+// times the front end (parse, lower, opt.Optimize, liveness), per-block
+// keying, stitching, layout and rendering — none of the covering.
+func BenchmarkCompileWarm(b *testing.B) {
+	m := isdl.ExampleArchFull(4)
+	opts := DefaultOptions()
+	opts.Cache = cover.NewBoundedCache(4096)
+	var srcs []string
+	for seed := int64(0); seed < 16; seed++ {
+		srcs = append(srcs, bench.MultiBlockSource(seed, 25, 6))
+	}
+	compileAll := func() (blocks, hits int) {
+		for _, src := range srcs {
+			res, err := CompileSource(src, m, 1, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rendered = res.Program.String()
+			for _, br := range res.Blocks {
+				blocks++
+				if br.Metrics.CacheHit {
+					hits++
+				}
+			}
+		}
+		return blocks, hits
+	}
+	compileAll()
+	if blocks, hits := compileAll(); hits != blocks {
+		b.Fatalf("warm recompile hit memory on %d of %d blocks", hits, blocks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compileAll()
+	}
+}
+
+// rendered keeps BenchmarkCompileWarm's output live.
+var rendered string
