@@ -1,5 +1,5 @@
 # Convenience targets; `make check` is the gate ci.sh runs in CI.
-.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench benchjson servesmoke servejson zoosmoke zoojson editsmoke editjson clustersmoke clusterjson
+.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench perfsmoke zoosmoke zoojson editsmoke clustersmoke clusterjson
 
 check:
 	./ci.sh
@@ -63,18 +63,11 @@ benchsmoke:
 layerbench:
 	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileWarm' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
-# Regenerate the machine-readable compile-benchmark report.
-benchjson:
-	go run ./cmd/avivbench -benchjson BENCH_cover.json
-
-# Quick compile-server study on a small workload — catches bit-rot in
-# the avivd path (also part of ci.sh).
-servesmoke:
-	go run ./cmd/avivbench -serve -serveprograms 2 -serveops 4
-
-# Regenerate the machine-readable compile-server report.
-servejson:
-	go run ./cmd/avivbench -servejson BENCH_serve.json
+# One second of the gated serving benchmark on its disk_spill workload:
+# builds perfbench, drives avivd's handler through the disk tier, and
+# fails on any wrong output (also part of ci.sh).
+perfsmoke:
+	bash perfbench/run.sh --workload disk_spill --seed 1 --seconds 1 --trace 0
 
 # Race-enabled smoke over a small machine zoo: every class generated,
 # linted, compiled, and differentially checked (also part of ci.sh).
@@ -90,10 +83,6 @@ zoojson:
 # uncached compiles over an edit stream (also part of ci.sh).
 editsmoke:
 	go test -race -short -run '^TestEditDifferentialCorpus$$' -count=1 .
-
-# Regenerate the machine-readable incremental-compilation report.
-editjson:
-	go run ./cmd/avivbench -editjson BENCH_edit.json
 
 # Race-enabled cluster differential: the corpus through a 3-node
 # in-process cluster behind the router, concurrent clients, one node

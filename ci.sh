@@ -1,8 +1,10 @@
 #!/bin/sh
 # ci.sh — the repository's check gate. Run before every commit:
 #
-#   ./ci.sh          full gate (vet, build, race tests, fuzz smoke)
-#   ./ci.sh -short   skip the fuzz smoke
+#   ./ci.sh          full gate (vet, build, race tests, fuzz smoke,
+#                    benchmark smokes)
+#   ./ci.sh -short   skip the fuzz smoke, the one-iteration run of every
+#                    Go benchmark, perfsmoke and the cluster study
 #
 # The -race run doubles as the determinism proof for the parallel
 # block-compilation pipeline: TestParallelDeterminism compiles the same
@@ -95,6 +97,12 @@ echo "== clustersmoke: cluster differential (race) =="
 # Under -race this is also the data-race gate for the cluster layer.
 go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
 
+echo "== perfbench module: vet + test =="
+# perfbench is its own module over this one (replace aviv => ../), so
+# the tree-wide stages above never build it; an API change here can
+# break the gated benchmark without this stage.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== layerbench: optimizer + covering + peephole + warm-path Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the compile tail a disk-tier hit pays
 # for, of the front-end optimizer every request runs before its first
@@ -111,8 +119,17 @@ if [ "${1:-}" != "-short" ]; then
     echo "== bench smoke (every benchmark, one iteration) =="
     go test -run '^$' -bench . -benchtime=1x ./...
 
-    echo "== serve smoke (compile-server study, small workload) =="
-    go run ./cmd/avivbench -serve -serveprograms 2 -serveops 4
+    echo "== perfsmoke: serving benchmark, disk_spill workload (1 s) =="
+    # The gated serving benchmark end to end: it builds perfbench from
+    # source, serves avivd's handler over loopback, runs the cold set-up
+    # compile, disk-tier writes, reads and codec decodes, and exits 1 if
+    # any served output disagrees with the simulator or the interpreter.
+    bash perfbench/run.sh --workload disk_spill --seed 1 --seconds 1 --trace 0
+
+    echo "== clusterbench: avivbench -cluster, small workload =="
+    # The one run of avivbench in CI: every served assembly of the
+    # cluster study is byte-checked against a local compile.
+    go run ./cmd/avivbench -cluster -clusterprograms 8 -clusterops 4
 fi
 
 echo "ci.sh: all checks passed"

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -43,11 +45,33 @@ type clusterNodeStats struct {
 	LocalFallbacks int64   `json:"local_fallbacks"`
 }
 
+// clusterPhase is the latency/throughput summary of one request wave.
+type clusterPhase struct {
+	Name          string  `json:"name"`
+	Requests      int     `json:"requests"`
+	P50Ms         float64 `json:"p50_ms"`
+	P95Ms         float64 `json:"p95_ms"`
+	ThroughputRPS float64 `json:"throughput_rps"`
+}
+
+// percentileMs returns the nearest-rank p-th percentile of lat in
+// milliseconds: the ceil(p*n)-th smallest value, so p95 of 8 samples is
+// the slowest one. It returns 0 for no samples.
+func percentileMs(lat []time.Duration, p float64) float64 {
+	if len(lat) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), lat...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	k := int(math.Ceil(p*float64(len(s)))) - 1
+	return float64(s[min(max(k, 0), len(s)-1)]) / 1e6
+}
+
 // clusterScalingRow is one fleet size in the capacity-scaling study.
 type clusterScalingRow struct {
 	Nodes        int                `json:"nodes"`
-	Warmup       servePhase         `json:"warmup"`
-	Warm         servePhase         `json:"warm"`
+	Warmup       clusterPhase       `json:"warmup"`
+	Warm         clusterPhase       `json:"warm"`
 	WarmVsSingle float64            `json:"warm_vs_single_node"`
 	Efficiency   float64            `json:"linear_scaling_efficiency"`
 	PerNode      []clusterNodeStats `json:"per_node"`
@@ -245,8 +269,8 @@ func clusterStudy(jsonPath string, nPrograms, opsPerBlock, capacity int) error {
 		return lat, byOwner, wall, errorsN, nil
 	}
 
-	phase := func(name string, lat []time.Duration, wall time.Duration) servePhase {
-		return servePhase{
+	phase := func(name string, lat []time.Duration, wall time.Duration) clusterPhase {
+		return clusterPhase{
 			Name:          name,
 			Requests:      len(lat),
 			P50Ms:         percentileMs(lat, 0.50),

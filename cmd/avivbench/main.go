@@ -10,19 +10,16 @@
 //	avivbench -parscale           parallel block-compilation speedup study
 //	avivbench -stats -parallel 4  compile-metrics report at a pool size
 //	avivbench -zoo                per-machine-class bench matrix over the machine zoo
-//	avivbench -edit               incremental-compilation study (cold vs warm per-block cache)
 //	avivbench -cluster            compile-cluster study (capacity scaling, dedup, kill-one-node)
-//	avivbench -all                everything above
+//	avivbench -all                every table, figure and study above except -stats, -zoo and -cluster
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"testing"
 	"time"
 
 	"aviv"
@@ -52,24 +49,15 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker-pool size for -stats and the top -parscale row (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the compile-metrics report for the multi-block workload at -parallel N")
 	all := flag.Bool("all", false, "run every table, figure, and study")
-	benchJSON := flag.String("benchjson", "", "benchmark the multi-block compile (uncached and cached) and write a JSON report to this file")
 	zooFlag := flag.Bool("zoo", false, "run the per-machine-class bench matrix over the generated machine zoo")
 	zooJSON := flag.String("zoojson", "", "run the zoo matrix and write a JSON report to this file (implies -zoo)")
 	zooSeed := flag.Uint64("zooseed", 1, "machine-zoo generation seed")
 	zooCount := flag.Int("zoocount", 27, "number of zoo machines (three cycles over the nine classes)")
-	serve := flag.Bool("serve", false, "run the compile-server study (cold/warm/disk-warm latency, throughput, dedup) against an in-process avivd")
-	serveJSON := flag.String("servejson", "", "run the compile-server study and write a JSON report to this file (implies -serve)")
-	servePrograms := flag.Int("serveprograms", 6, "distinct programs in the compile-server study")
-	serveOps := flag.Int("serveops", 12, "straight-line ops per block in the compile-server study workload")
 	clusterFlag := flag.Bool("cluster", false, "run the compile-cluster study (capacity scaling at N=1,2,4,8, cluster-wide single-flight dedup, kill-one-node availability) against in-process avivd fleets")
 	clusterJSON := flag.String("clusterjson", "", "run the compile-cluster study and write a JSON report to this file (implies -cluster)")
 	clusterPrograms := flag.Int("clusterprograms", 96, "distinct programs in the compile-cluster study working set")
 	clusterOps := flag.Int("clusterops", 12, "straight-line ops per block in the compile-cluster study workload")
 	clusterCap := flag.Int("clustercap", 0, "per-node cache capacity in entries for the cluster study (0 = a third of the working set)")
-	edit := flag.Bool("edit", false, "run the incremental-compilation study (edit stream of one-line mutations, cold vs warm-cache latency, blocks-recompiled ratio)")
-	editJSON := flag.String("editjson", "", "run the incremental-compilation study and write a JSON report to this file (implies -edit)")
-	editPrograms := flag.Int("editprograms", 6, "distinct programs in the incremental-compilation study")
-	editEdits := flag.Int("editedits", 8, "one-line edits per program in the incremental-compilation study")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	flag.Parse()
@@ -180,21 +168,9 @@ func main() {
 			fail(err)
 		}
 	}
-	if *benchJSON != "" {
-		ran = true
-		if err := benchJSONReport(*benchJSON); err != nil {
-			fail(err)
-		}
-	}
 	if *zooFlag || *zooJSON != "" {
 		ran = true
 		if err := zooStudy(*zooJSON, *zooSeed, *zooCount); err != nil {
-			fail(err)
-		}
-	}
-	if *serve || *serveJSON != "" {
-		ran = true
-		if err := serveStudy(*serveJSON, *servePrograms, *serveOps); err != nil {
 			fail(err)
 		}
 	}
@@ -204,106 +180,10 @@ func main() {
 			fail(err)
 		}
 	}
-	if *edit || *editJSON != "" {
-		ran = true
-		if err := editStudy(*editJSON, *editPrograms, *editEdits); err != nil {
-			fail(err)
-		}
-	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// benchRun is one measured configuration in the -benchjson report.
-type benchRun struct {
-	Name         string  `json:"name"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-}
-
-// benchJSONReport benchmarks the multi-block workload compile — without
-// a cache and with a compile cache shared across iterations — and writes
-// the machine-readable report consumed by the performance-tracking files
-// (BENCH_cover.json).
-func benchJSONReport(path string) error {
-	f, _ := parallelWorkload()
-	m := isdl.ExampleArchFull(4)
-
-	ref, err := aviv.Compile(f, m, aviv.DefaultOptions())
-	if err != nil {
-		return err
-	}
-
-	measure := func(name string, opts aviv.Options) (benchRun, error) {
-		var compileErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := aviv.Compile(f, m, opts); err != nil {
-					compileErr = err
-					b.FailNow()
-				}
-			}
-		})
-		if compileErr != nil {
-			return benchRun{}, compileErr
-		}
-		run := benchRun{
-			Name:        name,
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if opts.Cache != nil {
-			run.CacheHitRate = opts.Cache.Stats().HitRate()
-		}
-		return run, nil
-	}
-
-	uncached, err := measure("nocache", aviv.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	cachedOpts := aviv.DefaultOptions()
-	cachedOpts.Cache = cover.NewBoundedCache(0)
-	cached, err := measure("cache", cachedOpts)
-	if err != nil {
-		return err
-	}
-
-	report := struct {
-		Benchmark    string     `json:"benchmark"`
-		Blocks       int        `json:"blocks"`
-		Instructions int        `json:"instructions"`
-		Runs         []benchRun `json:"runs"`
-	}{
-		Benchmark:    "CompileMultiBlock",
-		Blocks:       len(f.Blocks),
-		Instructions: ref.CodeSize(),
-		Runs:         []benchRun{uncached, cached},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("==== Compile benchmark (%d blocks) ====\n", len(f.Blocks))
-	for _, r := range report.Runs {
-		fmt.Printf("%-8s %12.2f ms/op %12d B/op %10d allocs/op", r.Name,
-			float64(r.NsPerOp)/1e6, r.BytesPerOp, r.AllocsPerOp)
-		if r.CacheHitRate > 0 {
-			fmt.Printf("   hit rate %.0f%%", 100*r.CacheHitRate)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("report written to %s\n\n", path)
-	return nil
 }
 
 func figure(n int) error {
@@ -590,8 +470,7 @@ func parallelScaleStudy(maxPar int) error {
 // statsReport prints the compile-metrics report for the multi-block
 // workload at the requested pool size.
 func statsReport(par int) error {
-	f, mem := parallelWorkload()
-	_ = mem
+	f, _ := parallelWorkload()
 	m := isdl.ExampleArchFull(4)
 	opts := aviv.DefaultOptions()
 	opts.Parallelism = par

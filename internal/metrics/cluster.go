@@ -44,9 +44,8 @@ type ClusterStats struct {
 	Drained int64 `json:"drained"`
 }
 
-// String renders the one-line "cluster:" report used by avivbench
-// -cluster and scraped by tooling; the shape is pinned by
-// TestClusterStatsStringShape.
+// String renders the one-line "cluster:" summary; the shape is pinned
+// by TestClusterStatsStringShape.
 func (s ClusterStats) String() string {
 	return fmt.Sprintf(
 		"cluster: %d/%d nodes healthy, %d forwarded, %d local fallbacks; "+

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestClusterStatsStringShape pins the "cluster:" line of the avivbench
-// -cluster report verbatim, like TestCacheStatsStringShape does for the
-// "delta:" line.
+// TestClusterStatsStringShape pins the one-line "cluster:" rendering
+// verbatim.
 func TestClusterStatsStringShape(t *testing.T) {
 	s := ClusterStats{
 		Self:           "http://n1:8377",

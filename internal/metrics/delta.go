@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // CacheStats counts what the per-block cache did for the blocks of one
 // or more compiles, per tier (CompileMetrics.Reuse). The memory tier
 // holds finished blocks (post-peephole covering + emitted code); the
@@ -10,9 +8,8 @@ import "fmt"
 // compiled, so the blocks-recompiled ratio of an edit stream is
 // Recompiled / (Stitched + Recompiled).
 //
-// The struct is shared monitoring vocabulary: avivbench -edit prints
-// String(), and avivd /stats embeds it as the "delta" section (the name
-// predates the single compile path) — the JSON field names below are
+// avivd /stats embeds the struct as the "delta" section (the name
+// predates the single compile path): the JSON field names below are
 // that endpoint's contract (pinned by tests in internal/metrics and
 // internal/server).
 type CacheStats struct {
@@ -50,22 +47,4 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Stitched += o.Stitched
 	s.Recompiled += o.Recompiled
 	s.Invalidations += o.Invalidations
-}
-
-// StitchRate returns stitched / (stitched + recompiled), or 0 before
-// any block was compiled.
-func (s CacheStats) StitchRate() float64 {
-	if s.Stitched+s.Recompiled == 0 {
-		return 0
-	}
-	return float64(s.Stitched) / float64(s.Stitched+s.Recompiled)
-}
-
-// String formats the single "delta:" line of the -stats reports.
-func (s CacheStats) String() string {
-	return fmt.Sprintf(
-		"delta: %d stitched (%d mem, %d disk), %d recompiled, %.0f%% stitch rate; mem %d/%d hit/miss, disk %d/%d hit/miss, %d invalidated, %d evicted, %d entries",
-		s.Stitched, s.MemHits, s.DiskHits, s.Recompiled, 100*s.StitchRate(),
-		s.MemHits, s.MemMisses, s.DiskHits, s.DiskMisses,
-		s.Invalidations, s.Evictions, s.Entries)
 }

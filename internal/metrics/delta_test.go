@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-// TestCacheStatsStringShape pins the "delta:" line of avivbench -edit
-// verbatim: tooling that scrapes the reports depends on this exact
-// shape.
-func TestCacheStatsStringShape(t *testing.T) {
-	s := CacheStats{
-		Entries:       56,
-		MemHits:       144,
-		MemMisses:     56,
-		DiskHits:      3,
-		DiskMisses:    53,
-		Stitched:      147,
-		Recompiled:    49,
-		Invalidations: 2,
-		Evictions:     1,
-	}
-	want := "delta: 147 stitched (144 mem, 3 disk), 49 recompiled, 75% stitch rate; " +
-		"mem 144/56 hit/miss, disk 3/53 hit/miss, 2 invalidated, 1 evicted, 56 entries"
-	if got := s.String(); got != want {
-		t.Fatalf("CacheStats.String() =\n%q\nwant\n%q", got, want)
-	}
-	if got := (CacheStats{}).StitchRate(); got != 0 {
-		t.Fatalf("zero-value StitchRate() = %v, want 0", got)
-	}
-}
-
 // TestCacheStatsJSONShape pins the field names of the /stats "delta"
 // section — the endpoint's monitoring contract.
 func TestCacheStatsJSONShape(t *testing.T) {

@@ -12,8 +12,9 @@ import (
 // covering-engine fast path: a 24-block function of 16-op DAG blocks
 // compiled end to end, serially, so per-block covering dominates. The
 // cache sub-benchmark reuses one compile cache across iterations, which
-// models recompiling unchanged blocks (the BENCH_cover.json trajectory
-// tracks both).
+// models recompiling unchanged blocks. Run both with
+//
+//	go test -run '^$' -bench 'BenchmarkCompileMultiBlock|BenchmarkCompileWarm' -benchmem .
 func BenchmarkCompileMultiBlock(b *testing.B) {
 	f, _ := bench.MultiBlock(1, 24, 16)
 	m := isdl.ExampleArchFull(4)
