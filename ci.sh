@@ -54,15 +54,11 @@ echo "== lintsmoke: avivlint static-analysis suite =="
 # run under plain `go test`, so the race stage below cross-checks it
 # too; the concurrency passes also get a dedicated run so a regression
 # names the guilty pass in the CI log.
-go run ./cmd/avivlint ./...
-go run ./cmd/avivlint -run lockorder,goroutineleak,ctxflow ./...
-go test -run 'TestAnalyzerFixtureTable|TestErrCtxSuggestedFix|TestErrCtxFixIdempotent|TestSuiteIsSelfClean|TestLayer|TestCheckEdge|TestComponent|TestArchSuite|TestSuppressionBudget|TestCallGraph|TestProgramFactsAndMemo' -count=1 ./internal/analysis
-go test -count=1 ./cmd/avivlint
 # The interprocedural passes share memoized whole-program state
 # (callgraph, facts, channel census) across per-package runs; the
 # analysis package must be race-clean on its own, not only inside the
 # tree-wide -race stage.
-go test -race -count=1 ./internal/analysis
+make -s lintsmoke
 
 echo "== lint: ISDL machine descriptions =="
 for f in examples/machines/*.isdl; do
@@ -79,7 +75,7 @@ echo "== server differential (race) =="
 go test -race -run '^TestServerDifferentialCorpus$' -count=1 .
 
 echo "== zoo smoke (machine generator + differential, race) =="
-go test -race -run '^TestZooSmoke$' -count=1 .
+make -s zoosmoke
 
 echo "== editsmoke: incremental-compilation differential (race, short) =="
 # The incremental path's byte-identity gate: seeded programs x one-line
@@ -88,14 +84,14 @@ echo "== editsmoke: incremental-compilation differential (race, short) =="
 # plus a restart over the same disk directory. -short selects the
 # deterministic 12-program subset; the full 50-program sweep runs in the
 # tree-wide race stage above.
-go test -race -short -run '^TestEditDifferentialCorpus$' -count=1 .
+make -s editsmoke
 
 echo "== clustersmoke: cluster differential (race) =="
 # The cluster byte-identity gate: the 50-program corpus through a
 # 3-node in-process cluster behind the consistent-hash router, by
 # concurrent clients, cold + warm + after killing a node mid-run.
 # Under -race this is also the data-race gate for the cluster layer.
-go test -race -run '^TestClusterDifferentialCorpus$' -count=1 .
+make -s clustersmoke
 
 echo "== perfbench module: vet + test =="
 # perfbench is its own module over this one (replace aviv => ../), so
@@ -110,21 +106,21 @@ echo "== layerbench: optimizer + covering + peephole + warm-path Go benchmarks (
 # block hits memory), run in -short mode too so none can rot between
 # full runs. BenchmarkCoverBlock runs both presets; its exhaustive
 # sub-benchmark is the only CI run of the heuristics-off covering path.
-go test -run '^$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileWarm' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
+make -s layerbench
 
 if [ "${1:-}" != "-short" ]; then
     echo "== fuzz smoke (FuzzCompileSource, 10s) =="
-    go test -run '^$' -fuzz='^FuzzCompileSource$' -fuzztime=10s .
+    make -s fuzz
 
     echo "== bench smoke (every benchmark, one iteration) =="
-    go test -run '^$' -bench . -benchtime=1x ./...
+    make -s benchsmoke
 
     echo "== perfsmoke: serving benchmark, disk_spill workload (1 s) =="
     # The gated serving benchmark end to end: it builds perfbench from
     # source, serves avivd's handler over loopback, runs the cold set-up
     # compile, disk-tier writes, reads and codec decodes, and exits 1 if
     # any served output disagrees with the simulator or the interpreter.
-    bash perfbench/run.sh --workload disk_spill --seed 1 --seconds 1 --trace 0
+    make -s perfsmoke
 
     echo "== clusterbench: avivbench -cluster, small workload =="
     # The one run of avivbench in CI: every served assembly of the

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -257,17 +256,4 @@ func (cg *CallGraph) SCCs() [][]*CallNode {
 		}
 	}
 	return sccs
-}
-
-// EdgesFrom returns n's outgoing edges whose call sites lie inside
-// the source range [from, to) — how a held-region analysis asks
-// "which calls happen while this lock is held".
-func (n *CallNode) EdgesFrom(from, to token.Pos) []*CallEdge {
-	var out []*CallEdge
-	for _, e := range n.Out {
-		if e.Site.Pos() >= from && e.Site.Pos() < to {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -92,7 +92,7 @@ var allowedImports = map[string][]string{
 
 	"internal/isdl":     {"internal/ir"},
 	"internal/lang":     {"internal/ir"},
-	"internal/dataflow": {"internal/ir"},
+	"internal/dataflow": {"internal/bitset", "internal/ir"},
 
 	"internal/sndag":         {"internal/ir", "internal/isdl"},
 	"internal/opt":           {"internal/dataflow", "internal/ir"},

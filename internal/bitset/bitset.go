@@ -1,9 +1,11 @@
 // Package bitset provides word-packed uint64 bit sets sized at
-// construction, the representation behind the covering engine's
-// parallelism and reachability matrices: candidate intersection,
-// absorption, and preclusion tests of the maximal-clique enumeration
-// become word-wise AND/ANDNOT loops instead of per-element boolean
-// scans.
+// construction, the module's one bit-set type. It is the representation
+// behind the covering engine's parallelism and reachability matrices,
+// where candidate intersection, absorption, and preclusion tests of the
+// maximal-clique enumeration become word-wise AND/ANDNOT loops instead
+// of per-element boolean scans, and behind the gen/kill and fact sets
+// of package dataflow, whose solver meets and transfers with Or, And
+// and AndNot.
 package bitset
 
 import "math/bits"

@@ -123,15 +123,6 @@ func (lc *LocalCluster) KillNode(i int) {
 	lc.Nodes[i].Close()
 }
 
-// DrainNode gracefully drains node i (bleeding its cache entries to
-// the surviving owners), then stops it. Returns the number of entries
-// re-homed.
-func (lc *LocalCluster) DrainNode(i int) int {
-	moved := lc.Nodes[i].Drain()
-	lc.KillNode(i)
-	return moved
-}
-
 // Close shuts the whole cluster down.
 func (lc *LocalCluster) Close() {
 	if lc.routerSrv != nil {

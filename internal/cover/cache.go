@@ -64,14 +64,6 @@ type CacheStats struct {
 	Bytes int64
 }
 
-// HitRate returns hits / lookups, or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // NewBoundedCache returns a memory tier holding at most maxEntries
 // blocks, evicting least recently used first. maxEntries <= 0 means
 // unbounded.

@@ -3,7 +3,8 @@
 // generic worklist solver (forward/backward direction, union/intersect
 // meet, gen/kill transfer functions, deterministic reverse-postorder
 // iteration) plus four concrete analyses — liveness of memory slots,
-// reaching definitions, available expressions, and dominators.
+// reaching definitions, available expressions, and dominators. Every
+// fact set is an internal/bitset.Set.
 //
 // The paper's own lifetime analysis is explicitly pessimistic (the
 // peephole pass exists to clean up after it, Sec. IV-G); this package
@@ -130,10 +131,6 @@ func (g *CFG) buildRPO() {
 		}
 	}
 }
-
-// IsExit reports whether block i leaves the function: a return, or a
-// fallthrough off the end (no successors).
-func (g *CFG) IsExit(i int) bool { return len(g.Succs[i]) == 0 }
 
 // Vars returns the sorted universe of memory locations the function
 // reads or writes.

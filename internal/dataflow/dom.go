@@ -1,12 +1,14 @@
 package dataflow
 
+import "aviv/internal/bitset"
+
 // DomResult holds the dominator solution: Dom[i] is the set of blocks
 // (by index) appearing on every path from the entry to block i,
 // including i itself. Unreachable blocks are dominated by everything
 // (the vacuous all-paths convention).
 type DomResult struct {
 	G   *CFG
-	Dom []BitSet
+	Dom []bitset.Set
 }
 
 // Dominators computes the dominator sets of f's blocks via the classic
@@ -17,14 +19,14 @@ func Dominators(g *CFG) *DomResult {
 		Dir:  Forward,
 		Meet: Intersect,
 		Bits: n,
-		Gen:  make([]BitSet, n),
-		Kill: make([]BitSet, n),
+		Gen:  make([]bitset.Set, n),
+		Kill: make([]bitset.Set, n),
 	}
 	for i := 0; i < n; i++ {
-		gen := NewBitSet(n)
+		gen := bitset.New(n)
 		gen.Set(i)
 		p.Gen[i] = gen
-		p.Kill[i] = NewBitSet(n)
+		p.Kill[i] = bitset.New(n)
 	}
 	// The entry starts with no dominators besides itself (its gen bit).
 	facts := Solve(g, p)

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"aviv/internal/bitset"
 	"aviv/internal/ir"
 )
 
@@ -14,7 +15,7 @@ type LivenessResult struct {
 	G    *CFG
 	Vars []string // sorted fact universe
 	// In and Out are live-in/live-out per block, bits indexed by Vars.
-	In, Out []BitSet
+	In, Out []bitset.Set
 
 	varIndex map[string]int
 }
@@ -35,8 +36,8 @@ func LivenessCFG(g *CFG) *LivenessResult {
 		Dir:  Backward,
 		Meet: Union,
 		Bits: len(vars),
-		Gen:  make([]BitSet, n),
-		Kill: make([]BitSet, n),
+		Gen:  make([]bitset.Set, n),
+		Kill: make([]bitset.Set, n),
 	}
 	for i, b := range g.F.Blocks {
 		use, def := blockUseDef(b, idx)
@@ -44,9 +45,7 @@ func LivenessCFG(g *CFG) *LivenessResult {
 		p.Kill[i] = def
 	}
 	// Function exit observes all of memory.
-	boundary := NewBitSet(len(vars))
-	boundary.FillUpTo(len(vars))
-	p.Boundary = boundary
+	p.Boundary = full(len(vars))
 	facts := Solve(g, p)
 	return &LivenessResult{G: g, Vars: vars, In: facts.In, Out: facts.Out, varIndex: idx}
 }
@@ -55,9 +54,9 @@ func LivenessCFG(g *CFG) *LivenessResult {
 // upward-exposed uses (variables read before any store in the block)
 // and its definitions (variables stored). Loads not reachable from a
 // root are dead code and do not count as uses.
-func blockUseDef(b *ir.Block, idx map[string]int) (use, def BitSet) {
-	use = NewBitSet(len(idx))
-	def = NewBitSet(len(idx))
+func blockUseDef(b *ir.Block, idx map[string]int) (use, def bitset.Set) {
+	use = bitset.New(len(idx))
+	def = bitset.New(len(idx))
 	live := b.LiveByID()
 	for _, n := range b.Nodes {
 		switch n.Op {
@@ -147,7 +146,7 @@ func DeadStores(b *ir.Block, liveOut map[string]bool) map[int]bool {
 // blockLiveOut indexes the variables b reads or writes and returns the
 // bit set of those live under liveOut (all of them when liveOut is
 // nil). Variables b never touches cannot affect its dead stores.
-func blockLiveOut(b *ir.Block, liveOut map[string]bool) (map[string]int, BitSet) {
+func blockLiveOut(b *ir.Block, liveOut map[string]bool) (map[string]int, bitset.Set) {
 	idx := make(map[string]int)
 	for _, n := range b.Nodes {
 		if n.Op == ir.OpLoad || n.Op == ir.OpStore {
@@ -156,7 +155,7 @@ func blockLiveOut(b *ir.Block, liveOut map[string]bool) (map[string]int, BitSet)
 			}
 		}
 	}
-	live := NewBitSet(len(idx))
+	live := bitset.New(len(idx))
 	for v, j := range idx {
 		if liveOut == nil || liveOut[v] {
 			live.Set(j)
@@ -170,7 +169,7 @@ func blockLiveOut(b *ir.Block, liveOut map[string]bool) (map[string]int, BitSet)
 // bits indexed by idx (which must cover every variable b touches); the
 // scan consumes it. It returns a mark per position in b.Nodes, or nil
 // when no store is dead.
-func deadStoreScan(b *ir.Block, live BitSet, idx map[string]int) []bool {
+func deadStoreScan(b *ir.Block, live bitset.Set, idx map[string]int) []bool {
 	var dead []bool
 	reach := b.LiveByID()
 	for i := len(b.Nodes) - 1; i >= 0; i-- {

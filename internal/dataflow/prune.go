@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"aviv/internal/bitset"
 	"aviv/internal/ir"
 )
 
@@ -27,9 +28,9 @@ func (r *LivenessResult) PruneBlock(i int) (*ir.Block, int) {
 
 // pruneBlock iterates deadStoreScan to a fixpoint from the live-out set
 // liveOut, bits indexed by idx; liveOut itself is not modified.
-func pruneBlock(b *ir.Block, liveOut BitSet, idx map[string]int) (*ir.Block, int) {
+func pruneBlock(b *ir.Block, liveOut bitset.Set, idx map[string]int) (*ir.Block, int) {
 	pruned := 0
-	live := NewBitSet(len(idx))
+	live := bitset.New(len(idx))
 	for {
 		copy(live, liveOut)
 		dead := deadStoreScan(b, live, idx)

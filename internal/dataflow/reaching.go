@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"aviv/internal/bitset"
 	"aviv/internal/ir"
 )
 
@@ -25,13 +26,10 @@ type ReachingResult struct {
 	G    *CFG
 	Defs []Def // fact universe: entry defs first (sorted by var), then stores in block/node order
 	// In and Out are the reaching sets per block, bits indexed by Defs.
-	In, Out []BitSet
+	In, Out []bitset.Set
 
 	defIndex map[Def]int
 }
-
-// Reaching computes reaching definitions for f over the full CFG.
-func Reaching(f *ir.Func) *ReachingResult { return ReachingCFG(NewCFG(f)) }
 
 // ReachingCFG computes reaching definitions over a prebuilt CFG.
 func ReachingCFG(g *CFG) *ReachingResult {
@@ -59,12 +57,12 @@ func ReachingCFG(g *CFG) *ReachingResult {
 		Dir:  Forward,
 		Meet: Union,
 		Bits: len(defs),
-		Gen:  make([]BitSet, n),
-		Kill: make([]BitSet, n),
+		Gen:  make([]bitset.Set, n),
+		Kill: make([]bitset.Set, n),
 	}
 	for i, b := range g.F.Blocks {
-		gen := NewBitSet(len(defs))
-		kill := NewBitSet(len(defs))
+		gen := bitset.New(len(defs))
+		kill := bitset.New(len(defs))
 		last := make(map[string]int) // var -> node index of last store
 		for j, nd := range b.Nodes {
 			if nd.Op == ir.OpStore {
@@ -82,7 +80,7 @@ func ReachingCFG(g *CFG) *ReachingResult {
 	}
 	// At function entry every variable holds its (possibly
 	// uninitialized) initial memory value.
-	boundary := NewBitSet(len(defs))
+	boundary := bitset.New(len(defs))
 	for i := range vars {
 		boundary.Set(i) // entry defs occupy the first len(vars) bits
 	}

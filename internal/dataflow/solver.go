@@ -1,5 +1,11 @@
 package dataflow
 
+import (
+	"slices"
+
+	"aviv/internal/bitset"
+)
+
 // Direction selects which way facts propagate along CFG edges.
 type Direction int
 
@@ -30,17 +36,17 @@ type Problem struct {
 	Bits int
 	// Gen and Kill are the per-block transfer summaries, indexed like
 	// CFG.F.Blocks.
-	Gen, Kill []BitSet
+	Gen, Kill []bitset.Set
 	// Boundary is the fact set at the graph boundary: the entry block's
 	// in-set for forward problems, every exit block's out-set for
 	// backward ones. nil means the empty set.
-	Boundary BitSet
+	Boundary bitset.Set
 }
 
 // Facts is a fixpoint solution: In[b] holds at block entry, Out[b] at
 // block exit, indexed like CFG.F.Blocks.
 type Facts struct {
-	In, Out []BitSet
+	In, Out []bitset.Set
 }
 
 // Solve runs the iterative worklist algorithm to the (unique) maximal
@@ -50,18 +56,19 @@ type Facts struct {
 // the fixpoint itself is order-independent.
 func Solve(g *CFG, p Problem) *Facts {
 	n := len(g.F.Blocks)
-	f := &Facts{In: make([]BitSet, n), Out: make([]BitSet, n)}
-	top := NewBitSet(p.Bits)
+	f := &Facts{In: make([]bitset.Set, n), Out: make([]bitset.Set, n)}
+	// top is the meet identity: ∅ for union, the universe for intersect.
+	top := bitset.New(p.Bits)
 	if p.Meet == Intersect {
-		top.FillUpTo(p.Bits)
+		top = full(p.Bits)
 	}
 	for i := 0; i < n; i++ {
-		f.In[i] = top.Copy()
-		f.Out[i] = top.Copy()
+		f.In[i] = slices.Clone(top)
+		f.Out[i] = slices.Clone(top)
 	}
 	boundary := p.Boundary
 	if boundary == nil {
-		boundary = NewBitSet(p.Bits)
+		boundary = bitset.New(p.Bits)
 	}
 
 	// order is the deterministic processing sequence; pos maps block to
@@ -75,11 +82,20 @@ func Solve(g *CFG, p Problem) *Facts {
 		}
 	}
 
+	// acc and next are transfer's scratch sets.
+	acc, next := bitset.New(p.Bits), bitset.New(p.Bits)
+	meet := func(s bitset.Set) {
+		if p.Meet == Union {
+			acc.Or(acc, s)
+		} else {
+			acc.And(acc, s)
+		}
+	}
 	// transfer recomputes the flow for block b and reports whether its
 	// outgoing fact set changed.
 	transfer := func(b int) bool {
 		var inputs []int
-		var at, result BitSet
+		var at, result bitset.Set
 		if p.Dir == Forward {
 			inputs = g.Preds[b]
 			at = f.In[b]
@@ -92,19 +108,12 @@ func Solve(g *CFG, p Problem) *Facts {
 		// Meet over the incoming edges. The boundary contributes to the
 		// entry block (forward) or to exit blocks (backward); a
 		// non-boundary block with no incoming edges keeps the meet
-		// identity (∅ for union, ⊤ for intersect).
+		// identity.
 		isBoundary := (p.Dir == Forward && b == 0) ||
 			(p.Dir == Backward && len(g.Succs[b]) == 0)
-		acc := NewBitSet(p.Bits)
-		if p.Meet == Intersect {
-			acc.FillUpTo(p.Bits)
-		}
+		acc.Copy(top)
 		if isBoundary {
-			if p.Meet == Union {
-				acc.UnionWith(boundary)
-			} else {
-				acc.IntersectWith(boundary)
-			}
+			meet(boundary)
 		}
 		for _, e := range inputs {
 			// Forward facts are about executions, and every execution
@@ -116,27 +125,20 @@ func Solve(g *CFG, p Problem) *Facts {
 			if p.Dir == Forward && !g.Reach[e] {
 				continue
 			}
-			var edge BitSet
 			if p.Dir == Forward {
-				edge = f.Out[e]
+				meet(f.Out[e])
 			} else {
-				edge = f.In[e]
-			}
-			if p.Meet == Union {
-				acc.UnionWith(edge)
-			} else {
-				acc.IntersectWith(edge)
+				meet(f.In[e])
 			}
 		}
-		copy(at, acc)
+		at.Copy(acc)
 		// out = gen ∪ (in − kill)
-		next := acc.Copy()
-		next.DiffWith(p.Kill[b])
-		next.UnionWith(p.Gen[b])
+		next.AndNot(acc, p.Kill[b])
+		next.Or(next, p.Gen[b])
 		if next.Equal(result) {
 			return false
 		}
-		copy(result, next)
+		result.Copy(next)
 		return true
 	}
 
@@ -167,4 +169,13 @@ func Solve(g *CFG, p Problem) *Facts {
 		}
 	}
 	return f
+}
+
+// full returns a set holding bits 0..n-1.
+func full(n int) bitset.Set {
+	s := bitset.New(n)
+	for i := 0; i < n; i++ {
+		s.Set(i)
+	}
+	return s
 }

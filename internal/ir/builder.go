@@ -125,6 +125,17 @@ func (bb *Builder) Return() {
 	bb.Block.Succs = nil
 }
 
+// CopyTerm terminates the block as src is terminated: the same kind, a
+// fresh copy of src's successors, and cond (the re-emitted src.Cond) as
+// the condition when src branches.
+func (bb *Builder) CopyTerm(src *Block, cond *Node) {
+	bb.Block.Term = src.Term
+	bb.Block.Succs = append([]string(nil), src.Succs...)
+	if src.Term == TermBranch {
+		bb.Block.Cond = cond
+	}
+}
+
 // Finish removes dead nodes and returns the built block.
 func (bb *Builder) Finish() *Block {
 	bb.Block.RemoveDead()

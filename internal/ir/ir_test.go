@@ -111,6 +111,56 @@ func TestBuilderStoreLoadForwarding(t *testing.T) {
 	}
 }
 
+// TestCopyTerm: CopyTerm copies every terminator kind, sets Cond only
+// for a branch, and gives the new block its own Succs slice, because
+// passes such as jump threading rewrite Succs in place.
+func TestCopyTerm(t *testing.T) {
+	cases := []struct {
+		name  string
+		term  TermKind
+		succs []string
+	}{
+		{"branch", TermBranch, []string{"then", "else"}},
+		{"jump", TermJump, []string{"next"}},
+		{"return", TermReturn, nil},
+		{"fallthrough", TermNone, []string{"next"}},
+		{"end", TermNone, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := NewBlock("src")
+			src.Term = c.term
+			src.Succs = append([]string(nil), c.succs...)
+			bb := NewBuilder("dst")
+			cond := bb.Load("c")
+			bb.CopyTerm(src, cond)
+			dst := bb.Block
+			if dst.Term != c.term {
+				t.Fatalf("Term = %v, want %v", dst.Term, c.term)
+			}
+			var wantCond *Node
+			if c.term == TermBranch {
+				wantCond = cond
+			}
+			if dst.Cond != wantCond {
+				t.Fatalf("Cond = %v, want %v", dst.Cond, wantCond)
+			}
+			if strings.Join(dst.Succs, ",") != strings.Join(c.succs, ",") {
+				t.Fatalf("Succs = %v, want %v", dst.Succs, c.succs)
+			}
+			if err := bb.Finish().Verify(); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			for i := range dst.Succs {
+				dst.Succs[i] = "threaded"
+			}
+			if strings.Join(src.Succs, ",") != strings.Join(c.succs, ",") {
+				t.Fatalf("mutating the copy's Succs changed the source's to %v", src.Succs)
+			}
+		})
+	}
+}
+
 func TestBuilderFinishRemovesDead(t *testing.T) {
 	bb := NewBuilder("b")
 	a := bb.Load("a")

@@ -252,10 +252,6 @@ func (b *Block) Verify() error {
 	return nil
 }
 
-// OpCount returns the number of nodes (excluding dead ones is the caller's
-// job; this counts what is present).
-func (b *Block) OpCount() int { return len(b.Nodes) }
-
 // Levels returns, for every node, its level from the top (distance from a
 // DAG root going down) and from the bottom (height above the leaves).
 // Leaves have bottom level 0; roots have top level 0. These drive the

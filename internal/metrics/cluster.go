@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // ClusterStats is the "cluster" section of an avivd node's /stats
 // payload: a point-in-time view of the node's place in the compile
 // cluster — ring membership and health as this node sees it, plus the
@@ -42,15 +40,4 @@ type ClusterStats struct {
 	ForwardErrors int64 `json:"forward_errors"`
 	// Drained counts cache entries bled to their owners during drain.
 	Drained int64 `json:"drained"`
-}
-
-// String renders the one-line "cluster:" summary; the shape is pinned
-// by TestClusterStatsStringShape.
-func (s ClusterStats) String() string {
-	return fmt.Sprintf(
-		"cluster: %d/%d nodes healthy, %d forwarded, %d local fallbacks; "+
-			"peer %d/%d hit/miss, %d pushed, %d rejected, %d forward errors, %d drained",
-		s.Healthy, s.Nodes, s.Forwarded, s.LocalFallbacks,
-		s.PeerHits, s.PeerMisses, s.PeerPushes, s.PeerRejects,
-		s.ForwardErrors, s.Drained)
 }

@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-// TestClusterStatsStringShape pins the one-line "cluster:" rendering
-// verbatim.
-func TestClusterStatsStringShape(t *testing.T) {
-	s := ClusterStats{
-		Self:           "http://n1:8377",
-		Nodes:          4,
-		Healthy:        3,
-		Forwarded:      120,
-		LocalFallbacks: 2,
-		PeerHits:       40,
-		PeerMisses:     8,
-		PeerPushes:     33,
-		PeerRejects:    1,
-		ForwardErrors:  3,
-		Drained:        5,
-	}
-	want := "cluster: 3/4 nodes healthy, 120 forwarded, 2 local fallbacks; " +
-		"peer 40/8 hit/miss, 33 pushed, 1 rejected, 3 forward errors, 5 drained"
-	if got := s.String(); got != want {
-		t.Fatalf("ClusterStats.String() =\n%q\nwant\n%q", got, want)
-	}
-}
-
 // TestClusterStatsJSONShape pins the field names of the /stats
 // "cluster" section — the endpoint's monitoring contract, mirroring
 // TestCacheStatsJSONShape for the "delta" section.

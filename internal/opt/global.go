@@ -124,10 +124,8 @@ func rewriteBlockCSE(b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byEx
 		return true
 	}
 
-	// rewrite[n.ID] marks a computation node replaced by a load of
-	// src[n.ID].
-	rewrite := make([]bool, b.IDBound())
-	src := make([]string, len(rewrite))
+	// load[n.ID] names the location a computation node is replaced by.
+	load := make([]string, b.IDBound())
 	nRewrites := 0
 	for idx, n := range b.Nodes {
 		if n.Op == ir.OpConst || n.Op == ir.OpLoad || n.Op == ir.OpStore {
@@ -149,47 +147,14 @@ func rewriteBlockCSE(b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byEx
 		if fs, ok := firstStore[v]; ok && fs < idx {
 			continue
 		}
-		rewrite[n.ID], src[n.ID] = true, v
+		load[n.ID] = v
 		nRewrites++
 	}
 	if nRewrites == 0 {
 		return nil, false
 	}
 
-	nb := ir.NewBuilder(b.Name)
-	newOf := make([]*ir.Node, len(rewrite))
-	for _, n := range b.Nodes {
-		if rewrite[n.ID] {
-			newOf[n.ID] = nb.Load(src[n.ID])
-			continue
-		}
-		switch n.Op {
-		case ir.OpConst:
-			newOf[n.ID] = nb.Const(n.Const)
-		case ir.OpLoad:
-			newOf[n.ID] = nb.Load(n.Var)
-		case ir.OpStore:
-			nb.Store(n.Var, newOf[n.Args[0].ID])
-		default:
-			args := make([]*ir.Node, len(n.Args))
-			for j, a := range n.Args {
-				args[j] = newOf[a.ID]
-			}
-			newOf[n.ID] = emitSimplified(nb, n.Op, args)
-		}
-	}
-	switch b.Term {
-	case ir.TermBranch:
-		nb.Branch(newOf[b.Cond.ID], b.Succs[0], b.Succs[1])
-	case ir.TermJump:
-		nb.Jump(b.Succs[0])
-	case ir.TermReturn:
-		nb.Return()
-	default:
-		nb.Block.Term = b.Term
-		nb.Block.Succs = append([]string(nil), b.Succs...)
-	}
-	out := nb.Finish()
+	out := optimizeBlockOnce(b, nil, load)
 	// Accept only a strict improvement: replacing an op with a load must
 	// make the op's operand subtree (partially) dead, or the rewrite
 	// trades computation for memory traffic for nothing.

@@ -88,41 +88,9 @@ func mergeBlocks(f *ir.Func) {
 // and removes c from the function.
 func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 	bb := ir.NewBuilder(b.Name)
-	// emit re-emits blk and returns its new nodes, indexed by the old
-	// Node.ID (IDs are unique only within one block).
-	emit := func(blk *ir.Block) []*ir.Node {
-		newOf := make([]*ir.Node, blk.IDBound())
-		for _, n := range blk.Nodes {
-			switch n.Op {
-			case ir.OpConst:
-				newOf[n.ID] = bb.Const(n.Const)
-			case ir.OpLoad:
-				newOf[n.ID] = bb.Load(n.Var)
-			case ir.OpStore:
-				bb.Store(n.Var, newOf[n.Args[0].ID])
-			default:
-				args := make([]*ir.Node, len(n.Args))
-				for j, a := range n.Args {
-					args[j] = newOf[a.ID]
-				}
-				newOf[n.ID] = emitSimplified(bb, n.Op, args)
-			}
-		}
-		return newOf
-	}
-	emit(b)
-	newOf := emit(c)
-	switch c.Term {
-	case ir.TermBranch:
-		bb.Branch(newOf[c.Cond.ID], c.Succs[0], c.Succs[1])
-	case ir.TermJump:
-		bb.Jump(c.Succs[0])
-	case ir.TermReturn:
-		bb.Return()
-	default:
-		bb.Block.Term = c.Term
-		bb.Block.Succs = append([]string(nil), c.Succs...)
-	}
+	emitNodes(bb, b, nil, nil)
+	newOf := emitNodes(bb, c, nil, nil)
+	bb.CopyTerm(c, branchCond(c, newOf))
 	nb := bb.Finish()
 	for i, blk := range f.Blocks {
 		if blk == b {
@@ -148,7 +116,7 @@ func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 func optimizeBlock(b *ir.Block) *ir.Block {
 	dead := deadStores(b)
 	for {
-		nb := optimizeBlockOnce(b, dead)
+		nb := optimizeBlockOnce(b, dead, nil)
 		if dead = deadStores(nb); len(dead) == 0 {
 			return nb
 		}
@@ -156,25 +124,38 @@ func optimizeBlock(b *ir.Block) *ir.Block {
 	}
 }
 
-// optimizeBlockOnce re-emits the block through a fresh builder, applying
-// constant folding and algebraic simplification per node; the builder's
-// hash-consing provides CSE and Finish removes dead code. The stores
-// marked in dead (deadStores(b): overwritten within the block with no
-// intervening load) are dropped.
-func optimizeBlockOnce(b *ir.Block, dead map[int]bool) *ir.Block {
+// optimizeBlockOnce re-emits the block through a fresh builder
+// (emitNodes), applying constant folding and algebraic simplification
+// per node; the builder's hash-consing provides CSE and Finish removes
+// dead code. The stores marked in dead are dropped, and a node with a
+// load[n.ID] entry is replaced by a load of that location.
+func optimizeBlockOnce(b *ir.Block, dead map[int]bool, load []string) *ir.Block {
 	bb := ir.NewBuilder(b.Name)
+	newOf := emitNodes(bb, b, dead, load)
+	bb.CopyTerm(b, branchCond(b, newOf))
+	return bb.Finish()
+}
+
+// emitNodes re-emits b's nodes into bb in order, with emitSimplified
+// folding each computation, and returns the new nodes indexed by the
+// old Node.ID (IDs are unique only within one block). The stores at the
+// positions in b.Nodes that dead marks are dropped, and node n is
+// replaced by a load of load[n.ID] when that entry is set; either may
+// be nil.
+func emitNodes(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) []*ir.Node {
 	newOf := make([]*ir.Node, b.IDBound())
 	for i, n := range b.Nodes {
-		switch n.Op {
-		case ir.OpConst:
+		switch {
+		case load != nil && load[n.ID] != "":
+			newOf[n.ID] = bb.Load(load[n.ID])
+		case n.Op == ir.OpConst:
 			newOf[n.ID] = bb.Const(n.Const)
-		case ir.OpLoad:
+		case n.Op == ir.OpLoad:
 			newOf[n.ID] = bb.Load(n.Var)
-		case ir.OpStore:
-			if dead[i] {
-				continue
+		case n.Op == ir.OpStore:
+			if !dead[i] {
+				bb.Store(n.Var, newOf[n.Args[0].ID])
 			}
-			bb.Store(n.Var, newOf[n.Args[0].ID])
 		default:
 			args := make([]*ir.Node, len(n.Args))
 			for j, a := range n.Args {
@@ -183,18 +164,16 @@ func optimizeBlockOnce(b *ir.Block, dead map[int]bool) *ir.Block {
 			newOf[n.ID] = emitSimplified(bb, n.Op, args)
 		}
 	}
-	switch b.Term {
-	case ir.TermBranch:
-		bb.Branch(newOf[b.Cond.ID], b.Succs[0], b.Succs[1])
-	case ir.TermJump:
-		bb.Jump(b.Succs[0])
-	case ir.TermReturn:
-		bb.Return()
-	default:
-		bb.Block.Term = b.Term
-		bb.Block.Succs = append([]string(nil), b.Succs...)
+	return newOf
+}
+
+// branchCond returns the re-emitted condition of b's branch from newOf
+// (emitNodes's result for b), or nil when b does not branch.
+func branchCond(b *ir.Block, newOf []*ir.Node) *ir.Node {
+	if b.Term != ir.TermBranch {
+		return nil
 	}
-	return bb.Finish()
+	return newOf[b.Cond.ID]
 }
 
 // deadStores marks stores that are overwritten later in the same block

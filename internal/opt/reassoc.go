@@ -89,17 +89,11 @@ func reassociateBlock(b *ir.Block) *ir.Block {
 			get(n)
 		}
 	}
-	switch b.Term {
-	case ir.TermBranch:
-		bb.Branch(get(b.Cond), b.Succs[0], b.Succs[1])
-	case ir.TermJump:
-		bb.Jump(b.Succs[0])
-	case ir.TermReturn:
-		bb.Return()
-	default:
-		bb.Block.Term = b.Term
-		bb.Block.Succs = append([]string(nil), b.Succs...)
+	var cond *ir.Node
+	if b.Term == ir.TermBranch {
+		cond = get(b.Cond)
 	}
+	bb.CopyTerm(b, cond)
 	return bb.Finish()
 }
 

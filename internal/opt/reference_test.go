@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
 	"aviv/internal/bench"
@@ -228,6 +231,21 @@ func TestGlobalOptimizeMatchesReference(t *testing.T) {
 	})
 	if !testing.Short() && n != 2440 {
 		t.Fatalf("compared %d functions, want 2440", n)
+	}
+}
+
+// TestOptimizeCorpusHash pins Optimize's exact output over the whole
+// differential corpus: one SHA-256 over every function's label and
+// optimized text, in corpus order. A change to any pass, its order or
+// the re-emission shows up here as a changed hash.
+func TestOptimizeCorpusHash(t *testing.T) {
+	const want = "437d47c5e7595bad6bd1ce576986ac80f252918f1dc52ab59c575100c5cf147f"
+	h := sha256.New()
+	forEachCorpusFunc(t, 1, func(label string, f *ir.Func) {
+		io.WriteString(h, label+"\n"+Optimize(f).String()+"\n")
+	})
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("optimizer corpus hash = %s, want %s", got, want)
 	}
 }
 

@@ -327,11 +327,7 @@ func (s *Server) compile(ctx context.Context, key string, req CompileRequest) (*
 		s.counters.Errors.Add(1)
 		return &CompileResponse{Error: err.Error()}, nil
 	}
-	unroll := req.Unroll
-	if unroll < 1 {
-		unroll = 1
-	}
-	res, err := aviv.CompileSource(req.Source, m, unroll, opts)
+	res, err := aviv.CompileSource(req.Source, m, max(req.Unroll, 1), opts)
 	if err != nil {
 		s.counters.Errors.Add(1)
 		return &CompileResponse{Error: err.Error()}, nil
@@ -380,7 +376,9 @@ func (s *Server) requestOptions(req CompileRequest) (aviv.Options, error) {
 // output, so the single-flight group only merges requests whose results
 // are interchangeable. The cluster layer reuses it as the ring key:
 // ownership follows content, so identical requests land on the same
-// shard no matter which node receives them.
+// shard no matter which node receives them. Spellings that compile
+// alike hash alike: Preset "" is "default", and every Unroll ≤ 1 means
+// no unrolling.
 func RequestKey(req CompileRequest) string {
 	h := sha256.New()
 	put := func(s string) {
@@ -391,8 +389,12 @@ func RequestKey(req CompileRequest) string {
 	}
 	put(req.Source)
 	put(req.Machine)
-	put(req.Preset)
-	put(fmt.Sprint(req.Unroll))
+	preset := req.Preset
+	if preset == "" {
+		preset = "default"
+	}
+	put(preset)
+	put(fmt.Sprint(max(req.Unroll, 1)))
 	put(fmt.Sprint(req.Verify))
 	return string(h.Sum(nil))
 }

@@ -400,6 +400,33 @@ func TestConcurrentIdenticalRequestsDedup(t *testing.T) {
 	}
 }
 
+// TestRequestKeyNormalizes: requests that compile alike share a key,
+// so they share a single flight and a cluster shard. Preset "" is
+// "default" and every Unroll ≤ 1 is no unrolling, while "exhaustive"
+// and a real unroll factor each change the key.
+func TestRequestKeyNormalizes(t *testing.T) {
+	key := func(preset string, unroll int) string {
+		return RequestKey(CompileRequest{Source: multiBlockSource, Machine: "m", Preset: preset, Unroll: unroll})
+	}
+	cases := []struct {
+		name  string
+		a, b  string
+		equal bool
+	}{
+		{`preset "" and "default"`, key("", 0), key("default", 0), true},
+		{"unroll 0 and 1", key("", 0), key("", 1), true},
+		{"unroll 0 and -3", key("", 0), key("", -3), true},
+		{"unroll 1 and -3", key("default", 1), key("default", -3), true},
+		{`preset "exhaustive"`, key("", 0), key("exhaustive", 0), false},
+		{"unroll 2", key("", 0), key("", 2), false},
+	}
+	for _, c := range cases {
+		if got := c.a == c.b; got != c.equal {
+			t.Errorf("%s: keys equal = %v, want %v", c.name, got, c.equal)
+		}
+	}
+}
+
 func TestStatsAndHealthz(t *testing.T) {
 	cache := cover.NewBoundedCache(64)
 	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cache}})
