@@ -71,11 +71,12 @@ type Options struct {
 	// byte-identical with and without it.
 	Cache *cover.Cache
 	// DiskCache, when non-nil, is the persistent tier below Cache
-	// (internal/diskcache): it holds each block's pre-peephole covering
+	// (internal/diskcache): it holds each block's finished schedule —
+	// the solution after the peephole pass, with its effort counters —
 	// under the same key, so a block missing from memory skips the
-	// covering search and survives process restarts. Like Cache, it
-	// cannot change output — entries that fail to decode are deleted and
-	// recompiled, and decoded coverings are re-verified.
+	// covering search and the peephole and survives process restarts.
+	// Like Cache, it cannot change output — entries that fail to decode
+	// are deleted and recompiled, and decoded schedules are re-verified.
 	DiskCache cover.EntryStore
 }
 
@@ -100,9 +101,11 @@ type BlockResult struct {
 	// DAG is the Split-Node DAG (node counts reproduce the paper's
 	// "#Nodes" columns).
 	DAG *sndag.DAG
-	// Covering is the raw pre-peephole covering as returned by
-	// cover.CoverBlock — the unit the persistent tier serializes
-	// (cover.EncodeResult); Solution below is the post-peephole view
+	// Covering is the covering the block was built from: on a fresh
+	// compile the raw pre-peephole result of cover.CoverBlock, on a disk
+	// hit the decoded finished schedule (Covering.Best is then the
+	// post-peephole solution and Covering.PeepholeSaved what the
+	// peephole removed). Solution below is the post-peephole view
 	// everything downstream consumes.
 	Covering *cover.Result
 	// Solution is the covering (instruction count = code size metric).
@@ -154,17 +157,33 @@ func CompileBlock(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, err
 	return br, nil
 }
 
+// compileCovered compiles block b from covered, its liveness-pruned
+// form with pruned dead stores removed: covered is what the covering
+// sees, and the result names b and counts the pruned stores.
+func compileCovered(b, covered *ir.Block, pruned int, m *isdl.Machine, opts Options) (*BlockResult, error) {
+	br, err := CompileBlock(covered, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	br.Block = b
+	br.Covering.PrunedStores = pruned
+	br.Metrics.PrunedStores = pruned
+	return br, nil
+}
+
 // finishBlock runs the passes after covering — peephole, register
 // allocation, emission — and fills in every metric but Cover and Total.
+// With peep false the peephole is skipped and res.PeepholeSaved (set
+// when res.Best is an already finished schedule) is reported as is.
 func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error) {
 	bm := metrics.BlockMetrics{Block: b.Name}
 	sol := res.Best
-	saved := 0
+	saved := res.PeepholeSaved
 	if peep {
 		phase := metrics.StartTimer()
 		before := sol.Cost()
 		sol = peephole.Optimize(sol)
-		saved = before - sol.Cost()
+		saved += before - sol.Cost()
 		bm.Peephole = phase.Elapsed()
 	}
 	phase := metrics.StartTimer()
@@ -274,22 +293,23 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 		}
 	}
 	// Global liveness runs once up front. Its bit sets feed every block's
-	// cache key directly; the live-out map the covering's store prune
-	// reads is built per block only when the block misses the memory tier
-	// (liveOuts), or for every block here when Verify needs them all.
+	// cache key and store prune directly; live-out maps are built only
+	// when Verify needs them for its independent cross-checks.
 	analysisTimer := metrics.StartTimer()
 	lo := &liveOuts{r: dataflow.Liveness(f)}
 	analysisTime := analysisTimer.Elapsed()
+	var outSets []map[string]bool
 	if opts.Verify {
-		lo.sets = lo.r.OutSets()
+		outSets = lo.r.OutSets()
 		// Self-distrust: re-derive liveness by an independent path search
 		// and refuse to compile on any disagreement — a wrong live-out set
 		// licenses an unsound store prune.
-		if vs := verify.CheckLiveness(f, lo.sets); len(vs) > 0 {
+		if vs := verify.CheckLiveness(f, outSets); len(vs) > 0 {
 			return nil, fmt.Errorf("aviv: liveness cross-check failed: %w", &verify.VerifyError{Violations: vs})
 		}
 	}
 	opts = PlacementOptions(f, m, opts)
+	opts.Cover.LiveOut = nil // blocks arrive pruned from the liveness bits
 	tiers := newBlockCache(m, opts)
 	par := opts.poolSize(len(f.Blocks))
 	coll := metrics.NewCollector(par)
@@ -344,7 +364,7 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	LayoutProgram(out.Program)
 	var verr *verify.VerifyError
 	if opts.Verify {
-		verr = verifyResult(out, lo.sets)
+		verr = verifyResult(out, outSets)
 	}
 	out.Metrics = coll.Finish()
 	out.Metrics.Analysis.Liveness = analysisTime

@@ -41,22 +41,12 @@ func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
 	return sha256.Sum256(in[:])
 }
 
-// liveOuts hands out the blocks' live-out sets of one Compile: as sorted
-// names read from the liveness bit sets for keying, and as the map
-// cover.Options.LiveOut consumes, built only for a block that is
-// covered or decoded — or for every block up front when Verify needs
-// them all.
+// liveOuts carries one Compile's liveness result to the per-block
+// path: its bit sets give each block's live-out names for keying
+// (AppendOutVars) and its store prune (PruneBlock), with no map per
+// block.
 type liveOuts struct {
-	r    *dataflow.LivenessResult
-	sets []map[string]bool // every block's map, or nil to build on demand
-}
-
-// set returns block i's live-out map.
-func (l *liveOuts) set(i int) map[string]bool {
-	if l.sets != nil {
-		return l.sets[i]
-	}
-	return l.r.OutSet(i)
+	r *dataflow.LivenessResult
 }
 
 // blockCache is one Compile's view of the per-block cache tiers. A nil
@@ -64,9 +54,16 @@ func (l *liveOuts) set(i int) map[string]bool {
 //
 // The memory tier (Options.Cache) holds finished *BlockResults with
 // pristine pre-layout code; a hit skips every per-block pass. The disk
-// tier (Options.DiskCache) holds the encoded pre-peephole covering under
-// the same key; a hit skips the covering search and re-runs the cheap
-// tail passes. A fresh compile is written once to each tier.
+// tier (Options.DiskCache) holds the encoded finished schedule — the
+// post-peephole Solution with the covering's and the peephole's
+// counters — under the same key; a hit decodes and re-verifies it and
+// runs only register allocation and emission. A fresh compile is
+// written once to each tier.
+//
+// Both the tiered and the untiered path cover the block with the stores
+// dead past it already removed, pruned straight from the liveness bits
+// (dataflow.LivenessResult.PruneBlock), so Cover.LiveOut stays nil and
+// no live-out map is built; the result still names the source block.
 type blockCache struct {
 	mem  *cover.Cache
 	disk cover.EntryStore
@@ -90,11 +87,12 @@ func newBlockCache(m *isdl.Machine, opts Options) *blockCache {
 
 // compile returns the result of b, block i of the function lo
 // describes, from the first tier that has it, or compiles it fresh and
-// writes it back. names is scratch space for the live-out names.
+// writes it back. opts.Cover.LiveOut must be nil. names is scratch
+// space for the live-out names.
 func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options, lo *liveOuts, names *[]string) (*BlockResult, error) {
 	if bc == nil {
-		opts.Cover.LiveOut = lo.set(i)
-		return CompileBlock(b, m, opts)
+		covered, pruned := lo.r.PruneBlock(i)
+		return compileCovered(b, covered, pruned, m, opts)
 	}
 	total := metrics.StartTimer()
 	key := bc.key(i, b, lo, opts.Peephole, names)
@@ -110,16 +108,18 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 			return &br, nil
 		}
 	}
-	opts.Cover.LiveOut = lo.set(i)
+	covered, pruned := lo.r.PruneBlock(i)
 	invalidated := false
 	if bc.disk != nil {
 		if data, ok := bc.disk.Get(key); ok {
 			decode := metrics.StartTimer()
-			res, err := cover.DecodeBlock(data, b, m, opts.Cover)
+			res, err := cover.DecodeBlock(data, covered, m, opts.Cover)
 			decodeTime := decode.Elapsed()
 			var br *BlockResult
 			if err == nil {
-				br, err = finishBlock(b, res, opts.Peephole)
+				// The entry is the finished schedule: the peephole already ran.
+				res.PrunedStores = pruned
+				br, err = finishBlock(b, res, false)
 			}
 			if err == nil {
 				br.Metrics.Cover = decodeTime
@@ -138,7 +138,7 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 			}
 		}
 	}
-	br, err := CompileBlock(b, m, opts)
+	br, err := compileCovered(b, covered, pruned, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,9 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 	br.Metrics.Invalidated = invalidated
 	bc.remember(key, br)
 	if bc.disk != nil {
-		if data, ok := cover.EncodeResult(br.Covering); ok {
+		finished := *br.Covering
+		finished.Best, finished.PeepholeSaved = br.Solution, br.PeepholeSaved
+		if data, ok := cover.EncodeResult(&finished); ok {
 			bc.disk.Put(key, data)
 		}
 	}

@@ -16,6 +16,13 @@ import (
 // hash below and the cache/pool property tests.
 func corpusProgramText(t testing.TB, opts Options) string {
 	t.Helper()
+	return corpusCompile(t, opts, nil)
+}
+
+// corpusCompile is corpusProgramText that also hands each program's
+// result to each, when it is non-nil.
+func corpusCompile(t testing.TB, opts Options, each func(seed int64, res *CompileResult)) string {
+	t.Helper()
 	vliw := isdl.ExampleArchFull(4)
 	dsp := isdl.SingleIssueDSP(4)
 	var all string
@@ -29,6 +36,9 @@ func corpusProgramText(t testing.TB, opts Options) string {
 		res, err := CompileSource(src, m, 1, opts)
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
+		}
+		if each != nil {
+			each(seed, res)
 		}
 		all += fmt.Sprintf("== seed %d ==\n%s\n", seed, res.Program)
 	}

@@ -12,7 +12,8 @@ import (
 // (new Options, new memory cache, same directory) — and requires the
 // emitted programs to be byte-identical. This is the persistent tier's
 // version of the existing cache property test: a disk round-trip through
-// the covering codec must never change output.
+// the covering codec must never change output, and the warm pass must
+// serve every block without a covering search.
 func TestDiskCacheCorpusByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the 50-program corpus three times")
@@ -42,7 +43,15 @@ func TestDiskCacheCorpusByteIdentical(t *testing.T) {
 	opts = DefaultOptions()
 	opts.Cache = cover.NewBoundedCache(0)
 	opts.DiskCache = warm
-	if got := corpusProgramText(t, opts); got != want {
+	// Every block must come back from a tier: an encode decline or a
+	// decode failure would silently turn a disk hit back into a covering
+	// search, with the same bytes.
+	got := corpusCompile(t, opts, func(seed int64, res *CompileResult) {
+		if r := res.Metrics.Reuse(); r.Recompiled != 0 || r.Invalidations != 0 || r.DiskHits == 0 {
+			t.Errorf("seed %d: warm pass %+v, want every block from disk", seed, r)
+		}
+	})
+	if got != want {
 		t.Fatalf("warm disk-cache corpus differs from uncached compilation (%d vs %d bytes)", len(got), len(want))
 	}
 	ws := warm.Stats()

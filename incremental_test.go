@@ -4,6 +4,7 @@ package aviv_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"aviv/internal/cover"
 	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
+	"aviv/internal/lang"
+	"aviv/internal/zoo"
 )
 
 // mapStore is a map-backed cover.DeletableStore that counts its calls.
@@ -53,6 +56,18 @@ func (s *mapStore) corrupt() {
 	defer s.mu.Unlock()
 	for k := range s.m {
 		s.m[k] = []byte("not a covering")
+	}
+}
+
+// downgrade rewrites the leading version varint of every stored entry
+// to v, standing in for entries an older build wrote under the same
+// keys.
+func (s *mapStore) downgrade(v uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, data := range s.m {
+		_, n := binary.Uvarint(data)
+		s.m[k] = append(binary.AppendUvarint(nil, v), data[n:]...)
 	}
 }
 
@@ -167,25 +182,41 @@ func TestIncrementalDiskTier(t *testing.T) {
 	}
 }
 
-// TestIncrementalInvalidation: entries that read back but fail to decode
-// are deleted (deletion-as-miss), counted, and the blocks recompiled and
-// rewritten — output unchanged.
+// TestIncrementalInvalidation: entries that read back but fail to
+// decode — garbage, or a version-2 entry (the pre-peephole covering an
+// older build wrote under the same key) — are deleted
+// (deletion-as-miss), counted, and the blocks recompiled and
+// rewritten, output unchanged; the next compile rebuilds every block
+// from the rewritten entries.
 func TestIncrementalInvalidation(t *testing.T) {
-	m := isdl.ExampleArchFull(4)
-	opts := verifyOpts()
-	src := bench.MultiBlockSource(5, 9, 5)
-	store := newMapStore()
-	opts.DiskCache = store
-	n := len(mustCompile(t, src, m, opts).Blocks)
-	store.corrupt()
-	store.puts = 0
+	for _, tc := range []struct {
+		name  string
+		spoil func(*mapStore)
+	}{
+		{"garbage", (*mapStore).corrupt},
+		{"codec-v2", func(s *mapStore) { s.downgrade(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := isdl.ExampleArchFull(4)
+			opts := verifyOpts()
+			src := bench.MultiBlockSource(5, 9, 5)
+			store := newMapStore()
+			opts.DiskCache = store
+			n := len(mustCompile(t, src, m, opts).Blocks)
+			tc.spoil(store)
+			store.puts = 0
 
-	r := mustCompile(t, src, m, opts).Metrics.Reuse()
-	if r.Recompiled != int64(n) || r.Invalidations != int64(n) {
-		t.Fatalf("over a corrupt store: %+v, want all %d blocks invalidated and recompiled", r, n)
-	}
-	if store.deletes != n || store.puts != n {
-		t.Fatalf("store deletes = %d, puts = %d; want %d each", store.deletes, store.puts, n)
+			r := mustCompile(t, src, m, opts).Metrics.Reuse()
+			if r.Recompiled != int64(n) || r.Invalidations != int64(n) {
+				t.Fatalf("over a spoiled store: %+v, want all %d blocks invalidated and recompiled", r, n)
+			}
+			if store.deletes != n || store.puts != n {
+				t.Fatalf("store deletes = %d, puts = %d; want %d each", store.deletes, store.puts, n)
+			}
+			if r := mustCompile(t, src, m, opts).Metrics.Reuse(); r.DiskHits != int64(n) {
+				t.Fatalf("after the rewrite: %+v, want all %d blocks from disk", r, n)
+			}
+		})
 	}
 }
 
@@ -290,5 +321,72 @@ func TestTraceBypassesWarmCache(t *testing.T) {
 	store := opts.DiskCache.(*mapStore)
 	if after := opts.Cache.Stats(); after != before || store.gets != len(res.Blocks) {
 		t.Fatalf("traced compile touched the tiers: cache %+v -> %+v, %d store gets", before, after, store.gets)
+	}
+}
+
+// TestDiskRoundTripKeepsMetrics: a block rebuilt from disk reports the
+// same effort counters as its fresh compile, block by block — the
+// covering's search counters and the peephole's saving travel in the
+// entry, the pruned-store count and the DAG size are re-derived — and
+// spends no time in the peephole it no longer runs. The source is
+// lowered without opt.Optimize, so liveness still finds stores to prune.
+func TestDiskRoundTripKeepsMetrics(t *testing.T) {
+	tiny, err := zoo.One(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Class != zoo.ClassTinyRegs {
+		t.Fatalf("zoo slot 8 is %s, want %s", tiny.Class, zoo.ClassTinyRegs)
+	}
+	for _, mc := range []struct {
+		name string
+		m    *isdl.Machine
+	}{
+		{"example-full", isdl.ExampleArchFull(4)},
+		{tiny.Class, tiny.M},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			// The prefix's first store to x is dead on both arms.
+			src := "x = a * b;\nif (a > c) { x = a - c; } else { x = c; }\n" + bench.MultiBlockSource(12, 12, 8)
+			prog, err := lang.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := lang.Lower(prog, "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := verifyOpts()
+			opts.DiskCache = newMapStore()
+			fresh, err := aviv.Compile(f, mc.m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restart, err := aviv.Compile(f, mc.m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := restart.Program.String(), fresh.Program.String(); got != want {
+				t.Fatalf("restart from disk changed the output:\n%s\nvs\n%s", got, want)
+			}
+			saved, pruned := 0, 0
+			for i, fb := range fresh.Metrics.Blocks {
+				rb := restart.Metrics.Blocks[i]
+				if !rb.DiskHit {
+					t.Fatalf("block %s was not rebuilt from disk: %+v", rb.Block, rb)
+				}
+				if rb.Peephole != 0 {
+					t.Errorf("block %s spent %v in the peephole on a disk hit", rb.Block, rb.Peephole)
+				}
+				if got, want := rb.Effort(), fb.Effort(); got != want {
+					t.Errorf("block %s effort after the disk round trip:\n got %+v\nwant %+v", rb.Block, got, want)
+				}
+				saved += fb.PeepholeSaved
+				pruned += fb.PrunedStores
+			}
+			if saved == 0 || pruned == 0 {
+				t.Fatalf("program exercises too little: %d instructions saved by the peephole, %d stores pruned", saved, pruned)
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // EntryStore is the persistent tier below Cache: a byte-oriented
 // content-addressed store (implemented by internal/diskcache) keyed by
-// the same fingerprints. aviv serializes coverings into it
-// (EncodeResult) and treats every failure — absent key, truncated or
+// the same fingerprints. aviv serializes each block's finished schedule
+// into it (EncodeResult) and treats every failure — absent key, truncated or
 // corrupted entry, version skew — as a miss, so a store can never
 // change compiled output, only skip recomputation.
 type EntryStore interface {

@@ -11,22 +11,25 @@ import (
 )
 
 // Binary codec for cover.Result, the unit of the persistent compile
-// cache. A Result is a pointer graph: the schedule's SNodes reference
-// ir.Nodes of the covered block and sndag.Alt alternatives of the
-// Split-Node DAG. Neither is serialized; both are re-derived on decode
-// from the cache key's own components — the covered block and the
-// machine are deterministic functions of (source block, machine,
-// options), so sndag.Build reproduces the identical DAG and pointers
-// are resolved positionally:
+// cache. aviv persists the finished schedule, not the raw covering: the
+// Best it writes is the solution after the peephole pass (Sec. IV-G),
+// and PeepholeSaved records what that pass removed, so a disk hit runs
+// only register allocation and emission. A Result is a pointer graph:
+// the schedule's SNodes reference ir.Nodes of the covered block and
+// sndag.Alt alternatives of the Split-Node DAG. Neither is serialized;
+// both are re-derived on decode from the cache key's own components —
+// the covered block and the machine are deterministic functions of
+// (source block, machine, options), so sndag.Build reproduces the
+// identical DAG and pointers are resolved positionally:
 //
 //   - ir.Node   -> by node ID within the covered block
 //   - sndag.Alt -> by (ID of Covers[0], index within that split's Alts)
 //
-// Only the schedule itself plus the search counters are written. The
-// Assignment is deliberately dropped: it is presentation-only (nothing
-// downstream of covering reads it), and edge lists keep their order
-// because assembly emission matches operands to predecessors
-// first-match-wins. Edges to nodes outside the schedule
+// Only the schedule itself plus the search and peephole counters are
+// written. The Assignment is deliberately dropped: it is
+// presentation-only (nothing downstream of covering reads it), and edge
+// lists keep their order because assembly emission matches operands to
+// predecessors first-match-wins. Edges to nodes outside the schedule
 // are dropped, exactly as Solution.Clone does; every consumer guards
 // against them.
 //
@@ -35,7 +38,13 @@ import (
 // results. Integrity (truncation, bit rot) is the storage layer's job —
 // decodeResult only needs to fail cleanly on garbage, which the
 // bounds-checked reader plus a final Solution.Verify guarantee.
-const codecVersion = 2
+//
+// Version 3 added PeepholeSaved, when the persisted schedule became
+// the post-peephole one. Because an entry holds the peephole's output,
+// a change to what the peephole produces must bump codecVersion, just
+// as a change to what the covering produces must: the block keys do
+// not see either pass's code.
+const codecVersion = 3
 
 type encBuf struct{ b []byte }
 
@@ -160,6 +169,7 @@ func encodeResult(res *Result) (data []byte, ok bool) {
 	e.uint(codecVersion)
 	e.int(res.AssignmentsExplored)
 	e.int(res.PrunedAssignments)
+	e.int(res.PeepholeSaved)
 	e.int(sol.SpillCount)
 
 	// Schedule shape: instruction count then clique sizes. Node payloads
@@ -256,6 +266,11 @@ func encodeResult(res *Result) (data []byte, ok bool) {
 // freshly derived Split-Node DAG. Any inconsistency — version skew,
 // truncation, out-of-range reference, or a decoded solution that fails
 // Verify — returns an error, which callers treat as a cache miss.
+//
+// Allocation is dense: IR nodes resolve through a slice indexed by
+// node ID, every SNode comes from one arena and every edge list is
+// carved out of one slab, sized exactly by a first pass over the edge
+// counts (as Solution.Clone does).
 func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 	d := &decBuf{b: data}
 	if v := d.uint(); d.err == nil && v != codecVersion {
@@ -264,11 +279,18 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 	res := &Result{DAG: dag}
 	res.AssignmentsExplored = d.int()
 	res.PrunedAssignments = d.int()
+	res.PeepholeSaved = d.int()
 	spills := d.int()
 
-	nodeByID := make(map[int]*ir.Node, len(dag.Block.Nodes))
+	nodeByID := make([]*ir.Node, dag.Block.IDBound())
 	for _, n := range dag.Block.Nodes {
 		nodeByID[n.ID] = n
+	}
+	irNode := func(id int) *ir.Node {
+		if id < len(nodeByID) {
+			return nodeByID[id]
+		}
+		return nil
 	}
 
 	nInstrs := d.int()
@@ -293,9 +315,10 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 	if total > len(data) {
 		return nil, fmt.Errorf("cover codec: %d nodes exceed payload", total)
 	}
+	arena := make([]SNode, total)
 	nodes := make([]*SNode, total)
-	for i := range nodes {
-		nodes[i] = &SNode{}
+	for i := range arena {
+		nodes[i] = &arena[i]
 	}
 	for _, n := range nodes {
 		n.ID = d.int()
@@ -305,8 +328,8 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 		}
 		n.Kind = SNodeKind(kind)
 		if vid := d.int(); vid >= 0 {
-			v, ok := nodeByID[vid]
-			if !ok && d.err == nil {
+			v := irNode(vid)
+			if v == nil && d.err == nil {
 				return nil, fmt.Errorf("cover codec: value node %d not in block %s", vid, dag.Block.Name)
 			}
 			n.Value = v
@@ -317,8 +340,8 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 		rootID := d.int()
 		altIdx := d.int()
 		if rootID >= 0 {
-			root, ok := nodeByID[rootID]
-			if !ok && d.err == nil {
+			root := irNode(rootID)
+			if root == nil && d.err == nil {
 				return nil, fmt.Errorf("cover codec: alt root %d not in block %s", rootID, dag.Block.Name)
 			}
 			split := dag.SplitOf(root)
@@ -335,23 +358,39 @@ func decodeResult(data []byte, dag *sndag.DAG) (*Result, error) {
 		n.Step.Bus = d.str()
 		n.Var = d.str()
 	}
-	readEdges := func() ([]*SNode, error) {
-		cnt := d.int()
-		if d.err != nil {
-			return nil, d.err
+	if d.err != nil {
+		return nil, d.err
+	}
+	// First pass over the edge section: validate the counts and size the
+	// slab. Each count is followed by that many indices.
+	edges := 0
+	scan := decBuf{b: d.b}
+	for i := 0; i < 4*total; i++ {
+		cnt := scan.int()
+		if scan.err != nil {
+			return nil, scan.err
 		}
 		if cnt < 0 || cnt > total {
 			return nil, fmt.Errorf("cover codec: implausible edge count %d", cnt)
 		}
+		for j := 0; j < cnt; j++ {
+			scan.int()
+		}
+		edges += cnt
+	}
+	if scan.err != nil {
+		return nil, scan.err
+	}
+	slab := make([]*SNode, edges)
+	readEdges := func() ([]*SNode, error) {
+		cnt := d.int()
 		if cnt == 0 {
 			return nil, nil
 		}
-		out := make([]*SNode, cnt)
+		out := slab[:cnt:cnt]
+		slab = slab[cnt:]
 		for i := range out {
 			j := d.int()
-			if d.err != nil {
-				return nil, d.err
-			}
 			if j < 0 || j >= total {
 				return nil, fmt.Errorf("cover codec: edge target %d out of range", j)
 			}

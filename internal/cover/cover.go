@@ -86,6 +86,10 @@ type Result struct {
 	// PrunedStores counts stores removed before covering because
 	// Options.LiveOut proved them dead past the block.
 	PrunedStores int
+	// PeepholeSaved counts instructions a post-covering pass already
+	// removed from Best: zero for a fresh covering, the peephole's
+	// saving for a finished schedule read back from a persistent tier.
+	PeepholeSaved int
 }
 
 // CoverBlock runs the full concurrent code-generation step of Sec. IV on
@@ -347,7 +351,11 @@ func (s *Solution) CanMove(n *SNode, j int, pos map[*SNode]int) bool {
 // register pressure never exceeds the bank size. It is used heavily in
 // tests and by the simulator harness.
 func (s *Solution) Verify() error {
-	pos := make(map[*SNode]int)
+	nodes := 0
+	for _, instr := range s.Instrs {
+		nodes += len(instr)
+	}
+	pos := make(map[*SNode]int, nodes)
 	for i, instr := range s.Instrs {
 		if !legalGroup(instr, s.Machine) {
 			return fmt.Errorf("instr %d is not a legal grouping: %s", i, formatClique(instr))
@@ -388,7 +396,7 @@ func (s *Solution) Verify() error {
 		}
 	}
 	// Register pressure per bank, replayed over the schedule.
-	pending := make(map[*SNode]int)
+	pending := make(map[*SNode]int, nodes)
 	for _, instr := range s.Instrs {
 		for _, n := range instr {
 			if _, ok := n.DefLoc(); ok {

@@ -90,25 +90,20 @@ func (r *LivenessResult) LiveInOf(i int, v string) bool {
 }
 
 // OutSets materializes the live-out sets as one map per block, indexed
-// like F.Blocks — the form cover.Options.LiveOut consumes.
+// like F.Blocks — the form cover.Options.LiveOut and the verifier's
+// cross-checks consume.
 func (r *LivenessResult) OutSets() []map[string]bool {
 	out := make([]map[string]bool, len(r.Out))
 	for i := range r.Out {
-		out[i] = r.OutSet(i)
+		m := make(map[string]bool, len(r.Vars))
+		for j, v := range r.Vars {
+			if r.Out[i].Get(j) {
+				m[v] = true
+			}
+		}
+		out[i] = m
 	}
 	return out
-}
-
-// OutSet materializes the live-out set of block i as a map: OutSets()[i]
-// alone.
-func (r *LivenessResult) OutSet(i int) map[string]bool {
-	m := make(map[string]bool, len(r.Vars))
-	for j, v := range r.Vars {
-		if r.Out[i].Get(j) {
-			m[v] = true
-		}
-	}
-	return m
 }
 
 // AppendOutVars appends the variables live at the exit of block i to

@@ -33,7 +33,7 @@ type BlockMetrics struct {
 	// PeepholeSaved counts instructions removed by the peephole pass.
 	PeepholeSaved int
 	// PrunedStores counts stores removed before covering because global
-	// liveness proved them dead past the block (cover.Options.LiveOut).
+	// liveness proved them dead past the block.
 	PrunedStores int
 	// PrunedAssignments counts assignments the covering skipped by
 	// branch-and-bound (admissible lower bound above the incumbent).
@@ -42,8 +42,9 @@ type BlockMetrics struct {
 	// (either tier) instead of being covered fresh.
 	CacheHit bool
 	// DiskHit reports the block was rebuilt from the persistent tier's
-	// covering (implies CacheHit); a CacheHit without DiskHit came from
-	// the memory tier.
+	// finished schedule (implies CacheHit): the peephole did not run, so
+	// Peephole is zero and PeepholeSaved is the persisted count. A
+	// CacheHit without DiskHit came from the memory tier.
 	DiskHit bool
 	// DiskMiss reports the block was looked up in the persistent tier
 	// and not found there (or found undecodable), so it was covered

@@ -9,10 +9,15 @@
 // The division of labor with the global dataflow framework: dead stores
 // of program variables are an IR-level, cross-block property and are
 // removed upstream (internal/opt's global dead-store elimination, and
-// cover's liveness-driven pruning via Options.LiveOut fed by
-// internal/dataflow). This package only ever touches compiler-generated
-// spill slots ($spN) and schedule slack — artifacts of covering and
-// allocation that no IR-level analysis can see.
+// aviv.Compile's per-block prune from the liveness bit sets,
+// dataflow.LivenessResult.PruneBlock, before covering). This package
+// only ever touches compiler-generated spill slots ($spN) and schedule
+// slack — artifacts of covering and allocation that no IR-level
+// analysis can see.
+//
+// Its output is what aviv's disk tier persists, so a block rebuilt from
+// disk skips this pass; a change to what Optimize produces must bump
+// the cover codec's version (cover/codec.go).
 package peephole
 
 import (

@@ -5,6 +5,7 @@ import (
 
 	"aviv/internal/bench"
 	"aviv/internal/cover"
+	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
 )
 
@@ -80,6 +81,53 @@ func BenchmarkCompileWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		compileAll()
 	}
+}
+
+// BenchmarkCompileDiskRebuild is the disk-hit request path of a compile
+// server whose memory tier is too small for its working set: eight
+// 25-block MultiBlockSource programs are compiled once into a disk tier,
+// then each iteration recompiles all eight, round-robin, through a
+// 64-entry memory tier that the other seven programs flush between two
+// visits. Every block rebuilds from disk — decode, Solution.Verify,
+// register allocation and emission — after the same front end as
+// BenchmarkCompileWarm. It reports disk hits per op.
+func BenchmarkCompileDiskRebuild(b *testing.B) {
+	m := isdl.ExampleArchFull(4)
+	disk, err := diskcache.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Cache = cover.NewBoundedCache(64)
+	opts.DiskCache = disk
+	var srcs []string
+	for seed := int64(0); seed < 8; seed++ {
+		srcs = append(srcs, bench.MultiBlockSource(seed, 25, 6))
+	}
+	compileAll := func() (blocks, diskHits int) {
+		for _, src := range srcs {
+			res, err := CompileSource(src, m, 1, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rendered = res.Program.String()
+			blocks += len(res.Blocks)
+			diskHits += res.Metrics.DiskHits()
+		}
+		return blocks, diskHits
+	}
+	compileAll()
+	if blocks, hits := compileAll(); hits != blocks {
+		b.Fatalf("warm recompile rebuilt %d of %d blocks from disk", hits, blocks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		_, h := compileAll()
+		hits += h
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "diskhits/op")
 }
 
 // rendered keeps BenchmarkCompileWarm's output live.
