@@ -1,5 +1,5 @@
 # Convenience targets; `make check` is the gate ci.sh runs in CI.
-.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench perfsmoke zoosmoke zoojson editsmoke clustersmoke clusterjson
+.PHONY: check test build vet examples lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench perfsmoke zoosmoke zoojson editsmoke clustersmoke clusterjson
 
 check:
 	./ci.sh
@@ -12,6 +12,12 @@ build:
 
 vet:
 	go vet ./...
+
+# Run the four example programs: they are the callers of aviv.Compile on
+# hand-built IR, and quickstart and dspfir exit nonzero when the
+# simulated result disagrees with the expected one (also part of ci.sh).
+examples:
+	for e in quickstart dspfir archexplore codesign; do go run ./examples/$$e >/dev/null || exit 1; done
 
 # Pinned in ci.sh (STATICCHECK_VERSION); skipped with a warning when the
 # binary is not on PATH — it is never downloaded by the build.

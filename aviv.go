@@ -24,7 +24,6 @@ import (
 
 	"aviv/internal/asm"
 	"aviv/internal/cover"
-	"aviv/internal/dataflow"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/lang"
@@ -40,6 +39,8 @@ import (
 // Options configure compilation.
 type Options struct {
 	// Cover tunes the concurrent covering step (beam width, heuristics).
+	// Compile ignores Cover.LiveOut: it compiles every store it is
+	// given, and dead-store elimination happens in opt.Optimize.
 	Cover cover.Options
 	// Peephole enables the post-register-allocation cleanup pass
 	// (Sec. IV-G): removal of unnecessary loads/spills and schedule
@@ -157,20 +158,6 @@ func CompileBlock(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, err
 	return br, nil
 }
 
-// compileCovered compiles block b from covered, its liveness-pruned
-// form with pruned dead stores removed: covered is what the covering
-// sees, and the result names b and counts the pruned stores.
-func compileCovered(b, covered *ir.Block, pruned int, m *isdl.Machine, opts Options) (*BlockResult, error) {
-	br, err := CompileBlock(covered, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	br.Block = b
-	br.Covering.PrunedStores = pruned
-	br.Metrics.PrunedStores = pruned
-	return br, nil
-}
-
 // finishBlock runs the passes after covering — peephole, register
 // allocation, emission — and fills in every metric but Cover and Total.
 // With peep false the peephole is skipped and res.PeepholeSaved (set
@@ -203,7 +190,6 @@ func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error
 	bm.Spills = sol.SpillCount
 	bm.AssignmentsExplored = res.AssignmentsExplored
 	bm.PeepholeSaved = saved
-	bm.PrunedStores = res.PrunedStores
 	bm.PrunedAssignments = res.PrunedAssignments
 	return &BlockResult{
 		Block:               b,
@@ -272,6 +258,11 @@ func (o Options) poolSize(nBlocks int) int {
 // concurrent covering pipeline, plus one control-flow instruction per
 // block terminator (Sec. III-C).
 //
+// Compile compiles the IR as given. Machine-independent cleanup, global
+// dead-store elimination included, is the front end's job: CompileSource
+// and ParseAndLower run opt.Optimize first, and a caller that hands in
+// unoptimized IR gets its dead stores compiled.
+//
 // Blocks are compiled by a bounded worker pool (Options.Parallelism;
 // per-block covering dominates compile time and is independent across
 // blocks) and reassembled in original block order, so the result is
@@ -292,32 +283,15 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 			return nil, fmt.Errorf("aviv: source IR rejected by verifier: %w", verr)
 		}
 	}
-	// Global liveness runs once up front. Its bit sets feed every block's
-	// cache key and store prune directly; live-out maps are built only
-	// when Verify needs them for its independent cross-checks.
-	analysisTimer := metrics.StartTimer()
-	lo := &liveOuts{r: dataflow.Liveness(f)}
-	analysisTime := analysisTimer.Elapsed()
-	var outSets []map[string]bool
-	if opts.Verify {
-		outSets = lo.r.OutSets()
-		// Self-distrust: re-derive liveness by an independent path search
-		// and refuse to compile on any disagreement — a wrong live-out set
-		// licenses an unsound store prune.
-		if vs := verify.CheckLiveness(f, outSets); len(vs) > 0 {
-			return nil, fmt.Errorf("aviv: liveness cross-check failed: %w", &verify.VerifyError{Violations: vs})
-		}
-	}
 	opts = PlacementOptions(f, m, opts)
-	opts.Cover.LiveOut = nil // blocks arrive pruned from the liveness bits
+	opts.Cover.LiveOut = nil // ignored: the block key has no live-out part
 	tiers := newBlockCache(m, opts)
 	par := opts.poolSize(len(f.Blocks))
 	coll := metrics.NewCollector(par)
 	results := make([]*BlockResult, len(f.Blocks))
 	errs := make([]error, len(f.Blocks))
-	names := make([][]string, par) // per-worker scratch for live-out names
 	compileOne := func(i, worker int) {
-		br, err := tiers.compile(i, f.Blocks[i], m, opts, lo, &names[worker])
+		br, err := tiers.compile(f.Blocks[i], m, opts)
 		if err != nil {
 			errs[i] = err
 			return
@@ -364,10 +338,9 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	LayoutProgram(out.Program)
 	var verr *verify.VerifyError
 	if opts.Verify {
-		verr = verifyResult(out, outSets)
+		verr = verifyResult(out)
 	}
 	out.Metrics = coll.Finish()
-	out.Metrics.Analysis.Liveness = analysisTime
 	for i, bm := range out.Metrics.Blocks {
 		out.Blocks[i].Metrics.Worker = bm.Worker
 		// The collector snapshotted block metrics before verification
@@ -386,25 +359,17 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 // block metrics. Layout- and program-level violations are charged to the
 // block they name when it exists.
 //
-// Each block's code is validated against the block the covering actually
-// consumed (Solution.Block — the liveness-pruned clone when pruning
-// happened), and the prune itself is re-derived independently by
-// verify.CheckPrune, so neither the dataflow solver nor the pruner is
-// trusted with the source-to-code correspondence. Fresh and reused
-// blocks get the same checks: a reused block's covered block comes from
-// an earlier compile, so it is compared with the current block by
-// fingerprint, not by pointer.
-func verifyResult(out *CompileResult, liveOuts []map[string]bool) *verify.VerifyError {
+// Each block's code is validated against br.Block, the current source
+// block, never against Solution.Block: on a memory hit the solution
+// comes from an earlier compile, so fresh and reused blocks get the
+// same check against what this compile was asked to build.
+func verifyResult(out *CompileResult) *verify.VerifyError {
 	byName := make(map[string]*BlockResult, len(out.Blocks))
 	var all []verify.Violation
-	for i, br := range out.Blocks {
+	for _, br := range out.Blocks {
 		byName[br.Code.Name] = br
 		t := metrics.StartTimer()
-		covered := br.Solution.Block
-		vs := verify.BlockCode(br.Code, out.Machine, covered)
-		if covered.Fingerprint() != br.Block.Fingerprint() {
-			vs = append(vs, verify.CheckPrune(br.Block, covered, liveOuts[i])...)
-		}
+		vs := verify.BlockCode(br.Code, out.Machine, br.Block)
 		br.Metrics.Verify = t.Elapsed()
 		br.Metrics.Violations = len(vs)
 		all = append(all, vs...)

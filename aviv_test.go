@@ -8,6 +8,7 @@ import (
 	"aviv/internal/asm"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
+	"aviv/internal/opt"
 	"aviv/internal/sim"
 )
 
@@ -292,13 +293,12 @@ func randomBlock(seed int64, nOps int) *ir.Block {
 	return bb.Finish()
 }
 
-// TestCompilePrunesCrossBlockDeadStores: a store whose variable is
-// overwritten on every successor path before any read is pruned by the
-// covering (via the global liveness hand-off in Options.Cover.LiveOut),
-// the pruned program still simulates to the reference final memory, and
-// the independent liveness/prune cross-checks in internal/verify accept
-// the result.
-func TestCompilePrunesCrossBlockDeadStores(t *testing.T) {
+// TestCompileLeavesDeadStoresToOptimize: a store whose variable is
+// overwritten on every successor path before any read is removed by
+// opt.Optimize, the front end's global dead-store pass, and kept by
+// Compile, which compiles the IR as given. Both programs simulate to the
+// reference final memory under the translation validator.
+func TestCompileLeavesDeadStoresToOptimize(t *testing.T) {
 	m, err := isdl.Parse(isdl.ExampleArchISDL)
 	if err != nil {
 		t.Fatal(err)
@@ -316,19 +316,28 @@ func TestCompilePrunesCrossBlockDeadStores(t *testing.T) {
 	r.NewStore("t", r.NewConst(9))
 	r.Term = ir.TermReturn
 	f := &ir.Func{Name: "prune", Blocks: []*ir.Block{e, l, r}}
+	g := opt.Optimize(f)
 
+	storesT := func(b *ir.Block) int {
+		n := 0
+		for _, node := range b.Nodes {
+			if node.Op == ir.OpStore && node.Var == "t" {
+				n++
+			}
+		}
+		return n
+	}
+	if got := storesT(g.Blocks[0]); got != 0 {
+		t.Fatalf("opt.Optimize kept %d stores of t in the entry block, want 0", got)
+	}
 	opts := DefaultOptions()
 	opts.Verify = true
 	for _, c := range []int64{0, 1} {
-		res := checkCompiled(t, f, m, map[string]int64{"a": 2, "b": 3, "c": c}, opts)
-		if got := res.Metrics.TotalPrunedStores(); got != 1 {
-			t.Errorf("c=%d: %d stores pruned, want 1 (the cross-block-dead store of t)", c, got)
+		mem := map[string]int64{"a": 2, "b": 3, "c": c}
+		res := checkCompiled(t, f, m, mem, opts)
+		if got := storesT(res.Blocks[0].Solution.Block); got != 1 {
+			t.Errorf("c=%d: the compiled entry block has %d stores of t, want the 1 it was given", c, got)
 		}
-		// The entry solution must not contain the pruned store.
-		for _, n := range res.Blocks[0].Solution.Block.Nodes {
-			if n.Op == ir.OpStore && n.Var == "t" {
-				t.Errorf("c=%d: pruned store of t still in covered block", c)
-			}
-		}
+		checkCompiled(t, g, m, mem, opts)
 	}
 }

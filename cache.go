@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 
 	"aviv/internal/cover"
-	"aviv/internal/dataflow"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/metrics"
@@ -13,22 +12,18 @@ import (
 // keyDomain versions the per-block key recipe. Bump it whenever the
 // recipe changes so persisted entries from older builds miss instead of
 // colliding.
-const keyDomain = "aviv-block-v2"
+const keyDomain = "aviv-block-v3"
 
 // The one per-block cache key is
 //
 //	sha256(keyDomain | cover.BlockKey(b, machineFP, opts.Cover) | peephole)
 //
-// with opts.Cover.LiveOut set to the block's live-out set. cover.BlockKey
-// already covers the block's content, the machine and every covering
-// option, live-out set and variable placement included; the peephole
-// flag is the only other input CompileBlock reads. The live-in set is
-// deliberately absent: it is use ∪ (live-out − def), which the block
-// content and live-out already fix. Compile hashes the same bytes
-// without building a live-out map per block: cover.BlockKeyer
-// serializes the options once per compile, and each block's live-out
-// names come straight from the liveness bit sets
-// (dataflow.LivenessResult.AppendOutVars).
+// with opts.Cover.LiveOut nil. cover.BlockKey already covers the
+// block's content, the machine and every covering option, variable
+// placement included; the peephole flag is the only other input
+// CompileBlock reads. No liveness fact is part of the key: Compile
+// compiles each block as given, so nothing outside the block can change
+// its code. cover.BlockKeyer fingerprints the options once per compile.
 
 // domainKey finishes a block key from its cover.BlockKey part.
 func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
@@ -41,14 +36,6 @@ func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
 	return sha256.Sum256(in[:])
 }
 
-// liveOuts carries one Compile's liveness result to the per-block
-// path: its bit sets give each block's live-out names for keying
-// (AppendOutVars) and its store prune (PruneBlock), with no map per
-// block.
-type liveOuts struct {
-	r *dataflow.LivenessResult
-}
-
 // blockCache is one Compile's view of the per-block cache tiers. A nil
 // *blockCache compiles every block from scratch.
 //
@@ -59,11 +46,6 @@ type liveOuts struct {
 // counters — under the same key; a hit decodes and re-verifies it and
 // runs only register allocation and emission. A fresh compile is
 // written once to each tier.
-//
-// Both the tiered and the untiered path cover the block with the stores
-// dead past it already removed, pruned straight from the liveness bits
-// (dataflow.LivenessResult.PruneBlock), so Cover.LiveOut stays nil and
-// no live-out map is built; the result still names the source block.
 type blockCache struct {
 	mem  *cover.Cache
 	disk cover.EntryStore
@@ -85,17 +67,14 @@ func newBlockCache(m *isdl.Machine, opts Options) *blockCache {
 	return &blockCache{mem: opts.Cache, disk: opts.DiskCache, keys: cover.NewBlockKeyer(mfp, opts.Cover)}
 }
 
-// compile returns the result of b, block i of the function lo
-// describes, from the first tier that has it, or compiles it fresh and
-// writes it back. opts.Cover.LiveOut must be nil. names is scratch
-// space for the live-out names.
-func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options, lo *liveOuts, names *[]string) (*BlockResult, error) {
+// compile returns the result of b from the first tier that has it, or
+// compiles it fresh and writes it back. opts.Cover.LiveOut must be nil.
+func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, error) {
 	if bc == nil {
-		covered, pruned := lo.r.PruneBlock(i)
-		return compileCovered(b, covered, pruned, m, opts)
+		return CompileBlock(b, m, opts)
 	}
 	total := metrics.StartTimer()
-	key := bc.key(i, b, lo, opts.Peephole, names)
+	key := domainKey(bc.keys.Key(b), opts.Peephole)
 	if bc.mem != nil {
 		if v, ok := bc.mem.Get(key); ok {
 			hit := v.(*BlockResult)
@@ -108,17 +87,15 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 			return &br, nil
 		}
 	}
-	covered, pruned := lo.r.PruneBlock(i)
 	invalidated := false
 	if bc.disk != nil {
 		if data, ok := bc.disk.Get(key); ok {
 			decode := metrics.StartTimer()
-			res, err := cover.DecodeBlock(data, covered, m, opts.Cover)
+			res, err := cover.DecodeBlock(data, b, m, opts.Cover)
 			decodeTime := decode.Elapsed()
 			var br *BlockResult
 			if err == nil {
 				// The entry is the finished schedule: the peephole already ran.
-				res.PrunedStores = pruned
 				br, err = finishBlock(b, res, false)
 			}
 			if err == nil {
@@ -138,7 +115,7 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 			}
 		}
 	}
-	br, err := compileCovered(b, covered, pruned, m, opts)
+	br, err := CompileBlock(b, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +131,6 @@ func (bc *blockCache) compile(i int, b *ir.Block, m *isdl.Machine, opts Options,
 	}
 	br.Metrics.Total = total.Elapsed()
 	return br, nil
-}
-
-// key returns the cache key of b, block i of the function lo describes.
-func (bc *blockCache) key(i int, b *ir.Block, lo *liveOuts, peephole bool, names *[]string) [sha256.Size]byte {
-	*names = lo.r.AppendOutVars((*names)[:0], i)
-	return domainKey(bc.keys.Key(b, *names), peephole)
 }
 
 // remember stores a private copy of br in the memory tier, so the

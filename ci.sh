@@ -12,7 +12,8 @@
 #
 # The lint stage runs the ISDL machine linter over the shipped example
 # descriptions and the verifier's mutation self-test (every corruption
-# class must be rejected with a diagnostic).
+# class must be rejected with a diagnostic). The examples stage runs the
+# example programs in every mode.
 set -eu
 
 cd "$(dirname "$0")"
@@ -64,6 +65,9 @@ echo "== lint: ISDL machine descriptions =="
 for f in examples/machines/*.isdl; do
     go run ./cmd/isdldump -lint "$f"
 done
+
+echo "== examples: the example programs end to end =="
+make -s examples
 
 echo "== lint: verifier mutation self-test =="
 go test -run 'TestMutation|TestLint' ./internal/verify

@@ -90,9 +90,7 @@ func main() {
 		rep := diag.Analyze(f)
 		fmt.Print(rep.String())
 		if *stats {
-			a := rep.Metrics
-			fmt.Printf("; analyze: liveness %v, reachdefs %v, avail %v, dom %v, %d diagnostics\n",
-				a.Liveness, a.ReachingDefs, a.AvailableExprs, a.Dominators, a.Diagnostics)
+			fmt.Printf("; %s\n", rep.Metrics)
 		}
 		if rep.Metrics.Diagnostics > 0 {
 			os.Exit(1)

@@ -106,8 +106,8 @@ func FuzzCompileSource(f *testing.F) {
 		if err != nil {
 			t.Fatalf("object round trip failed for %q: %v", src, err)
 		}
-		// The emitted program — and with it the liveness-driven store
-		// pruning — must be byte-identical under a parallel worker pool.
+		// The emitted program must be byte-identical under a parallel
+		// worker pool.
 		par := opts
 		par.Parallelism = 8
 		res8, err := aviv.CompileSource(src, m, 1, par)

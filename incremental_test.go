@@ -327,9 +327,9 @@ func TestTraceBypassesWarmCache(t *testing.T) {
 // TestDiskRoundTripKeepsMetrics: a block rebuilt from disk reports the
 // same effort counters as its fresh compile, block by block — the
 // covering's search counters and the peephole's saving travel in the
-// entry, the pruned-store count and the DAG size are re-derived — and
-// spends no time in the peephole it no longer runs. The source is
-// lowered without opt.Optimize, so liveness still finds stores to prune.
+// entry, the DAG size is re-derived — and spends no time in the
+// peephole it no longer runs. The source is lowered without
+// opt.Optimize, so its dead store reaches the covering.
 func TestDiskRoundTripKeepsMetrics(t *testing.T) {
 	tiny, err := zoo.One(1, 8)
 	if err != nil {
@@ -369,7 +369,7 @@ func TestDiskRoundTripKeepsMetrics(t *testing.T) {
 			if got, want := restart.Program.String(), fresh.Program.String(); got != want {
 				t.Fatalf("restart from disk changed the output:\n%s\nvs\n%s", got, want)
 			}
-			saved, pruned := 0, 0
+			saved := 0
 			for i, fb := range fresh.Metrics.Blocks {
 				rb := restart.Metrics.Blocks[i]
 				if !rb.DiskHit {
@@ -382,10 +382,9 @@ func TestDiskRoundTripKeepsMetrics(t *testing.T) {
 					t.Errorf("block %s effort after the disk round trip:\n got %+v\nwant %+v", rb.Block, got, want)
 				}
 				saved += fb.PeepholeSaved
-				pruned += fb.PrunedStores
 			}
-			if saved == 0 || pruned == 0 {
-				t.Fatalf("program exercises too little: %d instructions saved by the peephole, %d stores pruned", saved, pruned)
+			if saved == 0 {
+				t.Fatal("program exercises too little: no instruction saved by the peephole")
 			}
 		})
 	}

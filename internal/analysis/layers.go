@@ -114,8 +114,8 @@ var allowedImports = map[string][]string{
 	"internal/zoo":       {"internal/ir", "internal/isdl", "internal/verify"},
 	"internal/diskcache": {},
 	"aviv": {
-		"internal/asm", "internal/cover", "internal/dataflow", "internal/ir",
-		"internal/isdl", "internal/lang", "internal/metrics", "internal/opt",
+		"internal/asm", "internal/cover", "internal/ir", "internal/isdl",
+		"internal/lang", "internal/metrics", "internal/opt",
 		"internal/peephole", "internal/place", "internal/regalloc",
 		"internal/sndag", "internal/verify",
 	},

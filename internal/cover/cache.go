@@ -158,9 +158,9 @@ func (w *fpWriter) bool(b bool) {
 }
 
 // options writes every Options field that influences the covering
-// result except LiveOut, which follows it (liveOut). Trace is excluded
-// (it has no effect on output, and aviv bypasses the cache tiers when
-// tracing).
+// result except LiveOut, which optionsFingerprint appends. Trace is
+// excluded (it has no effect on output, and aviv bypasses the cache
+// tiers when tracing).
 func (w *fpWriter) options(o Options) {
 	w.int(o.BeamWidth)
 	w.bool(o.PruneIncremental)
@@ -174,15 +174,6 @@ func (w *fpWriter) options(o Options) {
 	for _, k := range sortedKeys(o.VarPlacement) {
 		w.str(k)
 		w.str(o.VarPlacement[k])
-	}
-}
-
-// liveOut writes a non-nil live-out set given as its variables in
-// ascending order.
-func (w *fpWriter) liveOut(sorted []string) {
-	w.int(len(sorted))
-	for _, v := range sorted {
-		w.str(v)
 	}
 }
 
@@ -203,7 +194,10 @@ func optionsFingerprint(o Options) [sha256.Size]byte {
 			}
 		}
 		sort.Strings(live)
-		w.liveOut(live)
+		w.int(len(live))
+		for _, v := range live {
+			w.str(v)
+		}
 	}
 	return sha256.Sum256(w.buf)
 }

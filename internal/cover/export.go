@@ -32,29 +32,24 @@ func blockKeyOf(block *ir.Block, machineFP, optsFP [sha256.Size]byte) [sha256.Si
 	return sha256.Sum256(in[:])
 }
 
-// BlockKeyer computes BlockKey for the blocks of one compile: every
-// option but LiveOut is serialized once, and each block's live-out set
-// arrives as a sorted list of names instead of a map to sort.
+// BlockKeyer computes BlockKey for the blocks of one compile: the
+// options are fingerprinted once, with LiveOut nil, so each block costs
+// its own fingerprint and one more hash.
 type BlockKeyer struct {
 	machineFP [sha256.Size]byte
-	opts      []byte // fingerprint material of opts up to LiveOut
+	optsFP    [sha256.Size]byte
 }
 
 // NewBlockKeyer returns a keyer for blocks compiled against the machine
 // with fingerprint machineFP under opts; opts.LiveOut is ignored.
 func NewBlockKeyer(machineFP [sha256.Size]byte, opts Options) *BlockKeyer {
-	var w fpWriter
-	w.options(opts)
-	return &BlockKeyer{machineFP: machineFP, opts: w.buf}
+	opts.LiveOut = nil
+	return &BlockKeyer{machineFP: machineFP, optsFP: optionsFingerprint(opts)}
 }
 
-// Key returns BlockKey(block, machineFP, opts) with opts.LiveOut set to
-// the variables of liveOut, which must be ascending and distinct.
-func (k *BlockKeyer) Key(block *ir.Block, liveOut []string) [sha256.Size]byte {
-	w := fpWriter{buf: make([]byte, 0, len(k.opts)+8+16*len(liveOut))}
-	w.buf = append(w.buf, k.opts...)
-	w.liveOut(liveOut)
-	return blockKeyOf(block, k.machineFP, sha256.Sum256(w.buf))
+// Key returns BlockKey(block, machineFP, opts) with opts.LiveOut nil.
+func (k *BlockKeyer) Key(block *ir.Block) [sha256.Size]byte {
+	return blockKeyOf(block, k.machineFP, k.optsFP)
 }
 
 // EncodeResult serializes a covering for a persistent tier, declining

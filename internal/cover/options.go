@@ -78,8 +78,8 @@ type Options struct {
 	// successor ever reads stop occupying register-bank slots and
 	// generating spill traffic. nil means every variable is assumed live
 	// at the block exit — the pessimistic (always safe) default.
-	// aviv.Compile leaves it nil: it prunes each block from the liveness
-	// bit sets before covering.
+	// aviv.Compile ignores it and covers every store it is given: dead
+	// stores are removed in the front end, by opt.Optimize.
 	LiveOut map[string]bool
 
 	// Trace, when non-nil, collects a step-by-step record of the

@@ -8,12 +8,13 @@
 //
 // The paper's own lifetime analysis is explicitly pessimistic (the
 // peephole pass exists to clean up after it, Sec. IV-G); this package
-// computes the precise global facts once, for three clients: the
+// computes the precise global facts for two clients: the
 // machine-independent optimizer (global dead-store elimination and
-// cross-block CSE in internal/opt), the covering (per-block live-out
-// sets shrink register pressure and spill traffic, cover.Options.LiveOut),
-// and the user-facing diagnostics pass (internal/dataflow/diag,
-// avivcc -analyze).
+// cross-block CSE in internal/opt, which leaves the back end no dead
+// store to find) and the user-facing diagnostics pass
+// (internal/dataflow/diag, avivcc -analyze). The covering's
+// cover.Options.LiveOut prune is kept for callers that cover blocks
+// directly; aviv.Compile does not use it.
 //
 // Cross-block values in this IR travel only through named memory
 // locations — register values never outlive a block — so every fact

@@ -106,18 +106,6 @@ func (r *LivenessResult) OutSets() []map[string]bool {
 	return out
 }
 
-// AppendOutVars appends the variables live at the exit of block i to
-// dst in ascending order, straight from the bit set, and returns the
-// extended slice.
-func (r *LivenessResult) AppendOutVars(dst []string, i int) []string {
-	for j, v := range r.Vars {
-		if r.Out[i].Get(j) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // DeadStores returns the indices into b.Nodes of stores that are dead
 // given the block's live-out set: on every path from the store, the
 // variable is overwritten before being read and before function exit.

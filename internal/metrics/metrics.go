@@ -32,9 +32,6 @@ type BlockMetrics struct {
 	AssignmentsExplored int
 	// PeepholeSaved counts instructions removed by the peephole pass.
 	PeepholeSaved int
-	// PrunedStores counts stores removed before covering because global
-	// liveness proved them dead past the block.
-	PrunedStores int
 	// PrunedAssignments counts assignments the covering skipped by
 	// branch-and-bound (admissible lower bound above the incumbent).
 	PrunedAssignments int
@@ -79,15 +76,13 @@ func (b BlockMetrics) Effort() BlockMetrics {
 		Spills:              b.Spills,
 		AssignmentsExplored: b.AssignmentsExplored,
 		PeepholeSaved:       b.PeepholeSaved,
-		PrunedStores:        b.PrunedStores,
 		PrunedAssignments:   b.PrunedAssignments,
 	}
 }
 
 // AnalysisMetrics records wall time and output counts of the global
-// dataflow analyses (package dataflow). For a Compile run only Liveness
-// is populated (the only analysis the back end consumes); the -analyze
-// diagnostics pass fills in all four plus the diagnostic count.
+// dataflow analyses (package dataflow), as the diagnostics pass
+// (internal/dataflow/diag, avivcc -analyze) fills them in.
 type AnalysisMetrics struct {
 	Liveness       time.Duration
 	ReachingDefs   time.Duration
@@ -97,9 +92,13 @@ type AnalysisMetrics struct {
 	Diagnostics int
 }
 
-// Total sums the per-analysis wall times.
-func (a AnalysisMetrics) Total() time.Duration {
-	return a.Liveness + a.ReachingDefs + a.AvailableExprs + a.Dominators
+// String formats the metrics as the analyze: line of the -stats
+// reports.
+func (a AnalysisMetrics) String() string {
+	return fmt.Sprintf("analyze: liveness %v, reachdefs %v, avail %v, dom %v, %d diagnostics",
+		a.Liveness.Round(time.Microsecond), a.ReachingDefs.Round(time.Microsecond),
+		a.AvailableExprs.Round(time.Microsecond), a.Dominators.Round(time.Microsecond),
+		a.Diagnostics)
 }
 
 // CompileMetrics aggregates a whole-function compilation.
@@ -113,9 +112,6 @@ type CompileMetrics struct {
 	Wall time.Duration
 	// WorkerBusy is the per-worker busy time, indexed by worker.
 	WorkerBusy []time.Duration
-	// Analysis records the global dataflow analysis work done up front
-	// (before the per-block pipeline runs).
-	Analysis AnalysisMetrics
 }
 
 // TotalAssignments sums assignments explored across blocks.
@@ -132,15 +128,6 @@ func (m *CompileMetrics) TotalPeepholeSaved() int {
 	n := 0
 	for _, b := range m.Blocks {
 		n += b.PeepholeSaved
-	}
-	return n
-}
-
-// TotalPrunedStores sums stores pruned by liveness across blocks.
-func (m *CompileMetrics) TotalPrunedStores() int {
-	n := 0
-	for _, b := range m.Blocks {
-		n += b.PrunedStores
 	}
 	return n
 }
@@ -264,16 +251,8 @@ func (m *CompileMetrics) String() string {
 	fmt.Fprintf(&sb, "phases:  cover %v, peephole %v, regalloc %v, emit %v, verify %v (cpu across workers)\n",
 		cover.Round(time.Microsecond), peep.Round(time.Microsecond),
 		ra.Round(time.Microsecond), emit.Round(time.Microsecond), verify.Round(time.Microsecond))
-	if m.Analysis.Total() > 0 || m.Analysis.Diagnostics > 0 {
-		fmt.Fprintf(&sb, "analyze: liveness %v, reachdefs %v, avail %v, dom %v, %d diagnostics\n",
-			m.Analysis.Liveness.Round(time.Microsecond),
-			m.Analysis.ReachingDefs.Round(time.Microsecond),
-			m.Analysis.AvailableExprs.Round(time.Microsecond),
-			m.Analysis.Dominators.Round(time.Microsecond),
-			m.Analysis.Diagnostics)
-	}
-	fmt.Fprintf(&sb, "effort:  %d assignments explored, %d spills, %d instrs saved by peephole, %d stores pruned by liveness, %d verifier violations\n",
-		m.TotalAssignments(), m.TotalSpills(), m.TotalPeepholeSaved(), m.TotalPrunedStores(), m.TotalViolations())
+	fmt.Fprintf(&sb, "effort:  %d assignments explored, %d spills, %d instrs saved by peephole, %d verifier violations\n",
+		m.TotalAssignments(), m.TotalSpills(), m.TotalPeepholeSaved(), m.TotalViolations())
 	fmt.Fprintf(&sb, "search:  %d assignments pruned by lower bound, %d/%d blocks from compile cache (%d via disk tier)\n",
 		m.TotalPrunedAssignments(), m.CacheHits(), len(m.Blocks), m.DiskHits())
 	for _, b := range m.Blocks {

@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"aviv/internal/bench"
 	"aviv/internal/dataflow"
 	"aviv/internal/ir"
 	"aviv/internal/lang"
+	"aviv/internal/verify"
 )
 
 // forEachCorpusFunc lowers the optimizer's differential corpus and calls
@@ -241,12 +243,67 @@ func TestGlobalOptimizeMatchesReference(t *testing.T) {
 func TestOptimizeCorpusHash(t *testing.T) {
 	const want = "437d47c5e7595bad6bd1ce576986ac80f252918f1dc52ab59c575100c5cf147f"
 	h := sha256.New()
-	forEachCorpusFunc(t, 1, func(label string, f *ir.Func) {
-		io.WriteString(h, label+"\n"+Optimize(f).String()+"\n")
-	})
+	for _, o := range optimizedCorpus(t) {
+		io.WriteString(h, o.label+"\n"+o.g.String()+"\n")
+	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("optimizer corpus hash = %s, want %s", got, want)
 	}
+}
+
+// TestOptimizeLeavesNoDeadStore: Optimize's output has no store that
+// global liveness proves dead, over the differential corpus. Code
+// generation relies on this: aviv.Compile covers every store it is
+// given, so a dead store the front end leaves behind costs code size.
+// Both checks use internal/verify's path-search liveness, not package
+// dataflow: the solver's live-out sets must agree with it, and no block
+// may lose a store to its own backward prune scan.
+func TestOptimizeLeavesNoDeadStore(t *testing.T) {
+	step := 1
+	if testing.Short() {
+		step = 10
+	}
+	for k, o := range optimizedCorpus(t) {
+		if k%step != 0 {
+			continue
+		}
+		if vs := verify.CheckLiveness(o.g, dataflow.Liveness(o.g).OutSets()); len(vs) > 0 {
+			t.Fatalf("%s: liveness cross-check: %v", o.label, vs)
+		}
+		outs := verify.LiveOutSets(o.g)
+		for i, b := range o.g.Blocks {
+			if vs := verify.CheckPrune(b, b, outs[i]); len(vs) > 0 {
+				t.Fatalf("%s: block %s keeps a dead store: %v", o.label, b.Name, vs)
+			}
+		}
+	}
+}
+
+// optimizedFunc is one corpus function after Optimize.
+type optimizedFunc struct {
+	label string
+	g     *ir.Func
+}
+
+var (
+	optimizedOnce sync.Once
+	optimizedAll  []optimizedFunc
+)
+
+// optimizedCorpus returns every function of forEachCorpusFunc after
+// Optimize, in corpus order. The tests that read the whole optimized
+// corpus share one Optimize run.
+func optimizedCorpus(t *testing.T) []optimizedFunc {
+	t.Helper()
+	optimizedOnce.Do(func() {
+		forEachCorpusFunc(t, 1, func(label string, f *ir.Func) {
+			optimizedAll = append(optimizedAll, optimizedFunc{label, Optimize(f)})
+		})
+	})
+	if len(optimizedAll) != 2440 {
+		t.Fatalf("optimized corpus has %d functions, want 2440", len(optimizedAll))
+	}
+	return optimizedAll
 }
 
 // TestGlobalOptimizeKeepsTerminators: the global passes rewrite block

@@ -8,12 +8,10 @@
 //
 // The division of labor with the global dataflow framework: dead stores
 // of program variables are an IR-level, cross-block property and are
-// removed upstream (internal/opt's global dead-store elimination, and
-// aviv.Compile's per-block prune from the liveness bit sets,
-// dataflow.LivenessResult.PruneBlock, before covering). This package
-// only ever touches compiler-generated spill slots ($spN) and schedule
-// slack — artifacts of covering and allocation that no IR-level
-// analysis can see.
+// removed upstream, by internal/opt's global dead-store elimination in
+// the front end. This package only ever touches compiler-generated
+// spill slots ($spN) and schedule slack — artifacts of covering and
+// allocation that no IR-level analysis can see.
 //
 // Its output is what aviv's disk tier persists, so a block rebuilt from
 // disk skips this pass; a change to what Optimize produces must bump

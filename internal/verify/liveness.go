@@ -8,15 +8,17 @@ import (
 	"aviv/internal/ir"
 )
 
-// This file cross-checks the global dataflow analyses the back end now
-// consumes (package dataflow) in the package's usual self-distrusting
-// style: liveness is re-derived here by a different method — a
-// demand-driven path search per (block, variable) query instead of an
-// iterative bit-vector fixpoint — and the two derivations must agree
-// exactly, or compilation fails. The store pruning that liveness
-// licenses (cover.Options.LiveOut) is likewise re-checked structurally:
-// the pruned block must keep exactly the stores the independent scan
-// keeps, with identical value expressions and an identical terminator.
+// This file is the independent reference for the global liveness
+// analysis (package dataflow) and the dead-store elimination it
+// licenses, in the package's usual self-distrusting style: liveness is
+// re-derived here by a different method — a demand-driven path search
+// per (block, variable) query instead of an iterative bit-vector
+// fixpoint — and the two derivations must agree exactly. A pruned block
+// is likewise re-checked structurally: it must keep exactly the stores
+// the independent scan keeps, with identical value expressions and an
+// identical terminator. The optimizer's tests hold opt.Optimize to both
+// checks over their corpus, which is what lets aviv.Compile compile
+// every store it is given.
 
 // LiveOutSets independently derives the live-out variable set of every
 // block: v is live at the exit of block i when some path from i's exit

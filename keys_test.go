@@ -8,18 +8,19 @@ import (
 
 	"aviv/internal/bench"
 	"aviv/internal/cover"
-	"aviv/internal/dataflow"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/zoo"
 )
 
-// blockKey is the per-block key recipe spelled out with maps:
-// cover.BlockKey over opts.Cover, whose LiveOut is the block's live-out
-// map, wrapped in keyDomain and the peephole flag. Compile must derive
-// the same key from the liveness bit sets.
+// blockKey is the per-block key recipe spelled out by hand:
+// cover.BlockKey over opts.Cover with LiveOut nil, wrapped in keyDomain
+// and the peephole flag. Compile must derive the same key through
+// cover.BlockKeyer.
 func blockKey(b *ir.Block, machineFP [sha256.Size]byte, opts Options) [sha256.Size]byte {
-	base := cover.BlockKey(b, machineFP, opts.Cover)
+	o := opts.Cover
+	o.LiveOut = nil
+	base := cover.BlockKey(b, machineFP, o)
 	h := sha256.New()
 	h.Write([]byte(keyDomain))
 	h.Write(base[:])
@@ -49,14 +50,14 @@ func (r *getRecorder) Get(key [sha256.Size]byte) ([]byte, bool) {
 
 func (r *getRecorder) Put([sha256.Size]byte, []byte) {}
 
-// TestBlockKeyFromLivenessBits: the key Compile builds from the liveness
-// bit sets equals blockKey over cover.BlockKey and OutSets()[i], block
-// for block, on the example machine and on a dual-memory zoo machine
-// (so VarPlacement is non-empty), over the difftest programs and
+// TestBlockKeyMatchesMapRecipe: the key Compile builds through
+// cover.BlockKeyer equals blockKey over cover.BlockKey, block for
+// block, on the example machine and on a dual-memory zoo machine (so
+// VarPlacement is non-empty), over the difftest programs and
 // MultiBlockSource edit chains. Keys that change bytes would orphan
 // every entry a previous build wrote to a disk tier.
-func TestBlockKeyFromLivenessBits(t *testing.T) {
-	if keyDomain != "aviv-block-v2" {
+func TestBlockKeyMatchesMapRecipe(t *testing.T) {
+	if keyDomain != "aviv-block-v3" {
 		t.Fatalf("keyDomain = %q: the key recipe must not change", keyDomain)
 	}
 	var dual *isdl.Machine
@@ -99,7 +100,6 @@ func TestBlockKeyFromLivenessBits(t *testing.T) {
 	} {
 		mfp := mc.m.Fingerprint()
 		blocks, placed := 0, 0
-		var names []string
 		for k, p := range corpus {
 			f, err := ParseAndLower(p.src, 1)
 			if err != nil {
@@ -116,15 +116,10 @@ func TestBlockKeyFromLivenessBits(t *testing.T) {
 				placed++
 			}
 			bc := newBlockCache(mc.m, opts)
-			live := dataflow.Liveness(f)
-			lo := &liveOuts{r: live}
-			outs := live.OutSets()
 			want := make([][sha256.Size]byte, len(f.Blocks))
 			for i, b := range f.Blocks {
-				o := opts
-				o.Cover.LiveOut = outs[i]
-				want[i] = blockKey(b, mfp, o)
-				if got := bc.key(i, b, lo, opts.Peephole, &names); got != want[i] {
+				want[i] = blockKey(b, mfp, opts)
+				if got := domainKey(bc.keys.Key(b), opts.Peephole); got != want[i] {
 					t.Fatalf("%s on %s: block %s key %x, map recipe gives %x", p.label, mc.name, b.Name, got, want[i])
 				}
 				blocks++

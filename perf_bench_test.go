@@ -46,8 +46,8 @@ func BenchmarkCompileMultiBlock(b *testing.B) {
 // sixteen 25-block MultiBlockSource programs are compiled once into a
 // shared memory tier, then each iteration recompiles all sixteen from
 // source and renders their assembly while every block hits memory. It
-// times the front end (parse, lower, opt.Optimize, liveness), per-block
-// keying, stitching, layout and rendering — none of the covering.
+// times the front end (parse, lower, opt.Optimize), per-block keying,
+// stitching, layout and rendering — none of the covering.
 func BenchmarkCompileWarm(b *testing.B) {
 	m := isdl.ExampleArchFull(4)
 	opts := DefaultOptions()
