@@ -64,10 +64,11 @@ bench:
 benchsmoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
-# One iteration of the optimizer, covering, peephole, warm-path and
-# disk-rebuild benchmarks (also part of ci.sh, -short included).
+# One iteration of the optimizer, covering, peephole, multi-block
+# compile, warm-path and disk-rebuild benchmarks (also part of ci.sh,
+# -short included).
 layerbench:
-	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
 # One second of the gated serving benchmark on its disk_spill workload:
 # builds perfbench, drives avivd's handler through the disk tier, and

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"aviv/internal/asm"
 	"aviv/internal/cover"
@@ -32,7 +33,6 @@ import (
 	"aviv/internal/peephole"
 	"aviv/internal/place"
 	"aviv/internal/regalloc"
-	"aviv/internal/sndag"
 	"aviv/internal/verify"
 )
 
@@ -99,15 +99,13 @@ func LoadMachine(src string) (*isdl.Machine, error) { return isdl.Parse(src) }
 // BlockResult is the compilation outcome for one basic block.
 type BlockResult struct {
 	Block *ir.Block
-	// DAG is the Split-Node DAG (node counts reproduce the paper's
-	// "#Nodes" columns).
-	DAG *sndag.DAG
 	// Covering is the covering the block was built from: on a fresh
 	// compile the raw pre-peephole result of cover.CoverBlock, on a disk
 	// hit the decoded finished schedule (Covering.Best is then the
 	// post-peephole solution and Covering.PeepholeSaved what the
-	// peephole removed). Solution below is the post-peephole view
-	// everything downstream consumes.
+	// peephole removed). Covering.DAG is the Split-Node DAG (node
+	// counts reproduce the paper's "#Nodes" columns). Solution below is
+	// the post-peephole view everything downstream consumes.
 	Covering *cover.Result
 	// Solution is the covering (instruction count = code size metric).
 	Solution *cover.Solution
@@ -115,12 +113,8 @@ type BlockResult struct {
 	Allocation *regalloc.Allocation
 	// Code is the emitted assembly block.
 	Code *asm.Block
-	// AssignmentsExplored counts functional-unit assignments covered in
-	// detail.
-	AssignmentsExplored int
-	// PeepholeSaved counts instructions removed by the peephole pass.
-	PeepholeSaved int
-	// Metrics carries the per-phase counters and timings for this block.
+	// Metrics is the block's one record of effort counters and
+	// per-phase timings; CompileResult.Metrics.Blocks is built from it.
 	Metrics metrics.BlockMetrics
 }
 
@@ -192,15 +186,12 @@ func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error
 	bm.PeepholeSaved = saved
 	bm.PrunedAssignments = res.PrunedAssignments
 	return &BlockResult{
-		Block:               b,
-		DAG:                 res.DAG,
-		Covering:            res,
-		Solution:            sol,
-		Allocation:          alloc,
-		Code:                code,
-		AssignmentsExplored: res.AssignmentsExplored,
-		PeepholeSaved:       saved,
-		Metrics:             bm,
+		Block:      b,
+		Covering:   res,
+		Solution:   sol,
+		Allocation: alloc,
+		Code:       code,
+		Metrics:    bm,
 	}, nil
 }
 
@@ -287,40 +278,40 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	opts.Cover.LiveOut = nil // ignored: the block key has no live-out part
 	tiers := newBlockCache(m, opts)
 	par := opts.poolSize(len(f.Blocks))
-	coll := metrics.NewCollector(par)
+	wall := metrics.StartTimer()
 	results := make([]*BlockResult, len(f.Blocks))
 	errs := make([]error, len(f.Blocks))
-	compileOne := func(i, worker int) {
-		br, err := tiers.compile(f.Blocks[i], m, opts)
-		if err != nil {
-			errs[i] = err
-			return
+	// busy[w] has one writer, worker w, and is read after wg.Wait.
+	busy := make([]time.Duration, par)
+	var next atomic.Int64
+	work := func(worker int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(f.Blocks) {
+				return
+			}
+			br, err := tiers.compile(f.Blocks[i], m, opts)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			br.Metrics.Worker = worker
+			busy[worker] += br.Metrics.Total
+			results[i] = br
 		}
-		results[i] = br
-		coll.ReportBlock(i, worker, br.Metrics)
 	}
-	if par == 1 {
-		for i := range f.Blocks {
-			compileOne(i, 0)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(f.Blocks) {
-						return
-					}
-					compileOne(i, worker)
-				}
-			}(w)
-		}
-		wg.Wait()
+	// Worker 0 is the caller's goroutine; at Parallelism 1 no goroutine
+	// is started.
+	var wg sync.WaitGroup
+	for w := 1; w < par; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			work(worker)
+		}(w)
 	}
+	work(0)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -340,13 +331,14 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 	if opts.Verify {
 		verr = verifyResult(out)
 	}
-	out.Metrics = coll.Finish()
-	for i, bm := range out.Metrics.Blocks {
-		out.Blocks[i].Metrics.Worker = bm.Worker
-		// The collector snapshotted block metrics before verification
-		// ran; push the verify timings the other way.
-		out.Metrics.Blocks[i].Verify = out.Blocks[i].Metrics.Verify
-		out.Metrics.Blocks[i].Violations = out.Blocks[i].Metrics.Violations
+	out.Metrics = &metrics.CompileMetrics{
+		Blocks:      make([]metrics.BlockMetrics, len(results)),
+		Parallelism: par,
+		Wall:        wall.Elapsed(),
+		WorkerBusy:  busy,
+	}
+	for i, br := range results {
+		out.Metrics.Blocks[i] = br.Metrics
 	}
 	if verr != nil {
 		return out, fmt.Errorf("aviv: translation validation failed: %w", verr)
@@ -461,20 +453,13 @@ func LayoutProgram(p *asm.Program) {
 // CompileSource compiles a mini-C source program end to end: parse,
 // optional loop unrolling by unrollFactor (0 or 1 disables; the paper's
 // Ex3–Ex5 use 2), lowering to basic-block DAGs, machine-independent
-// optimization, and retargetable code generation.
+// optimization (ParseAndLower), and retargetable code generation
+// (Compile).
 func CompileSource(src string, m *isdl.Machine, unrollFactor int, opts Options) (*CompileResult, error) {
-	prog, err := lang.Parse(src)
+	f, err := ParseAndLower(src, unrollFactor)
 	if err != nil {
 		return nil, err
 	}
-	if unrollFactor > 1 {
-		prog = lang.Unroll(prog, unrollFactor)
-	}
-	f, err := lang.Lower(prog, "main")
-	if err != nil {
-		return nil, err
-	}
-	f = opt.Optimize(f)
 	return Compile(f, m, opts)
 }
 

@@ -91,7 +91,7 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	if bc.disk != nil {
 		if data, ok := bc.disk.Get(key); ok {
 			decode := metrics.StartTimer()
-			res, err := cover.DecodeBlock(data, b, m, opts.Cover)
+			res, err := cover.DecodeBlock(data, b, m)
 			decodeTime := decode.Elapsed()
 			var br *BlockResult
 			if err == nil {
@@ -124,7 +124,7 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	bc.remember(key, br)
 	if bc.disk != nil {
 		finished := *br.Covering
-		finished.Best, finished.PeepholeSaved = br.Solution, br.PeepholeSaved
+		finished.Best, finished.PeepholeSaved = br.Solution, br.Metrics.PeepholeSaved
 		if data, ok := cover.EncodeResult(&finished); ok {
 			bc.disk.Put(key, data)
 		}

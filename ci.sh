@@ -103,14 +103,16 @@ echo "== perfbench module: vet + test =="
 # break the gated benchmark without this stage.
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== layerbench: optimizer + covering + peephole + warm-path + disk-rebuild Go benchmarks (one iteration) =="
+echo "== layerbench: optimizer + covering + peephole + multi-block + warm-path + disk-rebuild Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the peephole and the covering a fresh
 # compile runs, of the front-end optimizer every request runs before its
-# first cache lookup, of the whole warm path (BenchmarkCompileWarm:
-# every block hits memory) and of the disk-hit path
-# (BenchmarkCompileDiskRebuild: every block rebuilds from disk), run in
-# -short mode too so none can rot between full runs. BenchmarkCoverBlock runs both presets; its exhaustive
-# sub-benchmark is the only CI run of the heuristics-off covering path.
+# first cache lookup, of aviv.Compile's block loop with and without the
+# memory tier (BenchmarkCompileMultiBlock: nocache and cache), of the
+# whole warm path (BenchmarkCompileWarm: every block hits memory) and of
+# the disk-hit path (BenchmarkCompileDiskRebuild: every block rebuilds
+# from disk), run in -short mode too so none can rot between full runs.
+# BenchmarkCoverBlock runs both presets; its exhaustive sub-benchmark is
+# the only CI run of the heuristics-off covering path.
 make -s layerbench
 
 if [ "${1:-}" != "-short" ]; then

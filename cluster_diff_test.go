@@ -43,8 +43,7 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 		},
 		// Reactive-only health: ejection happens on the first failed
 		// forward, deterministically, not via a racing probe.
-		ProbeInterval:    time.Hour,
-		FailureThreshold: 1,
+		ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 	// Count how many corpus keys the about-to-die node owns; with 50
 	// keys over 3 nodes this is essentially always nonzero, and it is
 	// what guarantees the kill actually exercises failover below.
-	ring := cluster.NewRing(lc.URLs, 0)
+	ring := cluster.NewRing(lc.URLs)
 	doomedOwned := 0
 	for seed := 0; seed < seeds; seed++ {
 		if ring.Owner(server.RequestKey(requestFor(seed)), nil) == lc.URLs[2] {

@@ -183,8 +183,7 @@ func clusterStudy(jsonPath string, nPrograms, opsPerBlock, capacity int) error {
 					Timeout:    120 * time.Second,
 				}
 			},
-			ProbeInterval:    time.Hour, // reactive-only health: deterministic
-			FailureThreshold: 1,
+			ProbeInterval: time.Hour, // reactive-only health: deterministic
 		})
 		if err != nil {
 			return nil, "", err
@@ -201,7 +200,7 @@ func clusterStudy(jsonPath string, nPrograms, opsPerBlock, capacity int) error {
 	// concurrent workers, verifying byte identity, and returns overall
 	// latencies, per-owner latencies, wall time, and the error count
 	// (transport/status errors; byte mismatches abort).
-	ring := func(lc *cluster.LocalCluster) *cluster.Ring { return cluster.NewRing(lc.URLs, 0) }
+	ring := func(lc *cluster.LocalCluster) *cluster.Ring { return cluster.NewRing(lc.URLs) }
 	wave := func(routerURL string, rg *cluster.Ring) ([]time.Duration, map[string][]time.Duration, time.Duration, int, error) {
 		jobs := make(chan int, nPrograms)
 		for i := 0; i < nPrograms; i++ {

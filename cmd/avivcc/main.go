@@ -200,8 +200,8 @@ func main() {
 			machine.Name, res.CodeSize())
 		for _, br := range res.Blocks {
 			fmt.Printf("; block %-8s DAG %3d nodes -> SN-DAG %4d nodes, %2d instrs, %d spills, %d assignments explored, peephole saved %d\n",
-				br.Block.Name, len(br.Block.Nodes), br.DAG.Counts.Total(),
-				br.Solution.Cost(), br.Solution.SpillCount, br.AssignmentsExplored, br.PeepholeSaved)
+				br.Block.Name, len(br.Block.Nodes), br.Metrics.DAGNodes,
+				br.Solution.Cost(), br.Solution.SpillCount, br.Metrics.AssignmentsExplored, br.Metrics.PeepholeSaved)
 		}
 		for _, line := range strings.Split(strings.TrimRight(res.Metrics.String(), "\n"), "\n") {
 			fmt.Printf("; %s\n", line)

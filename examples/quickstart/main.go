@@ -47,7 +47,7 @@ func main() {
 	}
 	br := res.Blocks[0]
 	fmt.Println("=== Split-Node DAG (Fig. 4) ===")
-	fmt.Println(br.DAG.Describe())
+	fmt.Println(br.Covering.DAG.Describe())
 	fmt.Printf("=== covering solution: %d instructions, %d spills (paper Table I Ex1: 7) ===\n",
 		br.Solution.Cost(), br.Solution.SpillCount)
 	fmt.Println(br.Solution)

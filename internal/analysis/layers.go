@@ -117,7 +117,7 @@ var allowedImports = map[string][]string{
 		"internal/asm", "internal/cover", "internal/ir", "internal/isdl",
 		"internal/lang", "internal/metrics", "internal/opt",
 		"internal/peephole", "internal/place", "internal/regalloc",
-		"internal/sndag", "internal/verify",
+		"internal/verify",
 	},
 
 	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/lru", "internal/metrics"},

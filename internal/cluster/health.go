@@ -6,29 +6,18 @@ import (
 	"time"
 )
 
-// healthTracker keeps per-peer liveness. Peers start healthy; failures
-// (failed probes or failed forwards) accumulate, and at the threshold
-// the peer is ejected — ring lookups walk past its points until a
-// successful probe restores it. Tracking is reactive as well as
-// probed, so a node that dies between probes is ejected by the first
-// forward that hits it.
+// healthTracker keeps per-peer liveness. Peers start healthy; one
+// failure (a failed probe or a failed forward) ejects a peer — ring
+// lookups walk past its points until a successful probe restores it.
+// Tracking is reactive as well as probed, so a node that dies between
+// probes is ejected by the first forward that hits it.
 type healthTracker struct {
-	mu        sync.Mutex
-	threshold int
-	fails     map[string]int
-	down      map[string]bool
+	mu   sync.Mutex
+	down map[string]bool
 }
 
-func newHealthTracker(peers []string, threshold int) *healthTracker {
-	if threshold <= 0 {
-		threshold = 1
-	}
-	t := &healthTracker{
-		threshold: threshold,
-		fails:     make(map[string]int, len(peers)),
-		down:      make(map[string]bool, len(peers)),
-	}
-	return t
+func newHealthTracker() *healthTracker {
+	return &healthTracker{down: make(map[string]bool)}
 }
 
 // healthy reports whether peer is currently in the ring's view.
@@ -51,23 +40,18 @@ func (t *healthTracker) healthyCount(peers []string) int {
 	return n
 }
 
-// markSuccess clears peer's failure streak and restores it.
+// markSuccess restores peer.
 func (t *healthTracker) markSuccess(peer string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.fails[peer] = 0
 	t.down[peer] = false
 }
 
-// markFailure records a failed probe or forward; at the threshold the
-// peer is ejected.
+// markFailure ejects peer after a failed probe or forward.
 func (t *healthTracker) markFailure(peer string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.fails[peer]++
-	if t.fails[peer] >= t.threshold {
-		t.down[peer] = true
-	}
+	t.down[peer] = true
 }
 
 // probe checks one peer's /healthz. Any transport error or non-200

@@ -18,13 +18,11 @@ type LocalConfig struct {
 	// nodes would silently fake the aggregate-capacity effect the
 	// cluster exists to provide.
 	NodeConfig func(i int) server.Config
-	// VirtualNodes, ProbeInterval, FailureThreshold, ForwardTimeout,
-	// EntryTimeout: as in Config; zero values select the same defaults.
-	VirtualNodes     int
-	ProbeInterval    time.Duration
-	FailureThreshold int
-	ForwardTimeout   time.Duration
-	EntryTimeout     time.Duration
+	// ProbeInterval, ForwardTimeout, EntryTimeout: as in Config; zero
+	// values select the same defaults.
+	ProbeInterval  time.Duration
+	ForwardTimeout time.Duration
+	EntryTimeout   time.Duration
 	// Transport overrides every node's peer-RPC transport (tests
 	// inject corrupting or failing round-trippers); nil is default.
 	Transport http.RoundTripper
@@ -71,15 +69,13 @@ func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 			scfg = cfg.NodeConfig(i)
 		}
 		node := New(Config{
-			Self:             lc.URLs[i],
-			Peers:            lc.URLs,
-			Server:           scfg,
-			VirtualNodes:     cfg.VirtualNodes,
-			ProbeInterval:    cfg.ProbeInterval,
-			FailureThreshold: cfg.FailureThreshold,
-			ForwardTimeout:   cfg.ForwardTimeout,
-			EntryTimeout:     cfg.EntryTimeout,
-			Transport:        cfg.Transport,
+			Self:           lc.URLs[i],
+			Peers:          lc.URLs,
+			Server:         scfg,
+			ProbeInterval:  cfg.ProbeInterval,
+			ForwardTimeout: cfg.ForwardTimeout,
+			EntryTimeout:   cfg.EntryTimeout,
+			Transport:      cfg.Transport,
 		})
 		lc.Nodes = append(lc.Nodes, node)
 		hs := &http.Server{Handler: node.Handler()}
@@ -98,11 +94,9 @@ func (lc *LocalCluster) StartRouter() (string, error) {
 	}
 	lc.routerLn = ln
 	lc.router = NewRouter(RouterConfig{
-		Nodes:            lc.URLs,
-		VirtualNodes:     lc.cfg.VirtualNodes,
-		ProbeInterval:    lc.cfg.ProbeInterval,
-		FailureThreshold: lc.cfg.FailureThreshold,
-		ForwardTimeout:   lc.cfg.ForwardTimeout,
+		Nodes:          lc.URLs,
+		ProbeInterval:  lc.cfg.ProbeInterval,
+		ForwardTimeout: lc.cfg.ForwardTimeout,
 	})
 	lc.routerSrv = &http.Server{Handler: lc.router.Handler()}
 	go lc.routerSrv.Serve(ln)

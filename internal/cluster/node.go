@@ -41,16 +41,11 @@ type Config struct {
 	// the peering store; when Options.DiskCache is nil an in-memory
 	// store backs the peering path.
 	Server server.Config
-	// VirtualNodes is the ring's per-node point count; <= 0 selects 64.
-	VirtualNodes int
 	// ProbeInterval is the health re-probe period — the recovery path
 	// for ejected peers; <= 0 selects 1s. Ejection itself is reactive
 	// (the first failed forward or fetch marks the peer), so a huge
 	// interval only delays recovery, never failure handling.
 	ProbeInterval time.Duration
-	// FailureThreshold is how many consecutive failures eject a peer;
-	// <= 0 selects 1.
-	FailureThreshold int
 	// ForwardTimeout bounds one forwarded compile RPC; <= 0 selects
 	// 30s. EntryTimeout bounds one cache-entry fetch or push; <= 0
 	// selects 5s.
@@ -102,8 +97,8 @@ func New(cfg Config) *Node {
 	}
 	n := &Node{
 		cfg:         cfg,
-		ring:        NewRing(cfg.Peers, cfg.VirtualNodes),
-		health:      newHealthTracker(cfg.Peers, cfg.FailureThreshold),
+		ring:        NewRing(cfg.Peers),
+		health:      newHealthTracker(),
 		rpcClient:   &http.Client{Timeout: cfg.ForwardTimeout, Transport: cfg.Transport},
 		entryClient: &http.Client{Timeout: cfg.EntryTimeout, Transport: cfg.Transport},
 		done:        make(chan struct{}),
@@ -362,7 +357,7 @@ func (n *Node) Drain() int {
 			survivors = append(survivors, p)
 		}
 	}
-	ring := NewRing(survivors, n.cfg.VirtualNodes)
+	ring := NewRing(survivors)
 	moved := 0
 	for _, key := range enum.Keys() {
 		owner := ring.Owner(hex.EncodeToString(key[:]), n.health.healthy)

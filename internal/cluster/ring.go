@@ -16,10 +16,10 @@ import (
 	"strconv"
 )
 
-// defaultVirtualNodes is the per-node virtual point count. 64 points
-// per node keeps the ownership split within a few percent of even for
-// small fleets while the ring stays tiny (a few KB).
-const defaultVirtualNodes = 64
+// virtualNodes is the per-node virtual point count. 64 points per node
+// keeps the ownership split within a few percent of even for small
+// fleets while the ring stays tiny (a few KB).
+const virtualNodes = 64
 
 // Ring is an immutable consistent-hash ring over node names (base
 // URLs). Keys map to the node owning the first ring point clockwise of
@@ -39,13 +39,10 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring with virtualNodes points per node (<= 0 picks
-// the default). Duplicate node names collapse; order is irrelevant —
-// two rings over the same membership are identical.
-func NewRing(nodes []string, virtualNodes int) *Ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
+// NewRing builds a ring with virtualNodes points per node. Duplicate
+// node names collapse; order is irrelevant — two rings over the same
+// membership are identical.
+func NewRing(nodes []string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{}
 	for _, n := range nodes {

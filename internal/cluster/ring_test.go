@@ -16,8 +16,8 @@ func ringKeys(n int) []string {
 // TestRingDeterministic pins that ownership is a pure function of
 // membership: node order at construction must not matter.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 0)
-	b := NewRing([]string{"n3", "n1", "n2", "n2"}, 0)
+	a := NewRing([]string{"n1", "n2", "n3"})
+	b := NewRing([]string{"n3", "n1", "n2", "n2"})
 	for _, key := range ringKeys(1000) {
 		if ao, bo := a.Owner(key, nil), b.Owner(key, nil); ao != bo {
 			t.Fatalf("owner(%q) differs across construction orders: %q vs %q", key, ao, bo)
@@ -30,7 +30,7 @@ func TestRingDeterministic(t *testing.T) {
 // double its fair share.
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3", "n4"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := make(map[string]int)
 	keys := ringKeys(10000)
 	for _, key := range keys {
@@ -47,8 +47,8 @@ func TestRingBalance(t *testing.T) {
 // TestRingStabilityOnMembershipChange pins the consistent-hashing
 // contract: removing one node only reassigns the keys that node owned.
 func TestRingStabilityOnMembershipChange(t *testing.T) {
-	before := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
-	after := NewRing([]string{"n1", "n2", "n3"}, 0)
+	before := NewRing([]string{"n1", "n2", "n3", "n4"})
+	after := NewRing([]string{"n1", "n2", "n3"})
 	moved := 0
 	for _, key := range ringKeys(10000) {
 		was, is := before.Owner(key, nil), after.Owner(key, nil)
@@ -70,7 +70,7 @@ func TestRingStabilityOnMembershipChange(t *testing.T) {
 // walk), while every other key keeps its owner — so ejecting a node
 // does not shuffle the healthy shards' caches.
 func TestRingOwnerSkipsUnhealthy(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	r := NewRing([]string{"n1", "n2", "n3", "n4"})
 	alive := func(n string) bool { return n != "n4" }
 	redispersed := 0
 	for _, key := range ringKeys(10000) {
@@ -95,10 +95,10 @@ func TestRingOwnerSkipsUnhealthy(t *testing.T) {
 
 // TestRingEmpty covers the degenerate rings.
 func TestRingEmpty(t *testing.T) {
-	if owner := NewRing(nil, 0).Owner("k", nil); owner != "" {
+	if owner := NewRing(nil).Owner("k", nil); owner != "" {
 		t.Fatalf("empty ring returned owner %q", owner)
 	}
-	if owner := NewRing([]string{"only"}, 0).Owner("k", nil); owner != "only" {
+	if owner := NewRing([]string{"only"}).Owner("k", nil); owner != "only" {
 		t.Fatalf("single-node ring returned owner %q", owner)
 	}
 }

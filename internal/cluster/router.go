@@ -16,12 +16,10 @@ import (
 type RouterConfig struct {
 	// Nodes is the cluster membership the router dispatches over.
 	Nodes []string
-	// VirtualNodes, ProbeInterval, FailureThreshold, ForwardTimeout:
-	// as in Config; zero values select the same defaults.
-	VirtualNodes     int
-	ProbeInterval    time.Duration
-	FailureThreshold int
-	ForwardTimeout   time.Duration
+	// ProbeInterval, ForwardTimeout: as in Config; zero values select
+	// the same defaults.
+	ProbeInterval  time.Duration
+	ForwardTimeout time.Duration
 	// Transport overrides the HTTP transport (tests); nil is default.
 	Transport http.RoundTripper
 }
@@ -52,8 +50,8 @@ func NewRouter(cfg RouterConfig) *Router {
 		cfg.ForwardTimeout = 30 * time.Second
 	}
 	rt := &Router{
-		ring:   NewRing(cfg.Nodes, cfg.VirtualNodes),
-		health: newHealthTracker(cfg.Nodes, cfg.FailureThreshold),
+		ring:   NewRing(cfg.Nodes),
+		health: newHealthTracker(),
 		client: &http.Client{Timeout: cfg.ForwardTimeout, Transport: cfg.Transport},
 		done:   make(chan struct{}),
 	}

@@ -121,7 +121,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			// Decoding against a fresh identical block must rebuild an
 			// identical solution.
-			second, err := DecodeBlock(data, tc.block(), tc.mach, DefaultOptions())
+			second, err := DecodeBlock(data, tc.block(), tc.mach)
 			if err != nil {
 				t.Fatalf("DecodeBlock: %v", err)
 			}
@@ -185,7 +185,7 @@ func TestCodecCorruptionDegradesToMiss(t *testing.T) {
 
 	// Garbage is a decode error, which callers treat as a miss (the
 	// aviv-level tier tests check the recompile that follows).
-	if _, err := DecodeBlock([]byte("not a covering"), fig2Block(), isdl.ExampleArch(4), DefaultOptions()); err == nil {
+	if _, err := DecodeBlock([]byte("not a covering"), fig2Block(), isdl.ExampleArch(4)); err == nil {
 		t.Fatal("DecodeBlock accepted garbage")
 	}
 }

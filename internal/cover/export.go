@@ -57,22 +57,16 @@ func (k *BlockKeyer) Key(block *ir.Block) [sha256.Size]byte {
 // versioned; DecodeResult and DecodeBlock read it back.
 func EncodeResult(res *Result) (data []byte, ok bool) { return encodeResult(res) }
 
-// DecodeBlock is CoverBlock for a persisted covering: it re-derives the
-// covered block and its Split-Node DAG exactly as CoverBlock would
-// (both are deterministic functions of the block, the machine and
-// opts.LiveOut) and decodes data against them. Any error must be
-// treated as a cache miss.
-func DecodeBlock(data []byte, block *ir.Block, m *isdl.Machine, opts Options) (*Result, error) {
-	d, pruned, err := coveredDAG(block, m, opts)
+// DecodeBlock rebuilds a persisted covering of block as given: it
+// builds the block's Split-Node DAG (a deterministic function of the
+// block and the machine) and decodes data against it. No store is
+// pruned on decode. Any error must be treated as a cache miss.
+func DecodeBlock(data []byte, block *ir.Block, m *isdl.Machine) (*Result, error) {
+	d, err := sndag.Build(block, m)
 	if err != nil {
 		return nil, err
 	}
-	res, err := decodeResult(data, d)
-	if err != nil {
-		return nil, err
-	}
-	res.PrunedStores = pruned
-	return res, nil
+	return decodeResult(data, d)
 }
 
 // DecodeResult rebuilds a covering from its serialized form against a

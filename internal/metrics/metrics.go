@@ -7,9 +7,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -18,7 +16,8 @@ type BlockMetrics struct {
 	// Block is the basic-block name.
 	Block string
 	// Worker is the index of the pipeline worker that compiled the
-	// block (0 for the serial path).
+	// block (0 is the caller's goroutine, the only worker at
+	// Parallelism 1).
 	Worker int
 
 	// DAGNodes is the Split-Node DAG size (the paper's "#Nodes" metric).
@@ -261,63 +260,6 @@ func (m *CompileMetrics) String() string {
 			b.AssignmentsExplored, b.PeepholeSaved, b.Total.Round(time.Microsecond))
 	}
 	return sb.String()
-}
-
-// Collector accumulates block metrics from concurrently running pipeline
-// workers. All methods are safe for concurrent use.
-type Collector struct {
-	mu          sync.Mutex
-	parallelism int
-	start       time.Time
-	blocks      map[int]BlockMetrics // keyed by original block index
-	busy        []time.Duration
-}
-
-// NewCollector starts a collection for a run with the given worker-pool
-// size. The wall clock starts immediately.
-func NewCollector(parallelism int) *Collector {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return &Collector{
-		parallelism: parallelism,
-		start:       time.Now(),
-		blocks:      make(map[int]BlockMetrics),
-		busy:        make([]time.Duration, parallelism),
-	}
-}
-
-// ReportBlock records the metrics for the block at the given original
-// index, compiled by the given worker, and credits the worker's busy time.
-func (c *Collector) ReportBlock(index, worker int, bm BlockMetrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bm.Worker = worker
-	c.blocks[index] = bm
-	if worker >= 0 && worker < len(c.busy) {
-		c.busy[worker] += bm.Total
-	}
-}
-
-// Finish stops the wall clock and returns the aggregated metrics, with
-// blocks restored to original order.
-func (c *Collector) Finish() *CompileMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := &CompileMetrics{
-		Parallelism: c.parallelism,
-		Wall:        time.Since(c.start),
-		WorkerBusy:  append([]time.Duration(nil), c.busy...),
-	}
-	idxs := make([]int, 0, len(c.blocks))
-	for i := range c.blocks {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		m.Blocks = append(m.Blocks, c.blocks[i])
-	}
-	return m
 }
 
 // Timer measures one phase: call Phase around the phase body, or Start /

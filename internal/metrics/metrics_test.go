@@ -2,40 +2,26 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestCollectorOrdersBlocksAndCreditsWorkers(t *testing.T) {
-	c := NewCollector(3)
-	var wg sync.WaitGroup
-	// Report out of order from concurrent goroutines.
-	for i := 9; i >= 0; i-- {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.ReportBlock(i, i%3, BlockMetrics{
-				Block:               "b" + string(rune('0'+i)),
-				AssignmentsExplored: i,
-				PeepholeSaved:       1,
-				Spills:              2,
-				Total:               time.Millisecond,
-			})
-		}(i)
+func TestTotalsSumBlocksAndWorkers(t *testing.T) {
+	m := &CompileMetrics{
+		Parallelism: 3,
+		WorkerBusy:  []time.Duration{4 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond},
 	}
-	wg.Wait()
-	m := c.Finish()
-	if len(m.Blocks) != 10 {
-		t.Fatalf("got %d blocks, want 10", len(m.Blocks))
-	}
-	for i, b := range m.Blocks {
-		if b.Block != "b"+string(rune('0'+i)) {
-			t.Errorf("block %d out of order: %s", i, b.Block)
-		}
-		if b.Worker != i%3 {
-			t.Errorf("block %d worker = %d, want %d", i, b.Worker, i%3)
-		}
+	for i := 0; i < 10; i++ {
+		m.Blocks = append(m.Blocks, BlockMetrics{
+			Block:               "b" + string(rune('0'+i)),
+			Worker:              i % 3,
+			AssignmentsExplored: i,
+			PeepholeSaved:       1,
+			PrunedAssignments:   3,
+			Spills:              2,
+			Violations:          i % 2,
+			Total:               time.Millisecond,
+		})
 	}
 	if got := m.TotalAssignments(); got != 45 {
 		t.Errorf("TotalAssignments = %d, want 45", got)
@@ -43,17 +29,17 @@ func TestCollectorOrdersBlocksAndCreditsWorkers(t *testing.T) {
 	if got := m.TotalPeepholeSaved(); got != 10 {
 		t.Errorf("TotalPeepholeSaved = %d, want 10", got)
 	}
+	if got := m.TotalPrunedAssignments(); got != 30 {
+		t.Errorf("TotalPrunedAssignments = %d, want 30", got)
+	}
 	if got := m.TotalSpills(); got != 20 {
 		t.Errorf("TotalSpills = %d, want 20", got)
 	}
+	if got := m.TotalViolations(); got != 5 {
+		t.Errorf("TotalViolations = %d, want 5", got)
+	}
 	if got := m.BusyTotal(); got != 10*time.Millisecond {
 		t.Errorf("BusyTotal = %v, want 10ms", got)
-	}
-	if m.Parallelism != 3 {
-		t.Errorf("Parallelism = %d, want 3", m.Parallelism)
-	}
-	if len(m.WorkerBusy) != 3 {
-		t.Errorf("WorkerBusy len = %d, want 3", len(m.WorkerBusy))
 	}
 }
 
@@ -82,9 +68,11 @@ func TestPhaseTotalsAndUtilization(t *testing.T) {
 }
 
 func TestStringReport(t *testing.T) {
-	c := NewCollector(0) // clamps to 1
-	c.ReportBlock(0, 0, BlockMetrics{Block: "entry", DAGNodes: 12, Instructions: 5, AssignmentsExplored: 7})
-	m := c.Finish()
+	m := &CompileMetrics{
+		Parallelism: 1,
+		WorkerBusy:  []time.Duration{0},
+		Blocks:      []BlockMetrics{{Block: "entry", DAGNodes: 12, Instructions: 5, AssignmentsExplored: 7}},
+	}
 	s := m.String()
 	for _, want := range []string{"parallelism 1", "block entry", "7 assignments", "phases:"} {
 		if !strings.Contains(s, want) {

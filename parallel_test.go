@@ -1,12 +1,14 @@
 package aviv
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"aviv/internal/bench"
 	"aviv/internal/cover"
+	"aviv/internal/ir"
 	"aviv/internal/isdl"
 )
 
@@ -79,17 +81,31 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompileMetrics checks the metrics surfaced by Compile: one entry
-// per block in original order, phase timings that add up, and a sane
-// utilization figure.
+// TestCompileMetrics checks that CompileResult.Metrics is assembled
+// from the block results: each aggregate entry equals its block's own
+// record (worker and verification included), and the worker busy slots
+// account for exactly the blocks' time, serial and parallel, with
+// verification off and on.
 func TestCompileMetrics(t *testing.T) {
 	f, _ := bench.MultiBlock(3, 9, 12)
-	opts := DefaultOptions()
-	opts.Parallelism = 4
-	res, err := Compile(f, isdl.ExampleArchFull(4), opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, par := range []int{1, 4} {
+		for _, vfy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("par%d/verify=%v", par, vfy), func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.Parallelism = par
+				opts.Verify = vfy
+				res, err := Compile(f, isdl.ExampleArchFull(4), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCompileMetrics(t, f, res, par, vfy)
+			})
+		}
 	}
+}
+
+func checkCompileMetrics(t *testing.T, f *ir.Func, res *CompileResult, par int, vfy bool) {
+	t.Helper()
 	cm := res.Metrics
 	if cm == nil {
 		t.Fatal("CompileResult.Metrics is nil")
@@ -97,15 +113,19 @@ func TestCompileMetrics(t *testing.T) {
 	if len(cm.Blocks) != len(f.Blocks) {
 		t.Fatalf("metrics cover %d blocks, function has %d", len(cm.Blocks), len(f.Blocks))
 	}
-	if cm.Parallelism != 4 {
-		t.Errorf("recorded parallelism %d, want 4", cm.Parallelism)
+	if cm.Parallelism != par {
+		t.Errorf("recorded parallelism %d, want %d", cm.Parallelism, par)
 	}
+	if len(cm.WorkerBusy) != par {
+		t.Errorf("len(WorkerBusy) = %d, want %d", len(cm.WorkerBusy), par)
+	}
+	var blockTotal time.Duration
 	for i, bm := range cm.Blocks {
 		if want := f.Blocks[i].Name; bm.Block != want {
 			t.Errorf("metrics block %d is %q, want %q (original order)", i, bm.Block, want)
 		}
-		if bm.Worker < 0 || bm.Worker >= 4 {
-			t.Errorf("block %s worker %d out of range [0,4)", bm.Block, bm.Worker)
+		if bm.Worker < 0 || bm.Worker >= par {
+			t.Errorf("block %s worker %d out of range [0,%d)", bm.Block, bm.Worker, par)
 		}
 		if bm.Total <= 0 {
 			t.Errorf("block %s total time %v, want > 0", bm.Block, bm.Total)
@@ -113,10 +133,20 @@ func TestCompileMetrics(t *testing.T) {
 		if bm.Instructions <= 0 || bm.DAGNodes <= 0 || bm.AssignmentsExplored <= 0 {
 			t.Errorf("block %s counters look empty: %+v", bm.Block, bm)
 		}
-		// The per-block Metrics on BlockResult must agree with the aggregate.
+		if vfy && bm.Verify <= 0 {
+			t.Errorf("block %s verify time %v with Verify on, want > 0", bm.Block, bm.Verify)
+		}
+		if !vfy && (bm.Verify != 0 || bm.Violations != 0) {
+			t.Errorf("block %s has verify results with Verify off: %+v", bm.Block, bm)
+		}
+		// The aggregate entry is the block's own record, field for field.
 		if got := res.Blocks[i].Metrics; got != bm {
 			t.Errorf("block %s: BlockResult.Metrics %+v != CompileMetrics entry %+v", bm.Block, got, bm)
 		}
+		blockTotal += bm.Total
+	}
+	if busy := cm.BusyTotal(); busy != blockTotal {
+		t.Errorf("sum of WorkerBusy %v != sum of block Totals %v", busy, blockTotal)
 	}
 	if cm.TotalAssignments() <= 0 {
 		t.Errorf("TotalAssignments() = %d, want > 0", cm.TotalAssignments())
@@ -127,8 +157,8 @@ func TestCompileMetrics(t *testing.T) {
 	if u := cm.Utilization(); u <= 0 || u > 1.000001 {
 		t.Errorf("Utilization() = %v, want in (0, 1]", u)
 	}
-	cov, peep, ra, emit, vfy := cm.PhaseTotals()
-	if phases := cov + peep + ra + emit + vfy; phases <= 0 {
+	cov, peep, ra, emit, verifyTime := cm.PhaseTotals()
+	if phases := cov + peep + ra + emit + verifyTime; phases <= 0 {
 		t.Errorf("PhaseTotals() sum %v, want > 0", phases)
 	}
 	if cm.String() == "" {
