@@ -1,5 +1,5 @@
 # Convenience targets; `make check` is the gate ci.sh runs in CI.
-.PHONY: check test build vet examples lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench perfsmoke zoosmoke zoojson editsmoke clustersmoke clusterjson
+.PHONY: check test build vet examples lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke layerbench perfsmoke zoosmoke zoojson editsmoke clustersmoke
 
 check:
 	./ci.sh
@@ -96,8 +96,3 @@ editsmoke:
 # killed mid-run (also part of ci.sh).
 clustersmoke:
 	go test -race -run '^TestClusterDifferentialCorpus$$' -count=1 .
-
-# Regenerate the machine-readable compile-cluster report (capacity
-# scaling at N=1,2,4,8, cluster-wide dedup, kill-one-node).
-clusterjson:
-	go run ./cmd/avivbench -clusterjson BENCH_cluster.json

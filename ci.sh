@@ -4,7 +4,7 @@
 #   ./ci.sh          full gate (vet, build, race tests, fuzz smoke,
 #                    benchmark smokes)
 #   ./ci.sh -short   skip the fuzz smoke, the one-iteration run of every
-#                    Go benchmark, perfsmoke and the cluster study
+#                    Go benchmark, perfsmoke and the avivbench table run
 #
 # The -race run doubles as the determinism proof for the parallel
 # block-compilation pipeline: TestParallelDeterminism compiles the same
@@ -129,10 +129,10 @@ if [ "${1:-}" != "-short" ]; then
     # any served output disagrees with the simulator or the interpreter.
     make -s perfsmoke
 
-    echo "== clusterbench: avivbench -cluster, small workload =="
-    # The one run of avivbench in CI: every served assembly of the
-    # cluster study is byte-checked against a local compile.
-    go run ./cmd/avivbench -cluster -clusterprograms 8 -clusterops 4
+    echo "== avivbench: Table II end to end =="
+    # The one run of the paper-reproduction binary in CI, end to end.
+    # Its rows are pinned by internal/bench's TestPaperTableRows.
+    go run ./cmd/avivbench -table 2 >/dev/null
 fi
 
 echo "ci.sh: all checks passed"

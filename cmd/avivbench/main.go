@@ -10,8 +10,7 @@
 //	avivbench -parscale           parallel block-compilation speedup study
 //	avivbench -stats -parallel 4  compile-metrics report at a pool size
 //	avivbench -zoo                per-machine-class bench matrix over the machine zoo
-//	avivbench -cluster            compile-cluster study (capacity scaling, dedup, kill-one-node)
-//	avivbench -all                every table, figure and study above except -stats, -zoo and -cluster
+//	avivbench -all                every table, figure and study above except -stats and -zoo
 package main
 
 import (
@@ -53,11 +52,6 @@ func main() {
 	zooJSON := flag.String("zoojson", "", "run the zoo matrix and write a JSON report to this file (implies -zoo)")
 	zooSeed := flag.Uint64("zooseed", 1, "machine-zoo generation seed")
 	zooCount := flag.Int("zoocount", 27, "number of zoo machines (three cycles over the nine classes)")
-	clusterFlag := flag.Bool("cluster", false, "run the compile-cluster study (capacity scaling at N=1,2,4,8, cluster-wide single-flight dedup, kill-one-node availability) against in-process avivd fleets")
-	clusterJSON := flag.String("clusterjson", "", "run the compile-cluster study and write a JSON report to this file (implies -cluster)")
-	clusterPrograms := flag.Int("clusterprograms", 96, "distinct programs in the compile-cluster study working set")
-	clusterOps := flag.Int("clusterops", 12, "straight-line ops per block in the compile-cluster study workload")
-	clusterCap := flag.Int("clustercap", 0, "per-node cache capacity in entries for the cluster study (0 = a third of the working set)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	flag.Parse()
@@ -171,12 +165,6 @@ func main() {
 	if *zooFlag || *zooJSON != "" {
 		ran = true
 		if err := zooStudy(*zooJSON, *zooSeed, *zooCount); err != nil {
-			fail(err)
-		}
-	}
-	if *clusterFlag || *clusterJSON != "" {
-		ran = true
-		if err := clusterStudy(*clusterJSON, *clusterPrograms, *clusterOps, *clusterCap); err != nil {
 			fail(err)
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"aviv/internal/baseline"
 	"aviv/internal/bench"
 	"aviv/internal/dataflow"
+	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/lang"
 	"aviv/internal/sim"
@@ -15,25 +15,24 @@ import (
 
 // The differential test harness: seeded random mini-C programs are
 // compiled under both option presets and executed on the instruction
-// simulator; the final data memory must match the internal/baseline
-// reference interpreter exactly. Any disagreement is a code generation
+// simulator; the final data memory must match the reference interpreter
+// (ir.EvalFunc) exactly. Any disagreement is a code generation
 // bug (wrong cover, bad allocation, broken layout, ...), caught without
 // hand-writing expected outputs.
 
 // diffOne compiles src under opts, simulates, and compares every
-// non-spill memory cell against the baseline interpreter.
+// non-spill memory cell against the reference interpreter.
 func diffOne(t *testing.T, src string, m *isdl.Machine, mem map[string]int64, opts Options, label string) {
 	t.Helper()
 	f, err := ParseAndLower(src, 1)
 	if err != nil {
 		t.Fatalf("%s: front end rejected generated program: %v\n%s", label, err, src)
 	}
-	ref := make(map[string]int64, len(mem))
+	want := make(map[string]int64, len(mem))
 	for k, v := range mem {
-		ref[k] = v
+		want[k] = v
 	}
-	want, err := baseline.Interpret(f, ref, 0)
-	if err != nil {
+	if err := ir.EvalFunc(f, want, 0); err != nil {
 		t.Fatalf("%s: reference interpreter: %v\n%s", label, err, src)
 	}
 	opts.Verify = true // every difftest compile also runs the static verifier

@@ -160,6 +160,52 @@ func TestTableIIHeuristicOnly(t *testing.T) {
 	}
 }
 
+// TestPaperTableRows pins every heuristics-on, non-timing column of
+// Tables I and II (DAG#, SN-DAG#, Regs, Spills, ours) as avivbench
+// prints them, so a change to the covering cannot move a row silently.
+func TestPaperTableRows(t *testing.T) {
+	type pin struct {
+		name                             string
+		dag, snDAG, regs, spills, instrs int
+	}
+	for _, tc := range []struct {
+		table string
+		run   func(TableConfig) ([]Row, error)
+		want  []pin
+	}{
+		{"Table I", TableI, []pin{
+			{"Ex1", 8, 34, 4, 0, 7},
+			{"Ex2", 13, 59, 4, 0, 10},
+			{"Ex3", 11, 52, 4, 0, 8},
+			{"Ex4", 15, 65, 4, 0, 11},
+			{"Ex5", 16, 92, 4, 0, 11},
+			{"Ex6", 15, 65, 2, 0, 13},
+			{"Ex7", 16, 92, 2, 0, 12},
+		}},
+		{"Table II", TableII, []pin{
+			{"Ex1", 8, 20, 4, 0, 7},
+			{"Ex2", 13, 34, 4, 0, 9},
+			{"Ex3", 11, 31, 4, 0, 8},
+			{"Ex4", 15, 36, 4, 0, 10},
+			{"Ex5", 16, 52, 4, 0, 10},
+		}},
+	} {
+		rows, err := tc.run(TableConfig{Peephole: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.table, err)
+		}
+		if len(rows) != len(tc.want) {
+			t.Fatalf("%s: got %d rows, want %d", tc.table, len(rows), len(tc.want))
+		}
+		for i, r := range rows {
+			got := pin{r.Name, r.OrigNodes, r.SNNodes, r.RegsPerFile, r.Spills, r.Cost}
+			if got != tc.want[i] {
+				t.Errorf("%s row %d = %+v, want %+v", tc.table, i, got, tc.want[i])
+			}
+		}
+	}
+}
+
 func TestTableIExhaustiveSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive covering is slow")

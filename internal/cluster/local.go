@@ -29,10 +29,10 @@ type LocalConfig struct {
 }
 
 // LocalCluster is an in-process cluster: N nodes on loopback
-// listeners, optionally fronted by a router. It backs `avivbench
-// -cluster`, the clustersmoke CI stage, and the root differential
-// test — same Node and Router code as production, only the listeners
-// are local.
+// listeners, optionally fronted by a router. It backs this package's
+// tests and the root differential test (TestClusterDifferentialCorpus,
+// the clustersmoke CI stage) — same Node and Router code as
+// production, only the listeners are local.
 type LocalCluster struct {
 	Nodes []*Node
 	URLs  []string

@@ -75,11 +75,7 @@ func (ps *peerStore) Delete(key [sha256.Size]byte) {
 
 // MemStore is a concurrency-safe in-memory entry store with optional
 // LRU bounding. It is the local tier for nodes run without a disk
-// cache, and — because its capacity is explicit — the knob the
-// avivbench cluster study turns to model a fixed per-node cache
-// budget: a working set larger than one node's MemStore thrashes,
-// while the same set sharded across N nodes fits their aggregate
-// capacity.
+// cache.
 type MemStore struct {
 	lru *lru.Cache[[sha256.Size]byte, []byte]
 }

@@ -9,9 +9,10 @@ package metrics
 // Recompiled / (Stitched + Recompiled).
 //
 // avivd /stats embeds the struct as the "delta" section (the name
-// predates the single compile path): the JSON field names below are
-// that endpoint's contract (pinned by tests in internal/metrics and
-// internal/server).
+// predates the single compile path) on every server, summed over every
+// request; it is the endpoint's one record of block reuse. The JSON
+// field names below are that endpoint's contract (pinned by tests in
+// internal/metrics and internal/server).
 type CacheStats struct {
 	// Entries is the current block count in the memory tier.
 	Entries int64 `json:"entries"`

@@ -21,9 +21,9 @@ func TestCacheStatsJSONShape(t *testing.T) {
 }
 
 // TestServerSnapshotHasDeltaCounters pins the ServerSnapshot field set:
-// the delta and cluster counters must be present (as zeros) even on a
-// server run without the engine or outside a cluster, so dashboards see
-// a stable shape.
+// the cluster counters must be present (as zeros) even on a server run
+// outside a cluster, so dashboards see a stable shape, and block reuse
+// must not be repeated there (it is reported once, in CacheStats).
 func TestServerSnapshotHasDeltaCounters(t *testing.T) {
 	var c ServerCounters
 	data, err := json.Marshal(c.Snapshot())
@@ -35,12 +35,16 @@ func TestServerSnapshotHasDeltaCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, field := range []string{
-		"blocks_stitched", "blocks_recompiled", "delta_invalidations",
 		"forwarded", "local_fallbacks", "peer_hits", "peer_misses",
 		"forward_errors", "drained",
 	} {
 		if _, ok := m[field]; !ok {
 			t.Fatalf("ServerSnapshot JSON lacks %q: %s", field, data)
+		}
+	}
+	for _, field := range []string{"blocks_stitched", "blocks_recompiled", "delta_invalidations"} {
+		if _, ok := m[field]; ok {
+			t.Fatalf("ServerSnapshot JSON repeats the delta section's %q: %s", field, data)
 		}
 	}
 }

@@ -262,8 +262,8 @@ func (m *CompileMetrics) String() string {
 	return sb.String()
 }
 
-// Timer measures one phase: call Phase around the phase body, or Start /
-// the returned stop func for manual control.
+// Timer measures one phase: StartTimer before the phase body, Elapsed
+// after it.
 type Timer struct {
 	start time.Time
 }

@@ -8,8 +8,9 @@ import "sync/atomic"
 // counter is read atomically; cross-counter skew of in-flight requests
 // is acceptable for monitoring).
 type ServerCounters struct {
-	// Requests counts compile requests accepted for processing
-	// (excludes shed requests).
+	// Requests counts every POST to /compile, counted before its body
+	// is decoded: shed, malformed and timed-out requests are included
+	// (so Shed / Requests is the shed ratio).
 	Requests atomic.Int64
 	// Completed counts requests that finished with a compile result.
 	Completed atomic.Int64
@@ -33,15 +34,6 @@ type ServerCounters struct {
 	// MachinesInterned counts distinct machine descriptions parsed and
 	// cached by the interner.
 	MachinesInterned atomic.Int64
-	// BlocksStitched counts basic blocks reused from the per-block cache
-	// tiers across all requests (0 when the server runs without them).
-	BlocksStitched atomic.Int64
-	// BlocksRecompiled counts basic blocks pushed through the full
-	// per-block pipeline.
-	BlocksRecompiled atomic.Int64
-	// DeltaInvalidations counts persistent block entries deleted because
-	// they no longer decoded (deletion-as-miss).
-	DeltaInvalidations atomic.Int64
 	// Forwarded counts compile requests answered by forwarding to the
 	// owning cluster shard; LocalFallbacks counts requests compiled
 	// locally because the owning shard was unreachable. Both stay 0 on
@@ -72,13 +64,9 @@ type ServerSnapshot struct {
 	Inflight         int64 `json:"inflight"`
 	Queued           int64 `json:"queued"`
 	MachinesInterned int64 `json:"machines_interned"`
-	// The three block counters stay 0 (but present, for a stable shape)
-	// when the server runs without cache tiers.
-	BlocksStitched     int64 `json:"blocks_stitched"`
-	BlocksRecompiled   int64 `json:"blocks_recompiled"`
-	DeltaInvalidations int64 `json:"delta_invalidations"`
-	// The cluster counters likewise stay 0 (but present) on a node
-	// running outside a cluster.
+	// Block reuse is reported once, in the "delta" section
+	// (CacheStats). The cluster counters stay 0 (but present, for a
+	// stable shape) on a node running outside a cluster.
 	Forwarded      int64 `json:"forwarded"`
 	LocalFallbacks int64 `json:"local_fallbacks"`
 	PeerHits       int64 `json:"peer_hits"`
@@ -90,25 +78,22 @@ type ServerSnapshot struct {
 // Snapshot reads every counter atomically.
 func (c *ServerCounters) Snapshot() ServerSnapshot {
 	return ServerSnapshot{
-		Requests:           c.Requests.Load(),
-		Completed:          c.Completed.Load(),
-		Errors:             c.Errors.Load(),
-		Deduped:            c.Deduped.Load(),
-		Shed:               c.Shed.Load(),
-		Timeouts:           c.Timeouts.Load(),
-		Abandoned:          c.Abandoned.Load(),
-		Inflight:           c.Inflight.Load(),
-		Queued:             c.Queued.Load(),
-		MachinesInterned:   c.MachinesInterned.Load(),
-		BlocksStitched:     c.BlocksStitched.Load(),
-		BlocksRecompiled:   c.BlocksRecompiled.Load(),
-		DeltaInvalidations: c.DeltaInvalidations.Load(),
-		Forwarded:          c.Forwarded.Load(),
-		LocalFallbacks:     c.LocalFallbacks.Load(),
-		PeerHits:           c.PeerHits.Load(),
-		PeerMisses:         c.PeerMisses.Load(),
-		ForwardErrors:      c.ForwardErrors.Load(),
-		Drained:            c.Drained.Load(),
+		Requests:         c.Requests.Load(),
+		Completed:        c.Completed.Load(),
+		Errors:           c.Errors.Load(),
+		Deduped:          c.Deduped.Load(),
+		Shed:             c.Shed.Load(),
+		Timeouts:         c.Timeouts.Load(),
+		Abandoned:        c.Abandoned.Load(),
+		Inflight:         c.Inflight.Load(),
+		Queued:           c.Queued.Load(),
+		MachinesInterned: c.MachinesInterned.Load(),
+		Forwarded:        c.Forwarded.Load(),
+		LocalFallbacks:   c.LocalFallbacks.Load(),
+		PeerHits:         c.PeerHits.Load(),
+		PeerMisses:       c.PeerMisses.Load(),
+		ForwardErrors:    c.ForwardErrors.Load(),
+		Drained:          c.Drained.Load(),
 	}
 }
 

@@ -84,8 +84,9 @@ type StatsResponse struct {
 	// Disk reports the persistent tier, when it is an
 	// internal/diskcache store.
 	Disk *diskcache.Stats `json:"disk,omitempty"`
-	// Delta reports the per-tier block counters over every request,
-	// whenever MemCache is present.
+	// Delta reports the per-tier block counters summed over every
+	// request; it is present on every server (Entries and Evictions
+	// stay 0 without a memory tier).
 	Delta *metrics.CacheStats `json:"delta,omitempty"`
 	// Cluster reports ring membership and the peer-path counters when
 	// the server runs as a cluster node (internal/cluster fills it in;
@@ -193,18 +194,17 @@ func (s *Server) Counters() *metrics.ServerCounters { return &s.counters }
 
 // Stats assembles the /stats payload.
 func (s *Server) Stats() StatsResponse {
-	out := StatsResponse{Server: s.counters.Snapshot()}
+	s.reuseMu.Lock()
+	d := s.reuse
+	s.reuseMu.Unlock()
+	out := StatsResponse{Server: s.counters.Snapshot(), Delta: &d}
 	if c := s.cfg.Options.Cache; c != nil {
 		st := c.Stats()
 		out.MemCache = &st
-		s.reuseMu.Lock()
-		d := s.reuse
-		s.reuseMu.Unlock()
 		d.Entries, d.Evictions = int64(st.Entries), st.Evictions
-		out.Delta = &d
 	}
-	if d, ok := s.cfg.Options.DiskCache.(interface{ Stats() diskcache.Stats }); ok {
-		st := d.Stats()
+	if dc, ok := s.cfg.Options.DiskCache.(interface{ Stats() diskcache.Stats }); ok {
+		st := dc.Stats()
 		out.Disk = &st
 	}
 	return out
@@ -337,9 +337,6 @@ func (s *Server) compile(ctx context.Context, key string, req CompileRequest) (*
 	s.reuseMu.Lock()
 	s.reuse.Add(reuse)
 	s.reuseMu.Unlock()
-	s.counters.BlocksStitched.Add(reuse.Stitched)
-	s.counters.BlocksRecompiled.Add(reuse.Recompiled)
-	s.counters.DeltaInvalidations.Add(reuse.Invalidations)
 	return &CompileResponse{
 		Assembly:         res.Program.String(),
 		CodeSize:         res.CodeSize(),

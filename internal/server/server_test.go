@@ -314,6 +314,11 @@ func TestLoadSheddingAnd429(t *testing.T) {
 	if s.Counters().Shed.Load() != 1 {
 		t.Errorf("shed counter = %d, want 1", s.Counters().Shed.Load())
 	}
+	// Requests counts every POST, shed ones included: Shed / Requests
+	// is the shed ratio.
+	if got := s.Counters().Requests.Load(); got != 2 {
+		t.Errorf("requests counter = %d, want 2 (the queued and the shed request)", got)
+	}
 
 	// Release the slot; the queued request completes normally.
 	<-s.sem
@@ -528,15 +533,58 @@ func TestDeltaServerStitchesAndReportsStats(t *testing.T) {
 		t.Fatalf("delta stats %+v disagree with responses (stitched %d, recompiled %d)",
 			stats.Delta, second.StitchedBlocks, first.RecompiledBlocks)
 	}
-	if stats.Server.BlocksStitched != int64(second.StitchedBlocks) ||
-		stats.Server.BlocksRecompiled != int64(first.RecompiledBlocks) {
-		t.Fatalf("server counters %+v disagree with responses", stats.Server)
+	if stats.Delta.Stitched != int64(first.StitchedBlocks+second.StitchedBlocks) ||
+		stats.Delta.Recompiled != int64(first.RecompiledBlocks+second.RecompiledBlocks) {
+		t.Fatalf("delta stats %+v disagree with responses (stitched %d+%d, recompiled %d+%d)",
+			stats.Delta, first.StitchedBlocks, second.StitchedBlocks, first.RecompiledBlocks, second.RecompiledBlocks)
 	}
-	// The JSON shape itself is the monitoring contract.
-	for _, field := range []string{`"delta"`, `"mem_cache"`, `"stitched"`, `"blocks_stitched"`, `"blocks_recompiled"`, `"delta_invalidations"`} {
+	// The JSON shape itself is the monitoring contract: block reuse is
+	// reported once, in the delta section.
+	for _, field := range []string{`"delta"`, `"mem_cache"`, `"stitched"`, `"recompiled"`, `"invalidations"`} {
 		if !strings.Contains(raw.String(), field) {
 			t.Fatalf("/stats JSON lacks %s: %s", field, raw.String())
 		}
+	}
+	for _, field := range []string{`"blocks_stitched"`, `"blocks_recompiled"`, `"delta_invalidations"`} {
+		if strings.Contains(raw.String(), field) {
+			t.Fatalf("/stats JSON still carries %s outside the delta section: %s", field, raw.String())
+		}
+	}
+}
+
+// TestDiskOnlyServerReportsDelta runs a server with a persistent tier
+// and no memory tier: /stats must still carry the delta section, and
+// its block counts must agree with the responses.
+func TestDiskOnlyServerReportsDelta(t *testing.T) {
+	store := &countingStore{m: make(map[[sha256.Size]byte][]byte)}
+	s, ts := testServer(t, Config{Options: aviv.Options{DiskCache: store}})
+	req := CompileRequest{Source: multiBlockSource, Machine: isdl.ExampleArchFullISDL}
+	compile := func() CompileResponse {
+		t.Helper()
+		httpResp, resp := postCompile(t, ts.URL, req)
+		if httpResp.StatusCode != http.StatusOK || resp.Error != "" {
+			t.Fatalf("compile: %d %s", httpResp.StatusCode, resp.Error)
+		}
+		return resp
+	}
+	cold, warm := compile(), compile()
+	if warm.DiskHits != warm.Blocks || warm.Assembly != cold.Assembly {
+		t.Fatalf("second compile: %d disk hits of %d blocks (same assembly: %v); want every block from disk",
+			warm.DiskHits, warm.Blocks, warm.Assembly == cold.Assembly)
+	}
+	stats := s.Stats()
+	d := stats.Delta
+	if d == nil || stats.MemCache != nil {
+		t.Fatalf("disk-only /stats: delta %v, mem_cache %v; want delta only", d, stats.MemCache)
+	}
+	if d.DiskHits != int64(cold.DiskHits+warm.DiskHits) ||
+		d.Stitched != int64(cold.StitchedBlocks+warm.StitchedBlocks) ||
+		d.Recompiled != int64(cold.RecompiledBlocks+warm.RecompiledBlocks) {
+		t.Fatalf("delta stats %+v disagree with responses (disk hits %d+%d, stitched %d+%d, recompiled %d+%d)",
+			d, cold.DiskHits, warm.DiskHits, cold.StitchedBlocks, warm.StitchedBlocks, cold.RecompiledBlocks, warm.RecompiledBlocks)
+	}
+	if d.Entries != 0 || d.Evictions != 0 {
+		t.Fatalf("delta stats %+v report memory-tier entries without a memory tier", d)
 	}
 }
 
@@ -645,8 +693,8 @@ func TestServerWritesEachBlockOnce(t *testing.T) {
 	if _, puts, deletes := store.counts(); deletes != 1 || puts != 1 || repaired.RecompiledBlocks != 1 {
 		t.Fatalf("undecodable entry: %d deletes, %d puts, %d recompiled; want 1 each", deletes, puts, repaired.RecompiledBlocks)
 	}
-	if got := s.Stats().Server.DeltaInvalidations; got != 1 {
-		t.Fatalf("delta_invalidations = %d, want 1", got)
+	if got := s.Stats().Delta.Invalidations; got != 1 {
+		t.Fatalf("delta invalidations = %d, want 1", got)
 	}
 }
 

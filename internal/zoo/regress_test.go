@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"aviv"
-	"aviv/internal/baseline"
+	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/sim"
 	"aviv/internal/verify"
@@ -47,9 +47,8 @@ func TestRegressMemHubMoveThroughMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := map[string]int64{"a": 11, "b": 7, "c": 5}
-	want, err := baseline.Interpret(f, ref, 0)
-	if err != nil {
+	want := map[string]int64{"a": 11, "b": 7, "c": 5}
+	if err := ir.EvalFunc(f, want, 0); err != nil {
 		t.Fatal(err)
 	}
 
