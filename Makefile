@@ -55,6 +55,7 @@ toolinstall:
 
 fuzz:
 	go test -run '^$$' -fuzz='^FuzzCompileSource$$' -fuzztime=10s .
+	go test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/lang
 
 bench:
 	go run ./cmd/avivbench -all
@@ -64,11 +65,11 @@ bench:
 benchsmoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
-# One iteration of the optimizer, covering, peephole, multi-block
-# compile, warm-path and disk-rebuild benchmarks (also part of ci.sh,
-# -short included).
+# One iteration of the optimizer, front-end, covering, peephole,
+# multi-block compile, warm-path and disk-rebuild benchmarks (also part
+# of ci.sh, -short included).
 layerbench:
-	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkFrontEnd|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
 # One second of the gated serving benchmark on its disk_spill workload:
 # builds perfbench, drives avivd's handler through the disk tier, and

@@ -103,10 +103,10 @@ echo "== perfbench module: vet + test =="
 # break the gated benchmark without this stage.
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== layerbench: optimizer + covering + peephole + multi-block + warm-path + disk-rebuild Go benchmarks (one iteration) =="
+echo "== layerbench: optimizer + front-end + covering + peephole + multi-block + warm-path + disk-rebuild Go benchmarks (one iteration) =="
 # The per-layer Go benchmarks of the peephole and the covering a fresh
 # compile runs, of the front-end optimizer every request runs before its
-# first cache lookup, of aviv.Compile's block loop with and without the
+# first cache lookup, of parse + lower + optimize (BenchmarkFrontEnd), of aviv.Compile's block loop with and without the
 # memory tier (BenchmarkCompileMultiBlock: nocache and cache), of the
 # whole warm path (BenchmarkCompileWarm: every block hits memory) and of
 # the disk-hit path (BenchmarkCompileDiskRebuild: every block rebuilds
@@ -116,7 +116,7 @@ echo "== layerbench: optimizer + covering + peephole + multi-block + warm-path +
 make -s layerbench
 
 if [ "${1:-}" != "-short" ]; then
-    echo "== fuzz smoke (FuzzCompileSource, 10s) =="
+    echo "== fuzz smoke (FuzzCompileSource 10s, FuzzParse 5s) =="
     make -s fuzz
 
     echo "== bench smoke (every benchmark, one iteration) =="

@@ -122,7 +122,7 @@ var allowedImports = map[string][]string{
 
 	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/lru", "internal/metrics"},
 
-	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/lru", "internal/metrics", "internal/server"},
+	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/metrics", "internal/server"},
 
 	"internal/analysis":              {},
 	"internal/analysis/analysistest": {"internal/analysis"},

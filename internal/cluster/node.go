@@ -105,7 +105,7 @@ func New(cfg Config) *Node {
 	}
 	n.local = cfg.Server.Options.DiskCache
 	if n.local == nil {
-		n.local = NewMemStore(0)
+		n.local = NewMemStore()
 	}
 	cfg.Server.Options.DiskCache = &peerStore{n: n, local: n.local}
 	cfg.Server.Peer = n

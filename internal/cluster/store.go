@@ -4,9 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
+	"sync"
 
 	"aviv/internal/cover"
-	"aviv/internal/lru"
 )
 
 // peerStore is the node's cover.EntryStore: a local tier (diskcache or
@@ -73,36 +73,54 @@ func (ps *peerStore) Delete(key [sha256.Size]byte) {
 	}
 }
 
-// MemStore is a concurrency-safe in-memory entry store with optional
-// LRU bounding. It is the local tier for nodes run without a disk
-// cache.
+// MemStore is a concurrency-safe, unbounded in-memory entry store: the
+// local tier for nodes run without a disk cache.
 type MemStore struct {
-	lru *lru.Cache[[sha256.Size]byte, []byte]
+	mu      sync.Mutex
+	entries map[[sha256.Size]byte][]byte
 }
 
-// NewMemStore builds a store holding at most capacity entries,
-// evicting least-recently-used beyond that; capacity <= 0 means
-// unbounded.
-func NewMemStore(capacity int) *MemStore {
-	return &MemStore{lru: lru.New[[sha256.Size]byte, []byte](capacity, nil)}
+// NewMemStore returns an empty store.
+func NewMemStore() *MemStore {
+	return &MemStore{entries: make(map[[sha256.Size]byte][]byte)}
 }
 
-func (s *MemStore) Get(key [sha256.Size]byte) ([]byte, bool) { return s.lru.Get(key) }
+func (s *MemStore) Get(key [sha256.Size]byte) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.entries[key]
+	return data, ok
+}
 
 // Put stores a copy of data, replacing any entry under key.
 func (s *MemStore) Put(key [sha256.Size]byte, data []byte) {
-	s.lru.Remove(key)
-	s.lru.Add(key, append([]byte(nil), data...))
+	data = append([]byte(nil), data...)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries[key] = data
 }
 
-func (s *MemStore) Delete(key [sha256.Size]byte) { s.lru.Remove(key) }
+func (s *MemStore) Delete(key [sha256.Size]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.entries, key)
+}
 
 // Len returns the current entry count.
-func (s *MemStore) Len() int { return s.lru.Stats().Len }
+func (s *MemStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
 
 // Keys enumerates the held keys in sorted order (for Drain).
 func (s *MemStore) Keys() [][sha256.Size]byte {
-	keys := s.lru.Keys()
+	s.mu.Lock()
+	keys := make([][sha256.Size]byte, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	s.mu.Unlock()
 	sort.Slice(keys, func(i, j int) bool {
 		return string(keys[i][:]) < string(keys[j][:])
 	})

@@ -360,13 +360,13 @@ func (s *Solution) Verify() error {
 		if !legalGroup(instr, s.Machine) {
 			return fmt.Errorf("instr %d is not a legal grouping: %s", i, formatClique(instr))
 		}
-		units := make(map[string]bool)
-		for _, n := range instr {
+		for k, n := range instr {
 			if n.Kind == OpNode {
-				if units[n.Unit] {
-					return fmt.Errorf("instr %d uses unit %s twice", i, n.Unit)
+				for _, m := range instr[:k] {
+					if m.Kind == OpNode && m.Unit == n.Unit {
+						return fmt.Errorf("instr %d uses unit %s twice", i, n.Unit)
+					}
 				}
-				units[n.Unit] = true
 			}
 			pos[n] = i
 		}
@@ -410,7 +410,7 @@ func (s *Solution) Verify() error {
 			}
 		}
 	}
-	live := make(map[string]int)
+	live := make(map[string]int, len(s.Machine.Units)) // unit banks only
 	for i, instr := range s.Instrs {
 		for _, n := range instr {
 			for _, p := range n.Preds {

@@ -236,6 +236,21 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsUnitTwice reaches Verify's own unit-exclusivity
+// check: synthetic CONST materializations add no constraint slot, so
+// legalGroup accepts two of them on one unit and only the scan of the
+// instruction's earlier op nodes rejects the pair.
+func TestVerifyRejectsUnitTwice(t *testing.T) {
+	m := isdl.ExampleArch(4)
+	a := &SNode{ID: 0, Kind: OpNode, Unit: "U1", Bank: "U1", Op: ir.OpConst}
+	b := &SNode{ID: 1, Kind: OpNode, Unit: "U2", Bank: "U2", Op: ir.OpConst}
+	c := &SNode{ID: 2, Kind: OpNode, Unit: "U1", Bank: "U1", Op: ir.OpConst}
+	s := &Solution{Machine: m, Instrs: [][]*SNode{{a, b}, {a, b, c}}}
+	if err := s.Verify(); err == nil || err.Error() != "instr 1 uses unit U1 twice" {
+		t.Fatalf("Verify = %v, want instr 1 uses unit U1 twice", err)
+	}
+}
+
 func TestBusWidthRespected(t *testing.T) {
 	// Two transfers per instruction allowed on a 2-wide bus, never three.
 	m := isdl.ExampleArch(4).Clone("Wide2")

@@ -56,7 +56,8 @@ func cloneBlockSkipping(b *ir.Block, skip []bool) *ir.Block {
 		if skip[i] {
 			continue
 		}
-		args := make([]*ir.Node, 0, len(n.Args))
+		var buf [2]*ir.Node
+		args := buf[:0]
 		ok := true
 		for _, a := range n.Args {
 			var na *ir.Node

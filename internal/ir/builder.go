@@ -18,6 +18,9 @@ type Builder struct {
 	// curVal maps a memory location to the node currently holding its
 	// value within the block (last store value or first load).
 	curVal map[string]*Node
+	// live is Finish's scratch for the liveness marks, kept across
+	// Resets.
+	live []bool
 }
 
 // memoKey identifies one hash-consed value: a constant, or an operation
@@ -33,11 +36,33 @@ type memoKey struct {
 
 // NewBuilder returns a Builder targeting a fresh block with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{
-		Block:  NewBlock(name),
+	bb := &Builder{
 		memo:   make(map[memoKey]*Node),
 		curVal: make(map[string]*Node),
 	}
+	bb.Reset(name)
+	return bb
+}
+
+// Reset points the builder at a fresh block with the given name and
+// forgets every value it has numbered; the maps keep their storage, so
+// one builder can re-emit block after block. The new block's slabs are
+// sized for the nodes and operands of the blocks in like together: the
+// source blocks a re-emission copies from, which bound what it emits.
+// Past that (or with no like), the slabs grow in chunks. The block the
+// builder held before is left as it was.
+func (bb *Builder) Reset(name string, like ...*Block) {
+	nodes, args := 0, 0
+	for _, b := range like {
+		nodes += len(b.Nodes)
+		for _, n := range b.Nodes {
+			args += len(n.Args)
+		}
+	}
+	bb.Block = NewBlock(name)
+	bb.Block.reserve(nodes, args)
+	clear(bb.memo)
+	clear(bb.curVal)
 }
 
 // Const returns a (shared) constant node.
@@ -75,8 +100,10 @@ func (bb *Builder) Op(op Op, args ...*Node) *Node {
 		panic(fmt.Sprintf("ir.Builder: %v needs %d args, got %d", op, op.Arity(), len(args)))
 	}
 	// Canonicalize commutative operand order for better sharing.
+	var swapped [2]*Node
 	if op.Commutative() && len(args) == 2 && args[0].ID > args[1].ID {
-		args = []*Node{args[1], args[0]}
+		swapped = [2]*Node{args[1], args[0]}
+		args = swapped[:]
 	}
 	key := opKey(op, args)
 	if n, ok := bb.memo[key]; ok {
@@ -138,6 +165,6 @@ func (bb *Builder) CopyTerm(src *Block, cond *Node) {
 
 // Finish removes dead nodes and returns the built block.
 func (bb *Builder) Finish() *Block {
-	bb.Block.RemoveDead()
+	bb.live = bb.Block.removeDead(bb.live)
 	return bb.Block
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -69,6 +70,13 @@ func (k TermKind) String() string {
 // Nodes is maintained in a topological order (operands before users).
 // Roots are the nodes whose values escape the block: stores and the branch
 // condition. Everything not reachable from a root is dead.
+//
+// A block owns the storage of its nodes: NewNode hands out Nodes from a
+// per-block node slab and their Args from a per-block operand slab, so
+// building a block allocates per chunk, not per node. Args are never
+// mutated after construction. A Block must not be copied by value: the
+// copy would share the slabs' free space with the original, and both
+// would hand out the same slots.
 type Block struct {
 	Name  string
 	Nodes []*Node
@@ -78,6 +86,11 @@ type Block struct {
 	Succs []string // successor block names
 
 	nextID int
+
+	// slab and argSlab hold the nodes and operand slots NewNode hands
+	// out; the free space is between len and cap.
+	slab    []Node
+	argSlab []*Node
 }
 
 // NewBlock returns an empty block with the given name.
@@ -85,11 +98,46 @@ func NewBlock(name string) *Block {
 	return &Block{Name: name}
 }
 
+// reserve sizes the block's slabs for the given numbers of nodes and
+// operands, so a block re-emitted from a source of that size allocates
+// each slab once.
+func (b *Block) reserve(nodes, args int) {
+	if nodes > 0 {
+		b.Nodes = make([]*Node, 0, nodes)
+		b.slab = make([]Node, 0, nodes)
+	}
+	if args > 0 {
+		b.argSlab = make([]*Node, 0, args)
+	}
+}
+
+// chunk is the size of the slab allocated when the reserved space runs
+// out: half the block again, at least 4 and at least need.
+func (b *Block) chunk(need int) int {
+	return max(4, len(b.Nodes)/2, need)
+}
+
 // NewNode appends a fresh node with the given op and args to the block and
 // returns it. Operands must already belong to the block, which keeps Nodes
-// topologically ordered by construction.
+// topologically ordered by construction. args is copied into the block's
+// operand slab; the node's Args slice is clipped to its length, so an
+// append to it reallocates instead of overwriting a neighbour's operands.
 func (b *Block) NewNode(op Op, args ...*Node) *Node {
-	n := &Node{ID: b.nextID, Op: op, Args: args}
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Node, 0, b.chunk(1))
+	}
+	b.slab = b.slab[:len(b.slab)+1]
+	n := &b.slab[len(b.slab)-1]
+	n.ID = b.nextID
+	n.Op = op
+	if k := len(args); k > 0 {
+		if cap(b.argSlab)-len(b.argSlab) < k {
+			b.argSlab = make([]*Node, 0, b.chunk(k))
+		}
+		start := len(b.argSlab)
+		b.argSlab = append(b.argSlab, args...)
+		n.Args = b.argSlab[start : start+k : start+k]
+	}
 	b.nextID++
 	b.Nodes = append(b.Nodes, n)
 	return n
@@ -161,7 +209,14 @@ func (b *Block) IDBound() int {
 // Node.ID (the slice has length IDBound). Operands outside that range
 // are not block nodes (Verify rejects them) and are not marked.
 func (b *Block) LiveByID() []bool {
-	live := make([]bool, b.IDBound())
+	return b.markLive(nil)
+}
+
+// markLive is LiveByID writing its marks into buf's storage when it is
+// large enough.
+func (b *Block) markLive(buf []bool) []bool {
+	live := slices.Grow(buf[:0], b.IDBound())[:b.IDBound()]
+	clear(live)
 	var mark func(*Node)
 	mark = func(n *Node) {
 		if n.ID >= len(live) || live[n.ID] {
@@ -186,7 +241,13 @@ func (b *Block) LiveByID() []bool {
 // RemoveDead drops nodes not reachable from any root and renumbers the
 // remaining nodes densely in topological order.
 func (b *Block) RemoveDead() {
-	live := b.LiveByID()
+	b.removeDead(nil)
+}
+
+// removeDead is RemoveDead keeping its liveness marks in buf's storage
+// when it is large enough; it returns the marks' slice for reuse.
+func (b *Block) removeDead(buf []bool) []bool {
+	live := b.markLive(buf)
 	kept := b.Nodes[:0]
 	for _, n := range b.Nodes {
 		if live[n.ID] {
@@ -196,6 +257,7 @@ func (b *Block) RemoveDead() {
 	clear(b.Nodes[len(kept):])
 	b.Nodes = kept
 	b.Renumber()
+	return live
 }
 
 // Renumber assigns dense IDs following the current Nodes order.
@@ -207,30 +269,37 @@ func (b *Block) Renumber() {
 }
 
 // Verify checks structural invariants: arity, topological order, operand
-// membership, and terminator consistency. It returns the first violation.
+// membership, unique node IDs, and terminator consistency. It returns the
+// first violation.
 func (b *Block) Verify() error {
-	pos := make(map[*Node]int, len(b.Nodes))
+	// at[id] is one more than the position of the node with that ID
+	// among the nodes checked so far, 0 when there is none. An operand
+	// is in the block (and defined earlier) only if it is the very node
+	// at its ID's position: a foreign node may share the ID.
+	at := make([]int32, b.IDBound())
+	has := func(a *Node) bool {
+		return a.ID >= 0 && a.ID < len(at) && at[a.ID] != 0 && b.Nodes[at[a.ID]-1] == a
+	}
 	for i, n := range b.Nodes {
 		if got, want := len(n.Args), n.Op.Arity(); got != want {
 			return fmt.Errorf("block %s: %v has %d args, want %d", b.Name, n, got, want)
 		}
 		for _, a := range n.Args {
-			j, ok := pos[a]
-			if !ok {
+			if !has(a) {
 				return fmt.Errorf("block %s: %v uses operand n%d not in block", b.Name, n, a.ID)
 			}
-			if j >= i {
-				return fmt.Errorf("block %s: %v uses operand n%d defined later", b.Name, n, a.ID)
-			}
 		}
-		pos[n] = i
+		if n.ID < 0 || at[n.ID] != 0 {
+			return fmt.Errorf("block %s: %v has a negative or duplicate ID", b.Name, n)
+		}
+		at[n.ID] = int32(i + 1)
 	}
 	switch b.Term {
 	case TermBranch:
 		if b.Cond == nil {
 			return fmt.Errorf("block %s: branch without condition", b.Name)
 		}
-		if _, ok := pos[b.Cond]; !ok {
+		if !has(b.Cond) {
 			return fmt.Errorf("block %s: branch condition not in block", b.Name)
 		}
 		if len(b.Succs) != 2 {

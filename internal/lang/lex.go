@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind uint8
@@ -29,78 +30,100 @@ type token struct {
 	line int
 }
 
-var keywords = map[string]bool{
-	"if": true, "else": true, "while": true, "for": true, "return": true,
-	"break": true, "continue": true,
+// lexer splits a source into tokens on demand, so the parser never holds
+// more than its one token of lookahead. It scans bytes, decoding a rune
+// only where a byte is not ASCII, and every token's text is a substring
+// of the source.
+type lexer struct {
+	src  string
+	i    int // byte offset of the first unscanned byte
+	line int
+	// err is the first lexical error. next returns EOF once it is set.
+	err error
 }
 
-// multi-character operators, longest first.
-var punct2 = []string{"<<", ">>", "<=", ">=", "==", "!=", "&&", "||"}
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
 
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	rs := []rune(src)
-	i := 0
-	for i < len(rs) {
-		r := rs[i]
+// next returns the next token, or an EOF token at the end of the source
+// or after a lexical error.
+func (lx *lexer) next() token {
+	src := lx.src
+	for lx.err == nil && lx.i < len(src) {
+		i := lx.i
+		r, size := runeAt(src, i)
 		switch {
 		case r == '\n':
-			line++
-			i++
+			lx.line++
+			lx.i++
 		case unicode.IsSpace(r):
-			i++
-		case r == '/' && i+1 < len(rs) && rs[i+1] == '/':
-			for i < len(rs) && rs[i] != '\n' {
-				i++
-			}
-		case r == '#':
-			for i < len(rs) && rs[i] != '\n' {
-				i++
+			lx.i += size
+		case r == '/' && i+1 < len(src) && src[i+1] == '/', r == '#':
+			if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+				lx.i = i + j
+			} else {
+				lx.i = len(src)
 			}
 		case unicode.IsDigit(r):
-			j := i
-			for j < len(rs) && unicode.IsDigit(rs[j]) {
-				j++
-			}
-			toks = append(toks, token{tokNumber, string(rs[i:j]), line})
-			i = j
+			lx.i = scan(src, i, unicode.IsDigit)
+			return token{tokNumber, src[i:lx.i], lx.line}
 		case unicode.IsLetter(r) || r == '_':
-			j := i
-			for j < len(rs) && (unicode.IsLetter(rs[j]) || unicode.IsDigit(rs[j]) || rs[j] == '_') {
-				j++
-			}
-			word := string(rs[i:j])
+			lx.i = scan(src, i, isWordRune)
 			kind := tokIdent
-			if keywords[word] {
+			if isKeyword(src[i:lx.i]) {
 				kind = tokKeyword
 			}
-			toks = append(toks, token{kind, word, line})
-			i = j
+			return token{kind, src[i:lx.i], lx.line}
+		case i+1 < len(src) && isPunct2(src[i:i+2]):
+			lx.i += 2
+			return token{tokPunct, src[i:lx.i], lx.line}
+		case r < utf8.RuneSelf && strings.IndexByte("+-*/%&|^~!<>=();{},", byte(r)) >= 0:
+			lx.i++
+			return token{tokPunct, src[i:lx.i], lx.line}
 		default:
-			matched := false
-			if i+1 < len(rs) {
-				two := string(rs[i : i+2])
-				for _, p := range punct2 {
-					if two == p {
-						toks = append(toks, token{tokPunct, p, line})
-						i += 2
-						matched = true
-						break
-					}
-				}
-			}
-			if matched {
-				break
-			}
-			if strings.ContainsRune("+-*/%&|^~!<>=();{},", r) {
-				toks = append(toks, token{tokPunct, string(r), line})
-				i++
-				break
-			}
-			return nil, fmt.Errorf("lang: line %d: unexpected character %q", line, r)
+			lx.err = fmt.Errorf("lang: line %d: unexpected character %q", lx.line, r)
 		}
 	}
-	toks = append(toks, token{tokEOF, "", line})
-	return toks, nil
+	return token{tokEOF, "", lx.line}
 }
+
+func isKeyword(word string) bool {
+	switch word {
+	case "if", "else", "while", "for", "return", "break", "continue":
+		return true
+	}
+	return false
+}
+
+// isPunct2 reports whether two is a two-character operator.
+func isPunct2(two string) bool {
+	switch two {
+	case "<<", ">>", "<=", ">=", "==", "!=", "&&", "||":
+		return true
+	}
+	return false
+}
+
+// runeAt decodes the rune starting at byte i of src, with a fast path
+// for ASCII. Invalid UTF-8 decodes as utf8.RuneError of width 1, as a
+// []rune conversion would.
+func runeAt(src string, i int) (rune, int) {
+	if c := src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(src[i:])
+}
+
+// scan returns the end of the run of runes satisfying ok that starts at
+// byte i of src.
+func scan(src string, i int, ok func(rune) bool) int {
+	for i < len(src) {
+		r, size := runeAt(src, i)
+		if !ok(r) {
+			break
+		}
+		i += size
+	}
+	return i
+}
+
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }

@@ -32,6 +32,9 @@ type lowerer struct {
 	nameID int
 	// loops tracks enclosing loop targets for break/continue.
 	loops []loopCtx
+	// free holds the builders of sealed blocks, for newBlock to reset
+	// and reuse.
+	free []*ir.Builder
 }
 
 type loopCtx struct {
@@ -44,12 +47,20 @@ func (lw *lowerer) newBlock(name string) *ir.Builder {
 		lw.nameID++
 		name = fmt.Sprintf("b%d", lw.nameID)
 	}
+	if k := len(lw.free); k > 0 {
+		bb := lw.free[k-1]
+		lw.free = lw.free[:k-1]
+		bb.Reset(name)
+		return bb
+	}
 	return ir.NewBuilder(name)
 }
 
-// seal finalizes the current builder into the function.
+// seal finalizes the current builder into the function and frees the
+// builder for reuse.
 func (lw *lowerer) seal() {
 	lw.fn.Blocks = append(lw.fn.Blocks, lw.cur.Finish())
+	lw.free = append(lw.free, lw.cur)
 	lw.cur = nil
 }
 

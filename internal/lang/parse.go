@@ -2,39 +2,49 @@ package lang
 
 import "fmt"
 
-// Parse parses a source program.
+// Parse parses a source program. A lexical error anywhere in the source
+// is reported in preference to a syntax error.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: newLexer(src)}
+	p.next()
 	var stmts []Stmt
 	for !p.at(tokEOF, "") {
 		s, err := p.stmt()
 		if err != nil {
-			return nil, err
+			return nil, p.lexErrorOr(err)
 		}
 		stmts = append(stmts, s)
+	}
+	if p.lx.err != nil {
+		return nil, p.lx.err
 	}
 	return &Program{Stmts: stmts}, nil
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	lx  lexer
+	tok token // the current token
 }
 
-func (p *parser) cur() token {
-	if p.pos >= len(p.toks) {
-		return p.toks[len(p.toks)-1] // the EOF sentinel
+// lexErrorOr returns the first lexical error in the rest of the source,
+// or err if there is none.
+func (p *parser) lexErrorOr(err error) error {
+	for p.tok.kind != tokEOF {
+		p.next()
 	}
-	return p.toks[p.pos]
+	if p.lx.err != nil {
+		return p.lx.err
+	}
+	return err
 }
 
+func (p *parser) cur() token { return p.tok }
+
+// next consumes the current token and returns it. Past the end it keeps
+// returning EOF.
 func (p *parser) next() token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	p.tok = p.lx.next()
 	return t
 }
 
@@ -45,7 +55,7 @@ func (p *parser) at(kind tokKind, text string) bool {
 
 func (p *parser) accept(kind tokKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false

@@ -1,7 +1,6 @@
 // Package lru is the repository's one bounded least-recently-used map:
 // the per-block memory tier (cover.Cache) and its machine-fingerprint
-// memo, the server's machine interner, and the cluster's in-memory
-// entry store (cluster.MemStore) all sit on it.
+// memo and the server's machine interner sit on it.
 package lru
 
 import (

@@ -50,7 +50,7 @@ func TestDeadStoreWithInterveningLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nb := optimizeBlock(b)
+	nb := optimizeBlock(ir.NewBuilder(""), b)
 	if got := countStores(nb, "x"); got != 1 {
 		t.Errorf("stores of x after optimizeBlock = %d, want 1\n%s", got, nb)
 	}
@@ -104,7 +104,7 @@ func TestDeadStoreCascade(t *testing.T) {
 	if err := b.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	nb := optimizeBlock(b)
+	nb := optimizeBlock(ir.NewBuilder(""), b)
 	if got := countStores(nb, "x"); got != 1 {
 		t.Errorf("stores of x after optimizeBlock = %d, want 1\n%s", got, nb)
 	}

@@ -17,15 +17,15 @@ import (
 // accepted rewrite strictly shrinks the function (fewer stores, or
 // fewer computation nodes at no store increase), so the loop
 // terminates. Both passes rewrite block bodies but never a terminator,
-// so one CFG serves every round.
-func globalOptimize(f *ir.Func) {
+// so one CFG serves every round. CSE rewrites are emitted through bb.
+func globalOptimize(bb *ir.Builder, f *ir.Func) {
 	g := dataflow.NewCFG(f)
 	// One interner for every round: only blocks a round replaced get
 	// keyed again.
 	x := dataflow.NewExprs()
 	for {
 		changed := globalDeadStores(g)
-		if globalCSE(g, x) {
+		if globalCSE(bb, g, x) {
 			changed = true
 		}
 		if !changed {
@@ -65,7 +65,7 @@ func globalDeadStores(g *dataflow.CFG) bool {
 // a load of that location. A rewrite is only kept when it makes the
 // block strictly smaller — fewer computation nodes without growing the
 // node count — so bench code size can only improve.
-func globalCSE(g *dataflow.CFG, x *dataflow.Exprs) bool {
+func globalCSE(bb *ir.Builder, g *dataflow.CFG, x *dataflow.Exprs) bool {
 	avail := dataflow.AvailableExprs(g, x)
 	if len(avail.Facts) == 0 {
 		return false
@@ -89,7 +89,7 @@ func globalCSE(g *dataflow.CFG, x *dataflow.Exprs) bool {
 		if len(byExpr) == 0 {
 			continue
 		}
-		if nb, ok := rewriteBlockCSE(b, x.Block(i, b), x, byExpr); ok {
+		if nb, ok := rewriteBlockCSE(bb, b, x.Block(i, b), x, byExpr); ok {
 			f.Blocks[i] = nb
 			changed = true
 		}
@@ -97,12 +97,12 @@ func globalCSE(g *dataflow.CFG, x *dataflow.Exprs) bool {
 	return changed
 }
 
-// rewriteBlockCSE re-emits b replacing eligible computations with loads
+// rewriteBlockCSE re-emits b through bb replacing eligible computations with loads
 // of the memory locations known (at block entry) to hold their value.
 // ids are b's expression IDs from x. It returns ok=false when no
 // eligible rewrite exists or when the rewritten block is not strictly
 // smaller.
-func rewriteBlockCSE(b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byExpr map[dataflow.ExprID]string) (*ir.Block, bool) {
+func rewriteBlockCSE(bb *ir.Builder, b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byExpr map[dataflow.ExprID]string) (*ir.Block, bool) {
 	// firstStore[v] = node index of the first store to v in b.
 	firstStore := make(map[string]int)
 	for idx, n := range b.Nodes {
@@ -154,7 +154,7 @@ func rewriteBlockCSE(b *ir.Block, ids []dataflow.ExprID, x *dataflow.Exprs, byEx
 		return nil, false
 	}
 
-	out := optimizeBlockOnce(b, nil, load)
+	out := optimizeBlockOnce(bb, b, nil, load)
 	// Accept only a strict improvement: replacing an op with a load must
 	// make the op's operand subtree (partially) dead, or the rewrite
 	// trades computation for memory traffic for nothing.

@@ -14,24 +14,28 @@ import (
 // Optimize returns an optimized copy of the function. The input is not
 // modified.
 func Optimize(f *ir.Func) *ir.Func {
-	out := optimizeLocal(f)
+	// One builder re-emits every block of every pass: each re-emission
+	// resets it, so its hash-consing maps are allocated once per call.
+	bb := ir.NewBuilder("")
+	out := optimizeLocal(bb, f)
 	// Whole-function passes over the dataflow framework: cross-block
 	// dead-store elimination and common-subexpression elimination.
-	globalOptimize(out)
+	globalOptimize(bb, out)
 	return out
 }
 
 // optimizeLocal runs Optimize's block-local and control-flow passes on
-// a copy of f: everything before the whole-function passes.
-func optimizeLocal(f *ir.Func) *ir.Func {
-	out := &ir.Func{Name: f.Name}
+// a copy of f, re-emitting through bb: everything before the
+// whole-function passes.
+func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
+	out := &ir.Func{Name: f.Name, Blocks: make([]*ir.Block, 0, len(f.Blocks))}
 	for _, b := range f.Blocks {
-		out.Blocks = append(out.Blocks, reassociateBlock(optimizeBlock(b)))
+		out.Blocks = append(out.Blocks, reassociateBlock(bb, optimizeBlock(bb, b)))
 	}
 	foldBranches(out)
 	threadJumps(out)
 	removeUnreachable(out)
-	mergeBlocks(out)
+	mergeBlocks(bb, out)
 	// Merging exposes new local folding (stores feeding loads across the
 	// former block boundary) and new chains; one more pass picks them up.
 	// It runs on every block, not only merged ones: optimizeBlock after
@@ -41,7 +45,7 @@ func optimizeLocal(f *ir.Func) *ir.Func {
 	// reordered nodes can flip commutative operands into another
 	// canonical order (TestSecondLocalPassOnUnmergedBlocks).
 	for i, b := range out.Blocks {
-		out.Blocks[i] = reassociateBlock(optimizeBlock(b))
+		out.Blocks[i] = reassociateBlock(bb, optimizeBlock(bb, b))
 	}
 	return out
 }
@@ -49,8 +53,8 @@ func optimizeLocal(f *ir.Func) *ir.Func {
 // mergeBlocks merges a block into its jump-only successor when that
 // successor has no other predecessors, growing basic blocks (and with
 // them the scope of the DAG covering — bigger blocks are exactly what
-// the paper's front end aims for).
-func mergeBlocks(f *ir.Func) {
+// the paper's front end aims for). Merged blocks are emitted through bb.
+func mergeBlocks(bb *ir.Builder, f *ir.Func) {
 	for {
 		preds := make(map[string]int)
 		for _, b := range f.Blocks {
@@ -74,7 +78,7 @@ func mergeBlocks(f *ir.Func) {
 			if c == nil {
 				continue
 			}
-			replaceWithMerge(f, b, c)
+			replaceWithMerge(bb, f, b, c)
 			merged = true
 			break
 		}
@@ -84,10 +88,10 @@ func mergeBlocks(f *ir.Func) {
 	}
 }
 
-// replaceWithMerge re-emits b followed by c as one block named after b,
-// and removes c from the function.
-func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
-	bb := ir.NewBuilder(b.Name)
+// replaceWithMerge re-emits b followed by c through bb as one block
+// named after b, and removes c from the function.
+func replaceWithMerge(bb *ir.Builder, f *ir.Func, b, c *ir.Block) {
+	bb.Reset(b.Name, b, c)
 	emitNodes(bb, b, nil, nil)
 	newOf := emitNodes(bb, c, nil, nil)
 	bb.CopyTerm(c, branchCond(c, newOf))
@@ -105,7 +109,7 @@ func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 	}
 }
 
-// optimizeBlock re-emits the block through a fresh builder until no
+// optimizeBlock re-emits the block through bb until no
 // dead stores remain. A single re-emission is not enough: deadStores is
 // computed on the input block, where a load between two stores of the
 // same variable keeps the first store alive even when that load only
@@ -113,10 +117,10 @@ func replaceWithMerge(f *ir.Func, b, c *ir.Block) {
 // dropped and the load forwarded away, the first store is exposed as
 // dead too. Each round removes at least one store, so the loop
 // terminates.
-func optimizeBlock(b *ir.Block) *ir.Block {
+func optimizeBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
 	dead := deadStores(b)
 	for {
-		nb := optimizeBlockOnce(b, dead, nil)
+		nb := optimizeBlockOnce(bb, b, dead, nil)
 		if dead = deadStores(nb); len(dead) == 0 {
 			return nb
 		}
@@ -124,13 +128,13 @@ func optimizeBlock(b *ir.Block) *ir.Block {
 	}
 }
 
-// optimizeBlockOnce re-emits the block through a fresh builder
+// optimizeBlockOnce re-emits the block through bb, reset for it
 // (emitNodes), applying constant folding and algebraic simplification
 // per node; the builder's hash-consing provides CSE and Finish removes
 // dead code. The stores marked in dead are dropped, and a node with a
 // load[n.ID] entry is replaced by a load of that location.
-func optimizeBlockOnce(b *ir.Block, dead map[int]bool, load []string) *ir.Block {
-	bb := ir.NewBuilder(b.Name)
+func optimizeBlockOnce(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) *ir.Block {
+	bb.Reset(b.Name, b)
 	newOf := emitNodes(bb, b, dead, load)
 	bb.CopyTerm(b, branchCond(b, newOf))
 	return bb.Finish()
@@ -157,9 +161,10 @@ func emitNodes(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) []
 				bb.Store(n.Var, newOf[n.Args[0].ID])
 			}
 		default:
-			args := make([]*ir.Node, len(n.Args))
-			for j, a := range n.Args {
-				args[j] = newOf[a.ID]
+			var buf [2]*ir.Node
+			args := buf[:0]
+			for _, a := range n.Args {
+				args = append(args, newOf[a.ID])
 			}
 			newOf[n.ID] = emitSimplified(bb, n.Op, args)
 		}
@@ -208,13 +213,14 @@ func emitSimplified(bb *ir.Builder, op ir.Op, args []*ir.Node) *ir.Node {
 	// Full constant folding (skipping division by zero, which must keep
 	// its runtime behaviour).
 	allConst := true
-	vals := make([]int64, len(args))
-	for i, a := range args {
+	var buf [2]int64
+	vals := buf[:0]
+	for _, a := range args {
 		if a.Op != ir.OpConst {
 			allConst = false
 			break
 		}
-		vals[i] = a.Const
+		vals = append(vals, a.Const)
 	}
 	if allConst {
 		if v, err := ir.EvalOp(op, vals...); err == nil {

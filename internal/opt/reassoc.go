@@ -30,8 +30,8 @@ type uses struct {
 }
 
 // reassociateBlock returns a copy of the block with associative chains
-// rebalanced.
-func reassociateBlock(b *ir.Block) *ir.Block {
+// rebalanced, emitted through bb.
+func reassociateBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
 	users := make([]uses, b.IDBound()) // indexed by Node.ID
 	for _, n := range b.Nodes {
 		for _, a := range n.Args {
@@ -39,7 +39,7 @@ func reassociateBlock(b *ir.Block) *ir.Block {
 			users[a.ID].user = n
 		}
 	}
-	bb := ir.NewBuilder(b.Name)
+	bb.Reset(b.Name, b)
 	newOf := make([]*ir.Node, len(users))
 
 	// get lazily materializes the new node for an old one, rebalancing
@@ -56,16 +56,17 @@ func reassociateBlock(b *ir.Block) *ir.Block {
 		case n.Op == ir.OpLoad:
 			nn = bb.Load(n.Var)
 		case reassociable[n.Op] && isChainRoot(n, users):
-			leaves := chainLeaves(n, n.Op, users, true)
-			args := make([]*ir.Node, len(leaves))
-			for i, l := range leaves {
+			// The leaves are replaced by their new nodes in place.
+			args := chainLeaves(nil, n, n.Op, users, true)
+			for i, l := range args {
 				args[i] = get(l)
 			}
 			nn = balanced(bb, n.Op, args)
 		default:
-			args := make([]*ir.Node, len(n.Args))
-			for i, a := range n.Args {
-				args[i] = get(a)
+			var buf [2]*ir.Node
+			args := buf[:0]
+			for _, a := range n.Args {
+				args = append(args, get(a))
 			}
 			nn = bb.Op(n.Op, args...)
 		}
@@ -107,18 +108,17 @@ func isChainRoot(n *ir.Node, users []uses) bool {
 	return u.user.Op != n.Op
 }
 
-// chainLeaves collects the operands of the maximal same-op chain rooted
-// at n: single-use same-op children are absorbed recursively, everything
-// else is a leaf.
-func chainLeaves(n *ir.Node, op ir.Op, users []uses, isRoot bool) []*ir.Node {
+// chainLeaves appends to dst the operands of the maximal same-op chain
+// rooted at n: single-use same-op children are absorbed recursively,
+// everything else is a leaf.
+func chainLeaves(dst []*ir.Node, n *ir.Node, op ir.Op, users []uses, isRoot bool) []*ir.Node {
 	if n.Op != op || (!isRoot && users[n.ID].n != 1) {
-		return []*ir.Node{n}
+		return append(dst, n)
 	}
-	var out []*ir.Node
 	for _, a := range n.Args {
-		out = append(out, chainLeaves(a, op, users, false)...)
+		dst = chainLeaves(dst, a, op, users, false)
 	}
-	return out
+	return dst
 }
 
 // balanced emits a balanced tree combining args with op.

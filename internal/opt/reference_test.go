@@ -220,7 +220,7 @@ func TestGlobalOptimizeMatchesReference(t *testing.T) {
 	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
 		n++
 		got := Optimize(f)
-		want := optimizeLocal(f)
+		want := optimizeLocal(ir.NewBuilder(""), f)
 		refGlobalOptimize(want)
 		if len(got.Blocks) != len(want.Blocks) {
 			t.Fatalf("%s: %d blocks, reference has %d", label, len(got.Blocks), len(want.Blocks))
@@ -315,7 +315,8 @@ func TestGlobalOptimizeKeepsTerminators(t *testing.T) {
 		step = 10
 	}
 	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
-		out := optimizeLocal(f)
+		bb := ir.NewBuilder("")
+		out := optimizeLocal(bb, f)
 		type term struct {
 			kind  ir.TermKind
 			succs string
@@ -324,7 +325,7 @@ func TestGlobalOptimizeKeepsTerminators(t *testing.T) {
 		for i, b := range out.Blocks {
 			before[i] = term{b.Term, fmt.Sprint(b.Succs)}
 		}
-		globalOptimize(out)
+		globalOptimize(bb, out)
 		if len(out.Blocks) != len(before) {
 			t.Fatalf("%s: global passes changed the block count %d -> %d", label, len(before), len(out.Blocks))
 		}
