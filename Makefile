@@ -71,11 +71,14 @@ benchsmoke:
 layerbench:
 	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkFrontEnd|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
-# One second of the gated serving benchmark on its disk_spill workload:
-# builds perfbench, drives avivd's handler through the disk tier, and
+# One second of the gated serving benchmark on each of its workloads:
+# builds perfbench and drives avivd's handler through the disk tier
+# (disk_spill) and through the per-request covering of edited blocks
+# (edit_stream, the only one of the two whose timed path covers), and
 # fails on any wrong output (also part of ci.sh).
 perfsmoke:
 	bash perfbench/run.sh --workload disk_spill --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload edit_stream --seed 1 --seconds 1 --trace 0
 
 # Race-enabled smoke over a small machine zoo: every class generated,
 # linted, compiled, and differentially checked (also part of ci.sh).

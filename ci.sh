@@ -122,11 +122,13 @@ if [ "${1:-}" != "-short" ]; then
     echo "== bench smoke (every benchmark, one iteration) =="
     make -s benchsmoke
 
-    echo "== perfsmoke: serving benchmark, disk_spill workload (1 s) =="
+    echo "== perfsmoke: serving benchmark, disk_spill + edit_stream workloads (1 s each) =="
     # The gated serving benchmark end to end: it builds perfbench from
     # source, serves avivd's handler over loopback, runs the cold set-up
-    # compile, disk-tier writes, reads and codec decodes, and exits 1 if
-    # any served output disagrees with the simulator or the interpreter.
+    # compile, disk-tier writes, reads and codec decodes (disk_spill)
+    # and the covering of each edit's recompiled blocks (edit_stream),
+    # and exits 1 if any served output disagrees with the simulator or
+    # the interpreter.
     make -s perfsmoke
 
     echo "== avivbench: Table II end to end =="

@@ -25,35 +25,27 @@ package cover
 //     deleted.
 func assignmentLowerBound(g *graph) int {
 	ops, memops := 0, 0
-	unitCnt := make(map[string]int)
-	busCnt := make(map[string]int)
+	ix := g.ix
+	cnt := make([]int, len(ix.width)) // per resource
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case OpNode:
 			ops++
-			unitCnt[n.Unit]++
 		case LoadNode, StoreNode:
 			memops++
-			busCnt[n.Step.Bus]++
+		default:
+			continue
 		}
+		cnt[ix.res[n.ID]]++
 	}
 	lb := 0
 	if ops+memops > 0 {
 		lb = 1
 	}
-	// One op per unit per instruction.
-	for _, c := range unitCnt {
-		if c > lb {
-			lb = c
-		}
-	}
-	// At most Width transfers per bus per instruction.
-	for bus, c := range busCnt {
-		w := 1
-		if b := g.machine.Bus(bus); b != nil && b.Width > 0 {
-			w = b.Width
-		}
-		if need := (c + w - 1) / w; need > lb {
+	// One op per unit, at most Width transfers per bus, per instruction
+	// (a unit's width is 1).
+	for r, c := range cnt {
+		if need := (c + ix.width[r] - 1) / ix.width[r]; need > lb {
 			lb = need
 		}
 	}
@@ -81,16 +73,13 @@ func assignmentLowerBound(g *graph) int {
 // assignmentLowerBound): s1 is the latest value-ready time among chain
 // paths one move deep, s2 the latest among paths two or more deep.
 func criticalPathBound(g *graph) int {
-	inSet := make(map[*SNode]bool, len(g.nodes))
-	for _, n := range g.nodes {
-		inSet[n] = true
-	}
-	order := topoOrder(g.nodes, inSet)
+	order := topoOrder(newSubset(g.nodes))
 	earliest := make([]int32, g.nextID)
 	s1 := make([]int32, g.nextID)
 	s2 := make([]int32, g.nextID)
 	cp := 0
-	for _, n := range order {
+	for _, i := range order {
+		n := g.nodes[i]
 		if n.Kind == MoveNode {
 			h1, h2 := int32(-1), int32(-1)
 			for _, p := range n.Preds {
@@ -104,7 +93,7 @@ func criticalPathBound(g *graph) int {
 						h2 = s2[p.ID]
 					}
 				} else {
-					if t := earliest[p.ID] + int32(g.latencyOf(p)); t > h1 {
+					if t := earliest[p.ID] + g.ix.lat[p.ID]; t > h1 {
 						h1 = t
 					}
 				}
@@ -127,7 +116,7 @@ func criticalPathBound(g *graph) int {
 					t = s2[p.ID] + 2
 				}
 			} else {
-				t = earliest[p.ID] + int32(g.latencyOf(p))
+				t = earliest[p.ID] + g.ix.lat[p.ID]
 			}
 			if t > e {
 				e = t

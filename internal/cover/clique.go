@@ -1,8 +1,8 @@
 package cover
 
 import (
-	"encoding/binary"
-	"sort"
+	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,37 +17,37 @@ import (
 // or ordering edges) and their resources are compatible: two operations
 // need different units; two transfers must not both need a slot on a
 // width-1 bus. Wider buses and explicit ISDL constraints are enforced
-// later by legality splitting.
+// later by legality splitting. ix must index every node of the list.
 //
 // levelWindow >= 0 additionally applies the clique-reduction heuristic of
 // Sec. IV-C.2: nodes merge only when their levels from the top and from
 // the bottom of the solution graph are within the window.
-func parallelMatrix(nodes []*SNode, m *isdl.Machine, levelWindow int) *bitset.Matrix {
+func parallelMatrix(nodes []*SNode, ix *nodeIndex, levelWindow int) *bitset.Matrix {
 	n := len(nodes)
-	idx := make(map[*SNode]int, n)
-	for i, nd := range nodes {
-		idx[nd] = i
-	}
+	sub := newSubset(nodes)
 	// Transitive reachability restricted to the node subset. Paths may
 	// pass through nodes outside the subset (already covered ones cannot
 	// — they are scheduled — but spill regeneration passes subsets), so
-	// walk the full graph.
+	// walk the full graph. seen stamps visited IDs with the walk number.
 	reach := bitset.NewMatrix(n)
-	seen := make(map[*SNode]bool, 2*n)
+	seen := make([]int32, len(ix.res))
 	var stack []*SNode
 	for i, nd := range nodes {
-		clear(seen)
+		walk := int32(i + 1)
 		stack = append(stack[:0], nd.Succs...)
 		stack = append(stack, nd.OrdSuccs...)
 		row := reach.Row(i)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[x] {
+			for x.ID >= len(seen) {
+				seen = append(seen, 0)
+			}
+			if seen[x.ID] == walk {
 				continue
 			}
-			seen[x] = true
-			if j, ok := idx[x]; ok {
+			seen[x.ID] = walk
+			if j := sub.of(x); j >= 0 {
 				row.Set(j)
 			}
 			stack = append(stack, x.Succs...)
@@ -55,7 +55,7 @@ func parallelMatrix(nodes []*SNode, m *isdl.Machine, levelWindow int) *bitset.Ma
 		}
 	}
 
-	var fromTop, fromBottom map[*SNode]int
+	var fromTop, fromBottom []int32
 	if levelWindow >= 0 {
 		fromTop, fromBottom = snodeLevels(nodes)
 	}
@@ -64,10 +64,9 @@ func parallelMatrix(nodes []*SNode, m *isdl.Machine, levelWindow int) *bitset.Ma
 	for i := 0; i < n; i++ {
 		ri := reach.Row(i)
 		for j := i + 1; j < n; j++ {
-			ok := !ri.Get(j) && !reach.Get(j, i) && resourceCompatible(nodes[i], nodes[j], m)
+			ok := !ri.Get(j) && !reach.Get(j, i) && ix.compatible(nodes[i], nodes[j])
 			if ok && levelWindow >= 0 {
-				a, b := nodes[i], nodes[j]
-				if abs(fromTop[a]-fromTop[b]) > levelWindow || abs(fromBottom[a]-fromBottom[b]) > levelWindow {
+				if abs(int(fromTop[i]-fromTop[j])) > levelWindow || abs(int(fromBottom[i]-fromBottom[j])) > levelWindow {
 					ok = false
 				}
 			}
@@ -81,8 +80,11 @@ func parallelMatrix(nodes []*SNode, m *isdl.Machine, levelWindow int) *bitset.Ma
 
 // ParallelMatrix is the [][]bool view of parallelMatrix, kept for the
 // figure-reproduction harness and tests that index entries directly.
+// Node IDs must be distinct and non-negative, as in a solution graph.
 func ParallelMatrix(nodes []*SNode, m *isdl.Machine, levelWindow int) [][]bool {
-	pm := parallelMatrix(nodes, m, levelWindow)
+	ix := newNodeIndex(m, len(nodes))
+	ix.addAll(nodes)
+	pm := parallelMatrix(nodes, ix, levelWindow)
 	n := len(nodes)
 	par := make([][]bool, n)
 	for i := range par {
@@ -102,110 +104,134 @@ func abs(x int) int {
 	return x
 }
 
-func resourceCompatible(a, b *SNode, m *isdl.Machine) bool {
-	if a.Kind == OpNode && b.Kind == OpNode {
-		return a.Unit != b.Unit
+// compatible reports whether a and b may share an instruction as far as
+// their resources go: two operations need different units, and two
+// transfers may share a bus unless it is one slot wide.
+func (x *nodeIndex) compatible(a, b *SNode) bool {
+	r := x.res[a.ID]
+	return r != x.res[b.ID] || !x.exclusive[r]
+}
+
+// subset locates the members of a node list by SNode.ID.
+type subset struct {
+	nodes []*SNode
+	slot  []int32 // by SNode.ID: the node's position in nodes, or -1
+}
+
+func newSubset(nodes []*SNode) subset {
+	bound := 0
+	for _, n := range nodes {
+		bound = max(bound, n.ID+1)
 	}
-	if a.IsTransfer() && b.IsTransfer() {
-		if a.Step.Bus == b.Step.Bus {
-			bus := m.Bus(a.Step.Bus)
-			if bus != nil && bus.Width == 1 {
-				return false
-			}
+	sub := subset{nodes: nodes, slot: make([]int32, bound)}
+	for i := range sub.slot {
+		sub.slot[i] = -1
+	}
+	for i, n := range nodes {
+		sub.slot[n.ID] = int32(i)
+	}
+	return sub
+}
+
+// of returns n's position in the subset, or -1 when n is not a member.
+func (sub subset) of(n *SNode) int {
+	if n.ID < len(sub.slot) {
+		if i := sub.slot[n.ID]; i >= 0 && sub.nodes[i] == n {
+			return int(i)
 		}
 	}
-	return true
+	return -1
 }
 
 // snodeLevels computes levels from the top (distance below a sink) and
 // from the bottom (height above a source) within the node subset,
-// following both value and ordering edges.
-func snodeLevels(nodes []*SNode) (fromTop, fromBottom map[*SNode]int) {
-	inSet := make(map[*SNode]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	order := topoOrder(nodes, inSet)
-	fromBottom = make(map[*SNode]int, len(nodes))
-	for _, n := range order {
-		h := 0
+// following both value and ordering edges. Both slices are indexed by
+// position in nodes.
+func snodeLevels(nodes []*SNode) (fromTop, fromBottom []int32) {
+	sub := newSubset(nodes)
+	order := topoOrder(sub)
+	fromBottom = make([]int32, len(nodes))
+	for _, i := range order {
+		n := nodes[i]
+		h := int32(0)
 		for _, p := range n.Preds {
-			if inSet[p] {
-				if v := fromBottom[p] + 1; v > h {
-					h = v
-				}
+			if j := sub.of(p); j >= 0 {
+				h = max(h, fromBottom[j]+1)
 			}
 		}
 		for _, p := range n.OrdPreds {
-			if inSet[p] {
-				if v := fromBottom[p] + 1; v > h {
-					h = v
-				}
+			if j := sub.of(p); j >= 0 {
+				h = max(h, fromBottom[j]+1)
 			}
 		}
-		fromBottom[n] = h
+		fromBottom[i] = h
 	}
-	fromTop = make(map[*SNode]int, len(nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		d := 0
+	fromTop = make([]int32, len(nodes))
+	for k := len(order) - 1; k >= 0; k-- {
+		i := order[k]
+		n := nodes[i]
+		d := int32(0)
 		for _, s := range n.Succs {
-			if inSet[s] {
-				if v := fromTop[s] + 1; v > d {
-					d = v
-				}
+			if j := sub.of(s); j >= 0 {
+				d = max(d, fromTop[j]+1)
 			}
 		}
 		for _, s := range n.OrdSuccs {
-			if inSet[s] {
-				if v := fromTop[s] + 1; v > d {
-					d = v
-				}
+			if j := sub.of(s); j >= 0 {
+				d = max(d, fromTop[j]+1)
 			}
 		}
-		fromTop[n] = d
+		fromTop[i] = d
 	}
 	return fromTop, fromBottom
 }
 
-func topoOrder(nodes []*SNode, inSet map[*SNode]bool) []*SNode {
-	var order []*SNode
-	state := make(map[*SNode]int, len(nodes)) // 0 unseen, 1 visiting, 2 done
-	var visit func(n *SNode)
-	visit = func(n *SNode) {
-		if state[n] != 0 {
+// topoOrder returns the subset's positions in a topological order of
+// its value and ordering edges: a depth-first walk over predecessors,
+// members in list order.
+func topoOrder(sub subset) []int32 {
+	order := make([]int32, 0, len(sub.nodes))
+	state := make([]uint8, len(sub.nodes)) // 0 unseen, 1 visiting, 2 done
+	var visit func(i int)
+	visit = func(i int) {
+		if state[i] != 0 {
 			return
 		}
-		state[n] = 1
+		state[i] = 1
+		n := sub.nodes[i]
 		for _, p := range n.Preds {
-			if inSet[p] {
-				visit(p)
+			if j := sub.of(p); j >= 0 {
+				visit(j)
 			}
 		}
 		for _, p := range n.OrdPreds {
-			if inSet[p] {
-				visit(p)
+			if j := sub.of(p); j >= 0 {
+				visit(j)
 			}
 		}
-		state[n] = 2
-		order = append(order, n)
+		state[i] = 2
+		order = append(order, int32(i))
 	}
-	for _, n := range nodes {
-		visit(n)
+	for i := range sub.nodes {
+		visit(i)
 	}
 	return order
 }
 
 // cliqueGen holds the working state of one GenMaxCliquesBits run: the
-// matrix, the accumulated cliques with their dedupe keys, a scratch word
-// buffer for binary keys, and a free list of recursion-frame sets.
+// matrix, the accumulated cliques with their dedupe set, a scratch
+// member list, and a free list of recursion-frame sets.
 type cliqueGen struct {
-	pm     *bitset.Matrix
-	out    [][]int
-	seen   map[string]bool
-	keyBuf []byte
-	tmp    bitset.Set
-	free   []bitset.Set
+	pm   *bitset.Matrix
+	out  [][]int
+	seen *cliqueSet
+	ids  []int
+	tmp  bitset.Set
+	free []bitset.Set
+	// rest is a stack of the recursion frames' non-universal candidates:
+	// each frame pushes its own above its caller's and pops them on
+	// return.
+	rest []int
 	// budget caps the number of recorded cliques (0 = unlimited); full
 	// is latched once the budget is reached and aborts the recursion.
 	budget int
@@ -225,15 +251,11 @@ func (g *cliqueGen) get() bitset.Set {
 func (g *cliqueGen) put(s bitset.Set) { g.free = append(g.free, s) }
 
 func (g *cliqueGen) record(clique bitset.Set) {
-	g.keyBuf = g.keyBuf[:0]
-	for _, w := range clique {
-		g.keyBuf = binary.LittleEndian.AppendUint64(g.keyBuf, w)
-	}
-	if g.seen[string(g.keyBuf)] {
+	g.ids = clique.AppendBits(g.ids[:0])
+	if !g.seen.add(g.ids) {
 		return
 	}
-	g.seen[string(g.keyBuf)] = true
-	g.out = append(g.out, clique.AppendBits(nil))
+	g.out = append(g.out, append([]int(nil), g.ids...))
 	if g.budget > 0 && len(g.out) >= g.budget {
 		g.full = true
 	}
@@ -250,7 +272,7 @@ func (g *cliqueGen) gen(clique, cand bitset.Set, index int) {
 	// First loop: absorb candidates that preclude no other candidate. A
 	// candidate i is universal when cand \ row(i) contains nothing but i
 	// itself — a word-wise ANDNOT instead of a pairwise scan.
-	var rest []int
+	base := len(g.rest)
 	precluded := false
 	cand.ForEach(func(i int) {
 		if precluded {
@@ -265,14 +287,15 @@ func (g *cliqueGen) gen(clique, cand bitset.Set, index int) {
 			}
 			clique.Set(i)
 		} else {
-			rest = append(rest, i)
+			g.rest = append(g.rest, i)
 		}
 	})
-	if precluded {
-		return
-	}
-	if len(rest) == 0 {
-		g.record(clique)
+	nRest := len(g.rest) - base
+	if precluded || nRest == 0 {
+		g.rest = g.rest[:base]
+		if !precluded {
+			g.record(clique)
+		}
 		return
 	}
 	// An absorbed universal candidate is parallel to every other
@@ -284,10 +307,12 @@ func (g *cliqueGen) gen(clique, cand bitset.Set, index int) {
 	childClique := g.get()
 	childCand := g.get()
 	// Second loop: spawn one recursive call per remaining candidate.
-	for _, i := range rest {
+	for k := 0; k < nRest; k++ {
 		if g.full {
 			break
 		}
+		// Index afresh: a child's pushes may move the stack.
+		i := g.rest[base+k]
 		childClique.Copy(clique)
 		childClique.Set(i)
 		childCand.And(candRest, g.pm.Row(i))
@@ -300,6 +325,7 @@ func (g *cliqueGen) gen(clique, cand bitset.Set, index int) {
 	g.put(childCand)
 	g.put(childClique)
 	g.put(candRest)
+	g.rest = g.rest[:base]
 }
 
 // GenMaxCliquesBits enumerates all maximal cliques of the bitset
@@ -321,10 +347,17 @@ func GenMaxCliquesBits(pm *bitset.Matrix) [][]int {
 // uncovered, so downstream covering always finds a grouping for every
 // node.
 func GenMaxCliquesLimit(pm *bitset.Matrix, budget int) [][]int {
+	return genMaxCliques(pm, budget, new(cliqueSet))
+}
+
+// genMaxCliques is GenMaxCliquesLimit recording into the caller's
+// dedupe set, which it resets first.
+func genMaxCliques(pm *bitset.Matrix, budget int, seen *cliqueSet) [][]int {
 	n := pm.N()
+	seen.reset()
 	g := &cliqueGen{
 		pm:     pm,
-		seen:   make(map[string]bool),
+		seen:   seen,
 		tmp:    bitset.New(n),
 		budget: budget,
 	}
@@ -340,11 +373,7 @@ func GenMaxCliquesLimit(pm *bitset.Matrix, budget int) [][]int {
 		g.repairCoverage()
 	}
 	out := g.out
-	keys := make([]string, len(out))
-	for i, c := range out {
-		keys[i] = intsKey(c)
-	}
-	sort.Sort(&cliqueSort{cliques: out, keys: keys})
+	slices.SortFunc(out, compareCliques)
 	return out
 }
 
@@ -403,65 +432,70 @@ func GenMaxCliques(par [][]bool) [][]int {
 	return GenMaxCliquesBits(pm)
 }
 
-// cliqueSort orders cliques largest first, ties broken by the textual
-// index list (the historical fmt.Sprint order, which downstream
-// tie-breaking depends on for byte-identical output).
-type cliqueSort struct {
-	cliques [][]int
-	keys    []string
-}
-
-func (s *cliqueSort) Len() int { return len(s.cliques) }
-func (s *cliqueSort) Less(a, b int) bool {
-	if len(s.cliques[a]) != len(s.cliques[b]) {
-		return len(s.cliques[a]) > len(s.cliques[b])
+// compareCliques orders cliques largest first, ties broken by the
+// textual index list (the historical fmt.Sprint order, "[1 2 3]", which
+// downstream tie-breaking depends on for byte-identical output).
+func compareCliques(a, b []int) int {
+	if len(a) != len(b) {
+		return len(b) - len(a)
 	}
-	return s.keys[a] < s.keys[b]
-}
-func (s *cliqueSort) Swap(a, b int) {
-	s.cliques[a], s.cliques[b] = s.cliques[b], s.cliques[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
+	return compareIndexText(a, b)
 }
 
-// intsKey renders a sorted index slice exactly as fmt.Sprint would
-// ("[1 2 3]") without the reflection cost.
-func intsKey(c []int) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for i, v := range c {
-		if i > 0 {
-			sb.WriteByte(' ')
+// compareIndexText compares two equal-length sorted index lists as
+// their fmt.Sprint renderings would compare, without rendering the
+// lists: the texts agree up to the first differing element, and that
+// element's digits followed by its separator (a space, or the closing
+// bracket after the last element) decide.
+func compareIndexText(a, b []int) int {
+	for k := range a {
+		if a[k] == b[k] {
+			continue
 		}
-		sb.WriteString(strconv.Itoa(v))
+		sep := byte(' ')
+		if k == len(a)-1 {
+			sep = ']'
+		}
+		var ba, bb [24]byte
+		ta := append(strconv.AppendInt(ba[:0], int64(a[k]), 10), sep)
+		tb := append(strconv.AppendInt(bb[:0], int64(b[k]), 10), sep)
+		return bytes.Compare(ta, tb)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return 0
 }
 
 // buildCliques generates the legal maximal groupings over the given nodes:
 // the parallelism matrix, the maximal cliques, then legality splitting of
-// any clique that violates machine constraints (Sec. IV-C.3).
-func buildCliques(nodes []*SNode, m *isdl.Machine, opts Options) [][]*SNode {
+// any clique that violates machine constraints (Sec. IV-C.3). seen is
+// the dedupe set the enumeration and the final filter share.
+func buildCliques(nodes []*SNode, ix *nodeIndex, opts Options, seen *cliqueSet) [][]*SNode {
 	if len(nodes) == 0 {
 		return nil
 	}
-	return cliquesFromMatrix(nodes, parallelMatrix(nodes, m, opts.LevelWindow), m, opts.CliqueBudget)
+	return cliquesFromMatrix(nodes, parallelMatrix(nodes, ix, opts.LevelWindow), ix.machine, opts.CliqueBudget, seen)
 }
 
 // cliquesFromMatrix is buildCliques from a precomputed parallelism
 // matrix; coverAssignment computes the matrix itself so it can also
-// compare it across level windows.
-func cliquesFromMatrix(nodes []*SNode, par *bitset.Matrix, m *isdl.Machine, budget int) [][]*SNode {
-	raw := GenMaxCliquesLimit(par, budget)
-	var out [][]*SNode
+// compare it across level windows. The groupings are carved out of one
+// slab, each with its capacity clipped.
+func cliquesFromMatrix(nodes []*SNode, par *bitset.Matrix, m *isdl.Machine, budget int, seen *cliqueSet) [][]*SNode {
+	raw := genMaxCliques(par, budget, seen)
+	total := 0
 	for _, idxs := range raw {
-		group := make([]*SNode, len(idxs))
+		total += len(idxs)
+	}
+	slab := make([]*SNode, total)
+	out := make([][]*SNode, 0, len(raw))
+	for _, idxs := range raw {
+		group := slab[:len(idxs):len(idxs)]
+		slab = slab[len(idxs):]
 		for i, j := range idxs {
 			group[i] = nodes[j]
 		}
 		out = append(out, splitIllegal(group, m)...)
 	}
-	return dedupeCliques(out)
+	return seen.dedupe(out)
 }
 
 // splitIllegal checks a proposed grouping against the machine's
@@ -530,39 +564,116 @@ func tally(slots []isdl.SlotRef, buses []isdl.BusUse, n *SNode) ([]isdl.SlotRef,
 	return slots, append(buses, isdl.BusUse{Bus: n.Step.Bus, N: 1})
 }
 
-// dedupeCliques removes duplicate groupings by a binary key over the
-// sorted node IDs (a hash-set lookup per clique; formatting-free).
-func dedupeCliques(cs [][]*SNode) [][]*SNode {
-	seen := make(map[string]bool, len(cs))
-	var out [][]*SNode
-	var ids []int
-	var key []byte
-	for _, c := range cs {
-		k := cliqueKey(c, &ids, &key)
-		if !seen[string(k)] {
-			seen[string(k)] = true
+// cliqueSet is the duplicate filter of the clique lists: a clique is
+// keyed by an integer hash of its sorted member IDs, and the cliques
+// sharing a hash (a bucket) are told apart by comparing their member
+// lists, so a collision can never merge two distinct cliques. The table
+// is open-addressed with linear probing; the members of every recorded
+// clique are copied into one flat array. The zero value is empty, and
+// its storage is kept across reset.
+type cliqueSet struct {
+	table []int32  // entry+1, or 0 for an empty cell; len is a power of two
+	hash  []uint64 // entry -> its hash
+	start []int32  // entry k's members are ids[start[k]:start[k+1]]
+	ids   []int32
+	sort  []int // scratch: the sorted member IDs of the clique being added
+}
+
+func (cs *cliqueSet) reset() {
+	clear(cs.table)
+	cs.hash = cs.hash[:0]
+	cs.start = append(cs.start[:0], 0)
+	cs.ids = cs.ids[:0]
+}
+
+// hashIDs is FNV-1a over the member IDs, one 64-bit word per ID, with a
+// final avalanche so the low bits that pick a table cell depend on
+// every ID.
+func hashIDs(ids []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h ^= uint64(id)
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// add records the sorted member list ids and reports whether it is new;
+// a list already recorded (the first occurrence) is left as it is.
+func (cs *cliqueSet) add(ids []int) bool { return cs.insert(ids, hashIDs(ids)) }
+
+// insert is add with the hash supplied by the caller.
+func (cs *cliqueSet) insert(ids []int, h uint64) bool {
+	if len(cs.start) == 0 {
+		cs.reset()
+	}
+	if 2*(len(cs.hash)+1) > len(cs.table) {
+		cs.rehash()
+	}
+	mask := uint64(len(cs.table) - 1)
+	i := h & mask
+	for ; cs.table[i] != 0; i = (i + 1) & mask {
+		if k := cs.table[i] - 1; cs.hash[k] == h && cs.equal(k, ids) {
+			return false
+		}
+	}
+	cs.table[i] = int32(len(cs.hash)) + 1
+	cs.hash = append(cs.hash, h)
+	for _, id := range ids {
+		cs.ids = append(cs.ids, int32(id))
+	}
+	cs.start = append(cs.start, int32(len(cs.ids)))
+	return true
+}
+
+// rehash doubles the table (to at least 16 cells) and re-places every
+// entry.
+func (cs *cliqueSet) rehash() {
+	cs.table = make([]int32, max(16, 2*len(cs.table)))
+	mask := uint64(len(cs.table) - 1)
+	for k, h := range cs.hash {
+		i := h & mask
+		for cs.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		cs.table[i] = int32(k) + 1
+	}
+}
+
+// equal reports whether entry k holds exactly the members ids.
+func (cs *cliqueSet) equal(k int32, ids []int) bool {
+	got := cs.ids[cs.start[k]:cs.start[k+1]]
+	if len(got) != len(ids) {
+		return false
+	}
+	for i, id := range ids {
+		if int(got[i]) != id {
+			return false
+		}
+	}
+	return true
+}
+
+// dedupe filters cs in place down to the first occurrence of every
+// distinct clique (as a set of node IDs), keeping first-seen order.
+func (cs *cliqueSet) dedupe(cliques [][]*SNode) [][]*SNode {
+	cs.reset()
+	out := cliques[:0]
+	for _, c := range cliques {
+		v := cs.sort[:0]
+		for _, n := range c {
+			v = append(v, n.ID)
+		}
+		slices.Sort(v)
+		cs.sort = v
+		if cs.insert(v, hashIDs(v)) {
 			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// cliqueKey builds the canonical binary key of a clique (varints of the
-// sorted node IDs) in the caller-provided scratch buffers, growing them
-// as needed.
-func cliqueKey(c []*SNode, ids *[]int, key *[]byte) []byte {
-	v := (*ids)[:0]
-	for _, n := range c {
-		v = append(v, n.ID)
-	}
-	sort.Ints(v)
-	*ids = v
-	k := (*key)[:0]
-	for _, id := range v {
-		k = binary.AppendVarint(k, int64(id))
-	}
-	*key = k
-	return k
 }
 
 // formatClique renders a clique for traces and tests.

@@ -120,6 +120,11 @@ func coveredDAG(block *ir.Block, m *isdl.Machine, opts Options) (*sndag.DAG, int
 	return d, pruned, err
 }
 
+// maxKeptGraphs is the largest assignment count for which CoverDAG
+// keeps each lower-bound graph for its assignment's covering (above the
+// default beam width of 16).
+const maxKeptGraphs = 64
+
 // CoverDAG is CoverBlock for a pre-built Split-Node DAG.
 //
 // Assignments are covered best-first by an admissible lower bound
@@ -136,15 +141,19 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 	}
 	res := &Result{DAG: d}
 
-	// Lower-bound prepass. Graphs are built and discarded: the scheduler
-	// mutates its graph, so each explored assignment rebuilds anyway, and
-	// holding one graph per assignment would bloat exhaustive runs.
+	// Lower-bound prepass. The bound only reads its graph, so with few
+	// assignments (the default beam) each graph is kept for the clique
+	// covering of its assignment, which schedules it once. With more,
+	// holding one graph per assignment would bloat exhaustive runs, so
+	// they are discarded and each covered assignment rebuilds.
 	type candidate struct {
 		idx int // original exploreAssignments index
 		a   *Assignment
 		lb  int
-		err error // buildGraph failure, fatal for this assignment
+		g   *graph // the bound's graph, when kept
+		err error  // buildGraph failure, fatal for this assignment
 	}
+	keep := len(assigns) <= maxKeptGraphs
 	cands := make([]candidate, len(assigns))
 	for i, a := range assigns {
 		cands[i] = candidate{idx: i, a: a}
@@ -152,6 +161,9 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 			cands[i].err = err
 		} else {
 			cands[i].lb = assignmentLowerBound(g)
+			if keep {
+				cands[i].g = g
+			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -164,7 +176,9 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 	var firstErr error
 	firstErrIdx := len(assigns)
 	bestIdx := len(assigns)
-	for _, c := range cands {
+	for i := range cands {
+		c := cands[i]
+		cands[i].g = nil // covered at most once; let it go after
 		if c.err != nil {
 			// Transfer routing failed; ListSchedule shares buildGraph, so
 			// covering this assignment cannot succeed either.
@@ -183,7 +197,7 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 		if opts.Trace != nil {
 			opts.Trace.logf("covering assignment %d (heuristic cost %d, lower bound %d)", c.idx, c.a.HeurCost, c.lb)
 		}
-		sol, err := coverAssignment(d, c.a, opts)
+		sol, err := coverAssignment(d, c.a, c.g, opts)
 		if err != nil {
 			if c.idx < firstErrIdx {
 				firstErr, firstErrIdx = err, c.idx
@@ -238,12 +252,20 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 // spill. So when the unwindowed covering succeeded without spilling and
 // the windowed matrix is the same, the windowed covering would repeat it
 // step for step, and it is skipped.
-func coverAssignment(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) {
-	g, pm, err := cliqueGraph(d, a, opts)
-	if err != nil {
-		// buildGraph ignores the level window, so the windowed covering
-		// and ListSchedule would fail the same way.
-		return nil, err
+//
+// g, when not nil, is a's solution graph, fresh from buildGraph and not
+// yet scheduled; otherwise coverAssignment builds it.
+func coverAssignment(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solution, error) {
+	var pm *bitset.Matrix
+	if g == nil {
+		var err error
+		if g, pm, err = cliqueGraph(d, a, opts); err != nil {
+			// buildGraph ignores the level window, so the windowed
+			// covering and ListSchedule would fail the same way.
+			return nil, err
+		}
+	} else {
+		pm = graphMatrix(g, opts)
 	}
 	best, firstErr := cliqueCover(d, a, g, pm, opts)
 	if opts.LevelWindow < 0 {
@@ -286,10 +308,16 @@ func cliqueGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, *bitset.Mat
 	if err != nil {
 		return nil, nil, err
 	}
+	return g, graphMatrix(g, opts), nil
+}
+
+// graphMatrix is the parallelism matrix of g under opts.LevelWindow
+// (nil for an empty graph).
+func graphMatrix(g *graph, opts Options) *bitset.Matrix {
 	if len(g.nodes) == 0 {
-		return g, nil, nil
+		return nil
 	}
-	return g, parallelMatrix(g.nodes, g.machine, opts.LevelWindow), nil
+	return parallelMatrix(g.nodes, g.ix, opts.LevelWindow)
 }
 
 // cliqueCover runs the greedy clique covering on a fresh graph g from
@@ -297,7 +325,7 @@ func cliqueGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, *bitset.Mat
 func cliqueCover(d *sndag.DAG, a *Assignment, g *graph, pm *bitset.Matrix, opts Options) (*Solution, error) {
 	sched := newScheduler(g, opts)
 	if pm != nil {
-		sched.initialCliques = cliquesFromMatrix(g.nodes, pm, g.machine, opts.CliqueBudget)
+		sched.initialCliques = cliquesFromMatrix(g.nodes, pm, g.machine, opts.CliqueBudget, sched.cliqueSet())
 	}
 	if err := sched.run(); err != nil {
 		return nil, err
@@ -349,13 +377,16 @@ func (s *Solution) CanMove(n *SNode, j int, pos map[*SNode]int) bool {
 // Verify checks solution invariants: every instruction is a legal
 // grouping, dependences are respected by the schedule, and per-bank
 // register pressure never exceeds the bank size. It is used heavily in
-// tests and by the simulator harness.
+// tests and by the simulator harness. Its per-node state lives in
+// slices indexed by each distinct scheduled node's slot (see
+// scheduleSlots), private to the call.
 func (s *Solution) Verify() error {
 	nodes := 0
 	for _, instr := range s.Instrs {
 		nodes += len(instr)
 	}
-	pos := make(map[*SNode]int, nodes)
+	slots := newScheduleSlots(s.Instrs, nodes)
+	pos := make([]int32, len(slots.nodes)) // by slot: the node's instruction
 	for i, instr := range s.Instrs {
 		if !legalGroup(instr, s.Machine) {
 			return fmt.Errorf("instr %d is not a legal grouping: %s", i, formatClique(instr))
@@ -368,54 +399,58 @@ func (s *Solution) Verify() error {
 					}
 				}
 			}
-			pos[n] = i
+			sn, _ := slots.of(n)
+			pos[sn] = int32(i)
 		}
 	}
 	// Dependences strictly ordered, separated by the producer's latency.
 	for _, instr := range s.Instrs {
 		for _, n := range instr {
+			sn, _ := slots.of(n)
+			at := int(pos[sn])
 			for _, p := range n.Preds {
-				pp, ok := pos[p]
+				sp, ok := slots.of(p)
 				if !ok {
 					return fmt.Errorf("%s depends on unscheduled %s", n, p)
 				}
-				if pp+nodeLatency(s.Machine, p) > pos[n] {
+				if pp := int(pos[sp]); pp+nodeLatency(s.Machine, p) > at {
 					return fmt.Errorf("%s at %d issues before its operand %s (at %d, latency %d) completes",
-						n, pos[n], p, pp, nodeLatency(s.Machine, p))
+						n, at, p, pp, nodeLatency(s.Machine, p))
 				}
 			}
 			for _, p := range n.OrdPreds {
-				pp, ok := pos[p]
+				sp, ok := slots.of(p)
 				if !ok {
 					return fmt.Errorf("%s order-depends on unscheduled %s", n, p)
 				}
-				if pp >= pos[n] {
-					return fmt.Errorf("%s at %d not after ordering pred %s at %d", n, pos[n], p, pp)
+				if pp := int(pos[sp]); pp >= at {
+					return fmt.Errorf("%s at %d not after ordering pred %s at %d", n, at, p, pp)
 				}
 			}
 		}
 	}
-	// Register pressure per bank, replayed over the schedule.
-	pending := make(map[*SNode]int, nodes)
-	for _, instr := range s.Instrs {
-		for _, n := range instr {
-			if _, ok := n.DefLoc(); ok {
-				cnt := s.ExternalUses[n]
-				for _, u := range n.Succs {
-					if _, scheduled := pos[u]; scheduled {
-						cnt++
-					}
+	// Register pressure per bank, replayed over the schedule. Every
+	// operand is scheduled (checked above), so each has a slot.
+	pending := make([]int32, len(slots.nodes)) // by slot
+	for _, n := range slots.nodes {
+		if _, ok := n.DefLoc(); ok {
+			cnt := s.ExternalUses[n]
+			for _, u := range n.Succs {
+				if _, scheduled := slots.of(u); scheduled {
+					cnt++
 				}
-				pending[n] = cnt
 			}
+			sn, _ := slots.of(n)
+			pending[sn] = int32(cnt)
 		}
 	}
 	live := make(map[string]int, len(s.Machine.Units)) // unit banks only
 	for i, instr := range s.Instrs {
 		for _, n := range instr {
 			for _, p := range n.Preds {
-				pending[p]--
-				if pending[p] == 0 {
+				sp, _ := slots.of(p)
+				pending[sp]--
+				if pending[sp] == 0 {
 					if loc, ok := p.DefLoc(); ok && loc.Kind == isdl.LocUnit {
 						live[loc.Name]--
 					}
@@ -423,7 +458,8 @@ func (s *Solution) Verify() error {
 			}
 		}
 		for _, n := range instr {
-			if loc, ok := n.DefLoc(); ok && loc.Kind == isdl.LocUnit && pending[n] > 0 {
+			sn, _ := slots.of(n)
+			if loc, ok := n.DefLoc(); ok && loc.Kind == isdl.LocUnit && pending[sn] > 0 {
 				live[loc.Name]++
 				if size := s.Machine.BankSize(loc.Name); size > 0 && live[loc.Name] > size {
 					return fmt.Errorf("instr %d overflows bank %s: %d live > %d regs",
@@ -433,4 +469,73 @@ func (s *Solution) Verify() error {
 		}
 	}
 	return nil
+}
+
+// scheduleSlots numbers the distinct nodes of a schedule densely, in
+// first-appearance order. Lookups go through a slice indexed by
+// SNode.ID, checked against the node pointer; a schedule whose IDs are
+// negative, repeated across distinct nodes, or too sparse for such a
+// slice (a decoded payload can carry any IDs) falls back to a
+// pointer-keyed map, so slots always identify nodes exactly as pointers
+// do.
+type scheduleSlots struct {
+	nodes []*SNode // slot -> node
+	byID  []int32  // SNode.ID -> slot+1, 0 when absent
+	byPtr map[*SNode]int32
+}
+
+func newScheduleSlots(instrs [][]*SNode, total int) *scheduleSlots {
+	x := &scheduleSlots{nodes: make([]*SNode, 0, total)}
+	minID, maxID := 0, -1
+	for _, instr := range instrs {
+		for _, n := range instr {
+			minID, maxID = min(minID, n.ID), max(maxID, n.ID)
+		}
+	}
+	if minID >= 0 && maxID < 4*total+64 {
+		x.byID = make([]int32, maxID+1)
+		if x.fill(instrs) {
+			return x
+		}
+		x.byID, x.nodes = nil, x.nodes[:0]
+	}
+	x.byPtr = make(map[*SNode]int32, total)
+	x.fill(instrs)
+	return x
+}
+
+// fill assigns slots; it reports false when two distinct nodes share an
+// ID in byID mode.
+func (x *scheduleSlots) fill(instrs [][]*SNode) bool {
+	for _, instr := range instrs {
+		for _, n := range instr {
+			if _, ok := x.of(n); ok {
+				continue
+			}
+			slot := int32(len(x.nodes))
+			if x.byPtr != nil {
+				x.byPtr[n] = slot
+			} else if x.byID[n.ID] != 0 {
+				return false
+			} else {
+				x.byID[n.ID] = slot + 1
+			}
+			x.nodes = append(x.nodes, n)
+		}
+	}
+	return true
+}
+
+// of returns n's slot, and false when n is not in the schedule.
+func (x *scheduleSlots) of(n *SNode) (int32, bool) {
+	if x.byPtr != nil {
+		slot, ok := x.byPtr[n]
+		return slot, ok
+	}
+	if n.ID >= 0 && n.ID < len(x.byID) {
+		if slot := x.byID[n.ID] - 1; slot >= 0 && x.nodes[slot] == n {
+			return slot, true
+		}
+	}
+	return -1, false
 }

@@ -2,18 +2,12 @@ package cover
 
 import (
 	"fmt"
+	"slices"
 
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/sndag"
 )
-
-// valKey identifies a register-resident value: the original node whose
-// result it is, at a particular location.
-type valKey struct {
-	val *ir.Node
-	loc isdl.Loc
-}
 
 // graph is the solution graph for one functional-unit assignment: the
 // operation nodes on their assigned units plus all required data-transfer
@@ -25,11 +19,23 @@ type graph struct {
 	assign  *Assignment
 	dm      isdl.Loc
 
+	// nodes holds every node ever created, in creation order, so
+	// nodes[i].ID == i (spilling only appends and flags removals).
 	nodes  []*SNode
 	nextID int
+	// ix interns the machine's resources and indexes each node's by ID.
+	ix *nodeIndex
+	// slab hands out the nodes: one backing array per batch instead of
+	// one allocation per node. Full batches are replaced, never grown,
+	// so node pointers stay valid.
+	slab []SNode
 
-	// prod maps a value-at-location to the node that puts it there.
-	prod map[valKey]*SNode
+	// prod maps a value-at-location to the node that puts it there
+	// (producer, setProducer): the original node's ID within each
+	// location's row of idBound cells, locations interned in locs.
+	prod    []*SNode
+	locs    []isdl.Loc
+	idBound int
 	// busLoad counts transfers per bus, driving the parallelism-based
 	// transfer-path selection heuristic.
 	busLoad map[string]int
@@ -47,8 +53,60 @@ type graph struct {
 	nextMove int
 }
 
+// nodeBatch is the number of nodes one slab batch holds: small enough
+// that a graph's unused tail stays a few KiB.
+const nodeBatch = 8
+
+// newGraph returns an empty solution graph for assignment a, its
+// value-location table sized for every register bank and memory of the
+// machine.
+func newGraph(d *sndag.DAG, a *Assignment, opts Options) *graph {
+	m := d.Machine
+	g := &graph{
+		machine:      m,
+		block:        d.Block,
+		assign:       a,
+		dm:           isdl.MemLoc(m.DataMemory().Name),
+		idBound:      d.Block.IDBound(),
+		busLoad:      make(map[string]int),
+		opts:         opts,
+		externalUses: make(map[*SNode]int),
+	}
+	g.locs = make([]isdl.Loc, 0, len(m.Units)+len(m.Memories))
+	for _, b := range m.Banks() {
+		g.locs = append(g.locs, isdl.UnitLoc(b))
+	}
+	for _, mem := range m.Memories {
+		g.locs = append(g.locs, isdl.MemLoc(mem.Name))
+	}
+	g.prod = make([]*SNode, len(g.locs)*g.idBound)
+	return g
+}
+
+// prodCell returns the prod index of original node v's value at loc,
+// interning loc (and growing prod by a row) on first sight.
+func (g *graph) prodCell(v *ir.Node, loc isdl.Loc) int {
+	li := slices.Index(g.locs, loc)
+	if li < 0 {
+		li = len(g.locs)
+		g.locs = append(g.locs, loc)
+		g.prod = append(g.prod, make([]*SNode, g.idBound)...)
+	}
+	return li*g.idBound + v.ID
+}
+
+// producer returns the node putting v's value at loc, or nil.
+func (g *graph) producer(v *ir.Node, loc isdl.Loc) *SNode { return g.prod[g.prodCell(v, loc)] }
+
+// setProducer records n as the node putting v's value at loc.
+func (g *graph) setProducer(v *ir.Node, loc isdl.Loc, n *SNode) { g.prod[g.prodCell(v, loc)] = n }
+
 func (g *graph) newNode(kind SNodeKind) *SNode {
-	n := &SNode{ID: g.nextID, Kind: kind}
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]SNode, 0, nodeBatch)
+	}
+	g.slab = append(g.slab, SNode{ID: g.nextID, Kind: kind})
+	n := &g.slab[len(g.slab)-1]
 	g.nextID++
 	g.nodes = append(g.nodes, n)
 	return n
@@ -103,20 +161,10 @@ func addOrderEdge(from, to *SNode) {
 // transfers to data memory, plus memory-ordering edges between accesses
 // to the same variable.
 func buildGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, error) {
+	g := newGraph(d, a, opts)
 	// Transfers typically outnumber the operations; start the node list
-	// and value-location map sized for a couple of transfers per node.
-	hint := 2 * len(d.Block.Nodes)
-	g := &graph{
-		machine:      d.Machine,
-		block:        d.Block,
-		assign:       a,
-		dm:           isdl.MemLoc(d.Machine.DataMemory().Name),
-		prod:         make(map[valKey]*SNode, hint),
-		busLoad:      make(map[string]int),
-		opts:         opts,
-		externalUses: make(map[*SNode]int),
-	}
-	g.nodes = make([]*SNode, 0, hint)
+	// sized for a couple of transfers per node.
+	g.nodes = make([]*SNode, 0, 2*len(d.Block.Nodes))
 
 	loadsByVar := make(map[string][]*SNode)
 	storesByVar := make(map[string][]*SNode)
@@ -148,7 +196,7 @@ func buildGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, error) {
 				}
 				addEdge(src, op)
 			}
-			g.prod[valKey{n, uloc}] = op
+			g.setProducer(n, uloc, op)
 
 		case n.Op == ir.OpStore:
 			st, err := g.buildStore(n, loadsByVar)
@@ -182,7 +230,7 @@ func buildGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, error) {
 				if root, ok := a.AbsorbedBy[exec]; ok {
 					exec = root
 				}
-				holder = g.prod[valKey{exec, g.bankLoc(a.UnitOf(cond).Name)}]
+				holder = g.producer(exec, g.bankLoc(a.UnitOf(cond).Name))
 			}
 			if holder != nil {
 				g.externalUses[holder]++
@@ -200,6 +248,8 @@ func buildGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, error) {
 			addOrderEdge(stores[i-1], stores[i])
 		}
 	}
+	g.ix = newNodeIndex(g.machine, g.nextID)
+	g.ix.addAll(g.nodes)
 	return g, nil
 }
 
@@ -208,7 +258,7 @@ func buildGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, error) {
 // memory) if it does not exist yet. Chains are shared: once a value has
 // landed in a bank, later consumers in that bank reuse it.
 func (g *graph) ensureValueAt(o *ir.Node, want isdl.Loc, loadsByVar map[string][]*SNode) (*SNode, error) {
-	if p, ok := g.prod[valKey{o, want}]; ok {
+	if p := g.producer(o, want); p != nil {
 		return p, nil
 	}
 	var src isdl.Loc
@@ -229,7 +279,7 @@ func (g *graph) ensureValueAt(o *ir.Node, want isdl.Loc, loadsByVar map[string][
 		return nil, fmt.Errorf("cover: cannot locate value of %s", o)
 	}
 	if src == want {
-		if p, ok := g.prod[valKey{o, src}]; ok {
+		if p := g.producer(o, src); p != nil {
 			return p, nil
 		}
 		return nil, fmt.Errorf("cover: value %s expected at %s but never produced", o, src)
@@ -238,9 +288,9 @@ func (g *graph) ensureValueAt(o *ir.Node, want isdl.Loc, loadsByVar map[string][
 	if err != nil {
 		return nil, fmt.Errorf("cover: value n%d: %w", o.ID, err)
 	}
-	cur := g.prod[valKey{o, src}] // nil when src is the variable's memory
+	cur := g.producer(o, src) // nil when src is the variable's memory
 	for _, step := range path {
-		if p, ok := g.prod[valKey{o, step.To}]; ok {
+		if p := g.producer(o, step.To); p != nil {
 			cur = p
 			continue
 		}
@@ -270,7 +320,7 @@ func (g *graph) ensureValueAt(o *ir.Node, want isdl.Loc, loadsByVar map[string][
 			addEdge(cur, t)
 		}
 		g.busLoad[step.Bus]++
-		g.prod[valKey{o, step.To}] = t
+		g.setProducer(o, step.To, t)
 		cur = t
 	}
 	return cur, nil
@@ -296,7 +346,7 @@ func (g *graph) buildStore(s *ir.Node, loadsByVar map[string][]*SNode) (*SNode, 
 		op.Bank = g.machine.BankOf(u)
 		op.Op = ir.OpConst
 		src = g.bankLoc(u)
-		g.prod[valKey{arg, src}] = op
+		g.setProducer(arg, src, op)
 		producer = op
 	case arg.Op == ir.OpLoad:
 		u, err := g.cheapestUnitFor(g.dm)
@@ -315,7 +365,7 @@ func (g *graph) buildStore(s *ir.Node, loadsByVar map[string][]*SNode) (*SNode, 
 			return nil, fmt.Errorf("cover: store %s of unassigned value", s)
 		}
 		src = g.bankLoc(unit.Name)
-		producer = g.prod[valKey{arg, src}]
+		producer = g.producer(arg, src)
 		if producer == nil {
 			return nil, fmt.Errorf("cover: store %s: value not produced at %s", s, src)
 		}
@@ -352,7 +402,7 @@ func (g *graph) buildStore(s *ir.Node, loadsByVar map[string][]*SNode) (*SNode, 
 		addEdge(cur, t)
 		g.busLoad[step.Bus]++
 		if step.To.Kind == isdl.LocUnit {
-			g.prod[valKey{arg, step.To}] = t
+			g.setProducer(arg, step.To, t)
 		}
 		cur = t
 	}
@@ -419,7 +469,112 @@ func nodeLatency(m *isdl.Machine, n *SNode) int {
 	return 1
 }
 
-// bankSize returns the size of the named register bank.
-func (g *graph) bankSize(bank string) int {
-	return g.machine.BankSize(bank)
+// nodeIndex is the dense form of one graph's resource accounting. The
+// machine's functional units and buses are interned once as resources
+// and its register banks as banks; each node's resource (its unit, or
+// the bus its transfer rides), defined bank and result latency are then
+// slices indexed by SNode.ID, so the covering's counting loops index
+// slices instead of hashing names. Machines declare a handful of units,
+// buses and banks, so interning is a linear scan, not a map.
+type nodeIndex struct {
+	machine *isdl.Machine
+
+	// Per resource: its name, and whether it is a bus (else a unit).
+	resName []string
+	resBus  []bool
+	// width is the number of users a resource serves per instruction: 1
+	// for a unit, the declared width for a bus, 1 for an undeclared bus.
+	width []int
+	// exclusive marks the resources two nodes can never share in one
+	// instruction: every unit, and every declared width-1 bus.
+	exclusive []bool
+
+	bankNames []string
+	bankSizes []int
+
+	// Indexed by SNode.ID: the node's resource, the register bank it
+	// defines a value into (-1 when it defines none), and its result
+	// latency.
+	res  []int32
+	bank []int32
+	lat  []int32
+}
+
+// newNodeIndex interns m's units, buses and banks, in declaration
+// order, and sizes the per-node slices for n nodes.
+func newNodeIndex(m *isdl.Machine, n int) *nodeIndex {
+	x := &nodeIndex{
+		machine: m,
+		res:     make([]int32, 0, n),
+		bank:    make([]int32, 0, n),
+		lat:     make([]int32, 0, n),
+	}
+	for _, u := range m.Units {
+		x.resource(u.Name, false)
+	}
+	for _, b := range m.Buses {
+		x.resource(b.Name, true)
+	}
+	for _, b := range m.Banks() {
+		x.internBank(b)
+	}
+	return x
+}
+
+// resource returns the index of the named unit or bus, interning it on
+// first sight. A name the machine does not declare keeps the meaning
+// the name-keyed code gave it: a unit is exclusive, a bus one slot wide
+// but shareable.
+func (x *nodeIndex) resource(name string, bus bool) int32 {
+	for i, n := range x.resName {
+		if n == name && x.resBus[i] == bus {
+			return int32(i)
+		}
+	}
+	width, exclusive := 1, !bus
+	if bus {
+		if b := x.machine.Bus(name); b != nil {
+			// Finalize rejects widths below 1; the clamp keeps the
+			// ceiling divisions safe on an unfinalized description.
+			width, exclusive = max(b.Width, 1), b.Width == 1
+		}
+	}
+	x.resName = append(x.resName, name)
+	x.resBus = append(x.resBus, bus)
+	x.width = append(x.width, width)
+	x.exclusive = append(x.exclusive, exclusive)
+	return int32(len(x.resName) - 1)
+}
+
+func (x *nodeIndex) internBank(name string) int32 {
+	for i, b := range x.bankNames {
+		if b == name {
+			return int32(i)
+		}
+	}
+	x.bankNames = append(x.bankNames, name)
+	x.bankSizes = append(x.bankSizes, x.machine.BankSize(name))
+	return int32(len(x.bankNames) - 1)
+}
+
+// addAll indexes the nodes, growing the per-node slices to the largest
+// ID.
+func (x *nodeIndex) addAll(nodes []*SNode) {
+	for _, n := range nodes {
+		for len(x.res) <= n.ID {
+			x.res = append(x.res, 0)
+			x.bank = append(x.bank, -1)
+			x.lat = append(x.lat, 1)
+		}
+		if n.Kind == OpNode {
+			x.res[n.ID] = x.resource(n.Unit, false)
+		} else {
+			x.res[n.ID] = x.resource(n.Step.Bus, true)
+		}
+		x.bank[n.ID] = -1
+		if loc, ok := n.DefLoc(); ok && loc.Kind == isdl.LocUnit {
+			x.bank[n.ID] = x.internBank(loc.Name)
+		}
+		x.lat[n.ID] = int32(nodeLatency(x.machine, n))
+	}
 }

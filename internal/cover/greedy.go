@@ -3,8 +3,6 @@ package cover
 import (
 	"fmt"
 	"sort"
-
-	"aviv/internal/isdl"
 )
 
 // DisablePooling turns off the scheduler's scratch-buffer and in-place
@@ -23,8 +21,14 @@ const pendingAbsent = int32(-1 << 30)
 // bankOver names a register bank exceeding its size, and by how much.
 type bankOver struct {
 	bank string
+	idx  int32 // the bank's nodeIndex number
 	by   int
 }
+
+// lookaheadProbe, when set, sees every lookahead estimate with the set
+// it was computed for, before selectBest uses it. Tests set it to check
+// the incremental counts against a recount; it is nil otherwise.
+var lookaheadProbe func(s *scheduler, set []*SNode, est int)
 
 // scheduler runs the greedy minimum-cost clique covering of Sec. IV-D:
 // repeatedly pick the maximal grouping that covers the most ready nodes
@@ -34,8 +38,9 @@ type bankOver struct {
 //
 // Per-node state is held in dense slices indexed by SNode.ID (the graph
 // assigns IDs contiguously; grow extends the slices after spills add
-// nodes), and per-bank state in slices indexed by an interned bank
-// number — the covering inner loops run over these instead of maps.
+// nodes), and per-bank and per-resource state in slices indexed by the
+// graph's nodeIndex numbers — the covering inner loops run over these
+// instead of maps.
 type scheduler struct {
 	g    *graph
 	opts Options
@@ -52,14 +57,19 @@ type scheduler struct {
 	// latency separation on machines with multi-cycle operations.
 	pos []int32
 
-	// Interned register banks: live counts occupied registers per bank.
-	bankIdx   map[string]int
-	bankNames []string
-	bankSizes []int
-	live      []int
+	// live counts occupied registers per bank.
+	live []int
+	// remaining counts, per resource, the uncovered nodes that are not
+	// removed: schedule decrements it, a spill recounts it. lookahead
+	// reads it instead of rescanning the graph.
+	remaining []int
 
 	instrs     [][]*SNode
 	spillCount int
+	// instrSlab holds the copies schedule makes of its instructions,
+	// carved out with their capacity clipped. The first slab fits every
+	// node of the graph; one that fills up (after spills) is replaced.
+	instrSlab []*SNode
 
 	// initialCliques, when non-nil, is the first grouping inventory; the
 	// caller computed it from a parallelism matrix it also compares
@@ -73,11 +83,11 @@ type scheduler struct {
 	// snapped up (typically by the reload of the value just spilled) and
 	// the scheduler ping-pongs.
 	goal     *SNode
-	goalBank string
+	goalBank int32
 
 	// Scratch state, reused across calls (see DisablePooling). The
 	// epoch-stamped arrays make "clear" an integer increment; mark/decCnt
-	// are per node, bankMark/bankDelta per interned bank.
+	// are per node, bankMark/bankDelta per bank.
 	epoch      int32
 	mark       []int32
 	decCnt     []int32
@@ -91,11 +101,7 @@ type scheduler struct {
 	uncBuf     []*SNode
 	stackBuf   []*SNode
 	blockedBuf []*SNode
-	unitCnt    map[string]int
-	busCnt     map[string]int
-	seenKeys   map[string]bool
-	idsBuf     []int
-	keyBuf     []byte
+	seen       cliqueSet
 	single     [1]*SNode
 }
 
@@ -110,38 +116,42 @@ func newScheduler(g *graph, opts Options) *scheduler {
 		pos:     make([]int32, n),
 		mark:    make([]int32, n),
 		decCnt:  make([]int32, n),
-		bankIdx: make(map[string]int),
 	}
 	for i := range s.pending {
 		s.pending[i] = pendingAbsent
 	}
-	for _, bank := range g.machine.Banks() {
-		s.internBank(bank)
-	}
+	s.growBanks()
 	for _, nd := range g.nodes {
 		s.initPending(nd)
 	}
+	s.recountRemaining()
 	return s
 }
 
-// internBank returns the dense index of a bank name, registering it on
-// first sight.
-func (s *scheduler) internBank(name string) int {
-	if i, ok := s.bankIdx[name]; ok {
-		return i
+// growBanks sizes the per-bank and per-resource slices to the graph's
+// interned banks and resources (fixed up front; a spill extends them
+// only if a new node names something the machine does not declare).
+func (s *scheduler) growBanks() {
+	ix := s.g.ix
+	for len(s.live) < len(ix.bankNames) {
+		s.live = append(s.live, 0)
+		s.bankMark = append(s.bankMark, 0)
+		s.bankDelta = append(s.bankDelta, 0)
 	}
-	i := len(s.bankNames)
-	s.bankIdx[name] = i
-	s.bankNames = append(s.bankNames, name)
-	s.bankSizes = append(s.bankSizes, s.g.bankSize(name))
-	s.live = append(s.live, 0)
-	s.bankMark = append(s.bankMark, 0)
-	s.bankDelta = append(s.bankDelta, 0)
-	return i
+	for len(s.remaining) < len(ix.width) {
+		s.remaining = append(s.remaining, 0)
+	}
 }
 
-// grow extends the per-node slices to cover nodes added by spilling.
+// grow extends the per-node slices, and the graph's index, to cover
+// nodes added by spilling.
 func (s *scheduler) grow() {
+	old := len(s.pending)
+	if old == s.g.nextID {
+		return
+	}
+	s.g.ix.addAll(s.g.nodes[old:])
+	s.growBanks()
 	for len(s.pending) < s.g.nextID {
 		s.pending = append(s.pending, pendingAbsent)
 		s.covered = append(s.covered, false)
@@ -149,6 +159,18 @@ func (s *scheduler) grow() {
 		s.pos = append(s.pos, 0)
 		s.mark = append(s.mark, 0)
 		s.decCnt = append(s.decCnt, 0)
+	}
+}
+
+// recountRemaining rebuilds the per-resource counts of uncovered,
+// unremoved nodes from scratch (after a spill added and removed nodes).
+func (s *scheduler) recountRemaining() {
+	clear(s.remaining)
+	res := s.g.ix.res
+	for _, n := range s.g.nodes {
+		if !s.covered[n.ID] && !s.removed[n.ID] {
+			s.remaining[res[n.ID]]++
+		}
 	}
 }
 
@@ -198,7 +220,7 @@ func (s *scheduler) ready(n *SNode) bool {
 func (s *scheduler) availableAt(n *SNode) int {
 	at := 0
 	for _, p := range n.Preds {
-		if t := int(s.pos[p.ID]) + s.g.latencyOf(p); t > at {
+		if t := int(s.pos[p.ID] + s.g.ix.lat[p.ID]); t > at {
 			at = t
 		}
 	}
@@ -265,19 +287,18 @@ func (s *scheduler) overfullBanks(set []*SNode) []bankOver {
 			touched = append(touched, bi)
 		}
 	}
+	bank := s.g.ix.bank
 	for _, p := range dec {
 		if s.pending[p.ID]-s.decCnt[p.ID] <= 0 {
-			if loc, ok := p.DefLoc(); ok && loc.Kind == isdl.LocUnit {
-				bi := s.internBank(loc.Name)
-				touch(bi)
+			if bi := bank[p.ID]; bi >= 0 {
+				touch(int(bi))
 				s.bankDelta[bi]--
 			}
 		}
 	}
 	for _, n := range set {
-		if loc, ok := n.DefLoc(); ok && loc.Kind == isdl.LocUnit && s.pending[n.ID] > 0 {
-			bi := s.internBank(loc.Name)
-			touch(bi)
+		if bi := bank[n.ID]; bi >= 0 && s.pending[n.ID] > 0 {
+			touch(int(bi))
 			s.bankDelta[bi]++
 		}
 	}
@@ -286,9 +307,10 @@ func (s *scheduler) overfullBanks(set []*SNode) []bankOver {
 	if !DisablePooling {
 		out = s.overBuf[:0]
 	}
+	ix := s.g.ix
 	for _, bi := range touched {
-		if s.live[bi]+s.bankDelta[bi] > s.bankSizes[bi] {
-			out = append(out, bankOver{s.bankNames[bi], s.live[bi] + s.bankDelta[bi] - s.bankSizes[bi]})
+		if s.live[bi]+s.bankDelta[bi] > ix.bankSizes[bi] {
+			out = append(out, bankOver{ix.bankNames[bi], int32(bi), s.live[bi] + s.bankDelta[bi] - ix.bankSizes[bi]})
 		}
 	}
 	// Banks are few: insertion sort keeps this allocation-free.
@@ -314,15 +336,15 @@ func (s *scheduler) trimToFeasible(set []*SNode) []*SNode {
 			return set
 		}
 		// Pick the most overfull bank and drop one producer into it.
-		worst, worstBy := "", 0
-		for _, bo := range over {
-			if bo.by > worstBy || (bo.by == worstBy && bo.bank < worst) || worst == "" {
-				worst, worstBy = bo.bank, bo.by
+		worst := over[0]
+		for _, bo := range over[1:] {
+			if bo.by > worst.by || (bo.by == worst.by && bo.bank < worst.bank) {
+				worst = bo
 			}
 		}
 		dropped := false
 		for i := len(set) - 1; i >= 0; i-- {
-			if loc, ok := set[i].DefLoc(); ok && loc.Kind == isdl.LocUnit && loc.Name == worst {
+			if s.g.ix.bank[set[i].ID] == worst.idx {
 				set = append(set[:i], set[i+1:]...)
 				dropped = true
 				break
@@ -346,8 +368,7 @@ func (s *scheduler) allowedByGoal(n *SNode) bool {
 		s.goal = nil
 		return true
 	}
-	loc, defines := n.DefLoc()
-	if !defines || loc.Kind != isdl.LocUnit || loc.Name != s.goalBank {
+	if s.g.ix.bank[n.ID] != s.goalBank {
 		return true
 	}
 	if n == s.goal {
@@ -397,46 +418,30 @@ func (s *scheduler) useful(n *SNode) bool {
 
 // lookahead estimates the number of instructions still needed after
 // hypothetically scheduling the set: a resource lower bound over the
-// remaining uncovered nodes (Sec. IV-D's tie-breaking cost).
+// remaining uncovered nodes (Sec. IV-D's tie-breaking cost) — the
+// largest count of them on one unit, or on one bus divided by its
+// width. The counts are the scheduler's running per-resource tallies
+// with the set's own members taken out for the call, so a candidate
+// costs O(|set| + resources), not a scan of the graph. The set's
+// members are uncovered and distinct (selectBest builds it from ready
+// clique members).
 func (s *scheduler) lookahead(set []*SNode) int {
-	s.epoch++
-	e := s.epoch
+	res, rem := s.g.ix.res, s.remaining
 	for _, n := range set {
-		s.mark[n.ID] = e
-	}
-	if s.unitCnt == nil || DisablePooling {
-		s.unitCnt = make(map[string]int)
-		s.busCnt = make(map[string]int)
-	} else {
-		clear(s.unitCnt)
-		clear(s.busCnt)
-	}
-	unitCnt, busCnt := s.unitCnt, s.busCnt
-	for _, n := range s.g.nodes {
-		if s.covered[n.ID] || s.removed[n.ID] || s.mark[n.ID] == e {
-			continue
-		}
-		if n.Kind == OpNode {
-			unitCnt[n.Unit]++
-		} else {
-			busCnt[n.Step.Bus]++
-		}
+		rem[res[n.ID]]--
 	}
 	est := 0
-	for _, c := range unitCnt {
-		if c > est {
-			est = c
-		}
-	}
-	for bus, c := range busCnt {
-		w := 1
-		if b := s.g.machine.Bus(bus); b != nil {
-			w = b.Width
-		}
-		need := (c + w - 1) / w
-		if need > est {
+	for r, c := range rem {
+		w := s.g.ix.width[r]
+		if need := (c + w - 1) / w; need > est {
 			est = need
 		}
+	}
+	for _, n := range set {
+		rem[res[n.ID]]++
+	}
+	if lookaheadProbe != nil {
+		lookaheadProbe(s, set, est)
 	}
 	return est
 }
@@ -447,28 +452,39 @@ func (s *scheduler) lookahead(set []*SNode) int {
 // callers may pass (and keep reusing) scratch buffers.
 func (s *scheduler) schedule(set []*SNode) {
 	if len(set) > 0 {
-		set = append(make([]*SNode, 0, len(set)), set...)
+		if cap(s.instrSlab)-len(s.instrSlab) < len(set) {
+			n := 16
+			if s.instrSlab == nil {
+				n = s.g.nextID
+			}
+			s.instrSlab = make([]*SNode, 0, max(n, len(set)))
+		}
+		start := len(s.instrSlab)
+		s.instrSlab = append(s.instrSlab, set...)
+		set = s.instrSlab[start:len(s.instrSlab):len(s.instrSlab)]
 	}
 	sort.Slice(set, func(i, j int) bool { return set[i].ID < set[j].ID })
 	cycle := len(s.instrs)
 	s.instrs = append(s.instrs, set)
+	ix := s.g.ix
 	for _, n := range set {
 		s.covered[n.ID] = true
 		s.pos[n.ID] = int32(cycle)
+		s.remaining[ix.res[n.ID]]--
 	}
 	for _, n := range set {
 		for _, p := range n.Preds {
 			s.pending[p.ID]--
 			if s.pending[p.ID] == 0 {
-				if loc, ok := p.DefLoc(); ok && loc.Kind == isdl.LocUnit {
-					s.live[s.internBank(loc.Name)]--
+				if bi := ix.bank[p.ID]; bi >= 0 {
+					s.live[bi]--
 				}
 			}
 		}
 	}
 	for _, n := range set {
-		if loc, ok := n.DefLoc(); ok && loc.Kind == isdl.LocUnit && s.pending[n.ID] > 0 {
-			s.live[s.internBank(loc.Name)]++
+		if bi := ix.bank[n.ID]; bi >= 0 && s.pending[n.ID] > 0 {
+			s.live[bi]++
 		}
 	}
 	if s.opts.Trace != nil {
@@ -537,7 +553,7 @@ func (s *scheduler) selectBest(cliques [][]*SNode, gated bool) []*SNode {
 func (s *scheduler) run() error {
 	cliques := s.initialCliques
 	if cliques == nil {
-		cliques = buildCliques(s.uncoveredNodes(), s.g.machine, s.opts)
+		cliques = buildCliques(s.uncoveredNodes(), s.g.ix, s.opts, s.cliqueSet())
 	}
 	if s.opts.Trace != nil {
 		s.opts.Trace.logf("generated %d maximal groupings", len(cliques))
@@ -586,7 +602,7 @@ func (s *scheduler) run() error {
 			if err := s.spill(); err != nil {
 				return err
 			}
-			cliques = buildCliques(s.uncoveredNodes(), s.g.machine, s.opts)
+			cliques = buildCliques(s.uncoveredNodes(), s.g.ix, s.opts, s.cliqueSet())
 			remaining = len(s.uncoveredNodes())
 			continue
 		}
@@ -626,21 +642,18 @@ func (s *scheduler) shrinkCliques(cliques [][]*SNode) [][]*SNode {
 	return s.dedupeCliquesInPlace(out)
 }
 
-// dedupeCliquesInPlace is dedupeCliques with the key set and scratch
-// buffers reused across calls (one shrink per scheduled instruction).
+// dedupeCliquesInPlace drops repeated groupings from cs in place,
+// keeping the first occurrence of each (one shrink per scheduled
+// instruction).
 func (s *scheduler) dedupeCliquesInPlace(cs [][]*SNode) [][]*SNode {
-	if s.seenKeys == nil || DisablePooling {
-		s.seenKeys = make(map[string]bool, len(cs))
-	} else {
-		clear(s.seenKeys)
+	return s.cliqueSet().dedupe(cs)
+}
+
+// cliqueSet returns the scheduler's clique dedupe set, reused by every
+// enumeration and shrink of its covering (fresh under DisablePooling).
+func (s *scheduler) cliqueSet() *cliqueSet {
+	if DisablePooling {
+		s.seen = cliqueSet{}
 	}
-	out := cs[:0]
-	for _, c := range cs {
-		key := cliqueKey(c, &s.idsBuf, &s.keyBuf)
-		if !s.seenKeys[string(key)] {
-			s.seenKeys[string(key)] = true
-			out = append(out, c)
-		}
-	}
-	return out
+	return &s.seen
 }

@@ -1,10 +1,10 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"aviv/internal/isdl"
 	"aviv/internal/sndag"
 )
 
@@ -25,7 +25,9 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 	}
 	s := newScheduler(g, opts)
 
-	heights := func() map[*SNode]int {
+	// Heights by SNode.ID: snodeLevels indexes by position, and
+	// g.nodes[i].ID == i.
+	heights := func() []int32 {
 		_, bot := snodeLevels(s.g.nodes)
 		return bot
 	}
@@ -35,28 +37,35 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 	maxStreak := 2*remaining + 8
 	maxGuard := 40*remaining + 200
 	guard, spillStreak := 0, 0
+	// Scratch buffers, reused across cycles unless DisablePooling:
+	// schedule copies the instruction it is given.
+	var ready, instr, trial []*SNode
 	for remaining > 0 {
 		guard++
 		if guard > maxGuard {
 			return nil, fmt.Errorf("cover: list scheduler stuck with %d nodes", remaining)
 		}
-		var ready []*SNode
+		if DisablePooling {
+			ready, instr, trial = nil, nil, nil
+		}
+		ready = ready[:0]
 		for _, n := range s.g.nodes {
 			if s.issueable(n) && s.allowedByGoal(n) {
 				ready = append(ready, n)
 			}
 		}
-		sort.Slice(ready, func(i, j int) bool {
-			if h[ready[i]] != h[ready[j]] {
-				return h[ready[i]] > h[ready[j]]
+		slices.SortFunc(ready, func(a, b *SNode) int {
+			if ha, hb := h[a.ID], h[b.ID]; ha != hb {
+				return cmp.Compare(hb, ha)
 			}
-			return ready[i].ID < ready[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 
 		// Pack useful nodes first (same anti-ping-pong gate as the clique
 		// coverer: parking values early inflates pressure), then fill
-		// from the rest only if nothing useful fit.
-		var instr []*SNode
+		// from the rest only if nothing useful fit. A candidate is tried
+		// in trial and, when it fits, trial and instr swap buffers.
+		instr = instr[:0]
 		pack := func(gated bool) {
 			for _, n := range ready {
 				if gated && !s.useful(n) {
@@ -65,14 +74,14 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 				if containsNode(instr, n) {
 					continue
 				}
-				trial := append(append([]*SNode(nil), instr...), n)
-				if !pairwiseCompatible(trial, s.g.machine) || !legalGroup(trial, s.g.machine) {
+				trial = append(append(trial[:0], instr...), n)
+				if !pairwiseCompatible(trial, s.g.ix) || !legalGroup(trial, s.g.machine) {
 					continue
 				}
 				if !s.feasible(trial) {
 					continue
 				}
-				instr = trial
+				instr, trial = trial, instr
 			}
 		}
 		pack(true)
@@ -110,10 +119,10 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 	}, nil
 }
 
-func pairwiseCompatible(group []*SNode, m *isdl.Machine) bool {
+func pairwiseCompatible(group []*SNode, ix *nodeIndex) bool {
 	for i := 0; i < len(group); i++ {
 		for j := i + 1; j < len(group); j++ {
-			if !resourceCompatible(group[i], group[j], m) {
+			if !ix.compatible(group[i], group[j]) {
 				return false
 			}
 		}

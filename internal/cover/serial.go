@@ -18,16 +18,7 @@ import (
 // fit. Code size is poor; the covering only falls back here when the
 // machine is too register-starved for anything better.
 func serialFallback(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) {
-	g := &graph{
-		machine:      d.Machine,
-		block:        d.Block,
-		assign:       a,
-		dm:           isdl.MemLoc(d.Machine.DataMemory().Name),
-		prod:         make(map[valKey]*SNode),
-		busLoad:      make(map[string]int),
-		opts:         opts,
-		externalUses: make(map[*SNode]int),
-	}
+	g := newGraph(d, a, opts)
 	var seq []*SNode
 	emit := func(n *SNode) *SNode {
 		if len(seq) > 0 {
@@ -195,7 +186,7 @@ func serialFallback(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error
 				}
 				// The emit-time producer lookup in asm finds operands
 				// via Preds by (value, bank); record the landing.
-				g.prod[valKey{operand, g.bankLoc(unit)}] = r
+				g.setProducer(operand, g.bankLoc(unit), r)
 				delivered[operand] = r
 				addEdge(r, op)
 			}

@@ -53,14 +53,14 @@ func (s *scheduler) spill() error {
 		// overfullBanks returns the banks sorted by name.
 		for _, bo := range s.overfullBanks(s.single[:]) {
 			bank := bo.bank
-			victim := s.pickVictim(bank, nb)
+			victim := s.pickVictim(bo.idx, nb)
 			if victim == nil {
 				continue
 			}
 			if err := s.spillValue(victim, bank, nb); err != nil {
 				return err
 			}
-			s.goal, s.goalBank = nb, bank
+			s.goal, s.goalBank = nb, bo.idx
 			s.spillCount++
 			if s.opts.Trace != nil {
 				s.opts.Trace.logf("  spill: %s from bank %s (%d pending uses)", victim, bank, s.pending[victim.ID])
@@ -79,7 +79,7 @@ func (s *scheduler) spill() error {
 // victim minimizes future reloads (fewest rewired consumers), ties broken
 // by earliest ID. Values pinned by external uses (the branch condition)
 // are not spillable.
-func (s *scheduler) pickVictim(bank string, nb *SNode) *SNode {
+func (s *scheduler) pickVictim(bank int32, nb *SNode) *SNode {
 	type score struct {
 		nextUse int // uncovered work before the nearest distant consumer
 		distant int // number of distant consumers (future reloads)
@@ -110,8 +110,7 @@ func (s *scheduler) pickVictim(bank string, nb *SNode) *SNode {
 		if !s.covered[p.ID] || s.removed[p.ID] || s.pending[p.ID] <= 0 {
 			continue
 		}
-		loc, ok := p.DefLoc()
-		if !ok || loc.Kind != isdl.LocUnit || loc.Name != bank {
+		if s.g.ix.bank[p.ID] != bank {
 			continue
 		}
 		if s.g.externalUses[p] > 0 {
@@ -318,6 +317,7 @@ func (s *scheduler) spillValue(victim *SNode, bank string, nb *SNode) error {
 			s.initPending(n)
 		}
 	}
+	s.recountRemaining()
 	return nil
 }
 

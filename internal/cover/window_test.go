@@ -72,7 +72,7 @@ func TestWindowedSkipMatchesReference(t *testing.T) {
 				want, wantErr := referenceCoverAssignment(d, a, opts)
 				traced := opts
 				traced.Trace = &Trace{}
-				got, gotErr := coverAssignment(d, a, traced)
+				got, gotErr := coverAssignment(d, a, nil, traced)
 				if (gotErr == nil) != (wantErr == nil) ||
 					(gotErr != nil && gotErr.Error() != wantErr.Error()) {
 					t.Fatalf("assignment %d: error %v, reference %v", i, gotErr, wantErr)

@@ -87,7 +87,7 @@ func cloneBlockSkipping(b *ir.Block, skip []bool) *ir.Block {
 		newOf[n.ID] = c
 	}
 	nb.Term = b.Term
-	nb.Succs = append([]string(nil), b.Succs...)
+	nb.Succs = b.Succs // shared, as ir.Builder.CopyTerm shares it
 	if b.Cond != nil && b.Cond.ID < len(newOf) {
 		nb.Cond = newOf[b.Cond.ID]
 	}

@@ -152,12 +152,14 @@ func (bb *Builder) Return() {
 	bb.Block.Succs = nil
 }
 
-// CopyTerm terminates the block as src is terminated: the same kind, a
-// fresh copy of src's successors, and cond (the re-emitted src.Cond) as
-// the condition when src branches.
+// CopyTerm terminates the block as src is terminated: the same kind,
+// src's successors, and cond (the re-emitted src.Cond) as the condition
+// when src branches. The new block shares src's Succs slice: passes
+// that retarget an edge assign a fresh slice instead of writing into
+// it.
 func (bb *Builder) CopyTerm(src *Block, cond *Node) {
 	bb.Block.Term = src.Term
-	bb.Block.Succs = append([]string(nil), src.Succs...)
+	bb.Block.Succs = src.Succs
 	if src.Term == TermBranch {
 		bb.Block.Cond = cond
 	}

@@ -112,8 +112,8 @@ func TestBuilderStoreLoadForwarding(t *testing.T) {
 }
 
 // TestCopyTerm: CopyTerm copies every terminator kind, sets Cond only
-// for a branch, and gives the new block its own Succs slice, because
-// passes such as jump threading rewrite Succs in place.
+// for a branch, and shares the source's Succs slice (passes that
+// retarget an edge, such as jump threading, assign a fresh slice).
 func TestCopyTerm(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -151,11 +151,8 @@ func TestCopyTerm(t *testing.T) {
 			if err := bb.Finish().Verify(); err != nil {
 				t.Fatalf("Verify: %v", err)
 			}
-			for i := range dst.Succs {
-				dst.Succs[i] = "threaded"
-			}
-			if strings.Join(src.Succs, ",") != strings.Join(c.succs, ",") {
-				t.Fatalf("mutating the copy's Succs changed the source's to %v", src.Succs)
+			if len(src.Succs) > 0 && &dst.Succs[0] != &src.Succs[0] {
+				t.Fatal("Succs copied, want the source's slice shared")
 			}
 		})
 	}

@@ -420,3 +420,29 @@ func TestUnrollSkipsLoopsWithEscapes(t *testing.T) {
 		t.Errorf("outer loop with only nested escapes was not unrolled")
 	}
 }
+
+// TestNumberLiterals pins the decimal-only literal rule: in-range
+// decimal literals parse to their value, while a multi-digit literal
+// with a leading zero and one past int64 are errors naming the line.
+func TestNumberLiterals(t *testing.T) {
+	for src, want := range map[string]int64{
+		"x = 0;":                   0,
+		"x = 7;":                   7,
+		"x = 9223372036854775807;": 9223372036854775807,
+	} {
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := p.Stmts[0].(*Assign).X.(*Num).Value; got != want {
+			t.Errorf("%s: literal = %d, want %d", src, got, want)
+		}
+	}
+	for _, lit := range []string{"010", "09", "00", "9223372036854775808"} {
+		src := "y = 1;\nx = " + lit + ";"
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), lit) {
+			t.Errorf("%q: Parse error = %v, want one naming line 2 and the literal", src, err)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Parse parses a source program. A lexical error anywhere in the source
 // is reported in preference to a syntax error.
@@ -272,8 +275,13 @@ func (p *parser) primary() (Expr, error) {
 	switch {
 	case t.kind == tokNumber:
 		p.next()
-		var v int64
-		if _, err := fmt.Sscan(t.text, &v); err != nil {
+		// Literals are decimal only: a leading zero is an error, never
+		// an octal prefix.
+		if len(t.text) > 1 && t.text[0] == '0' {
+			return nil, fmt.Errorf("lang: line %d: bad number %q: leading zero (literals are decimal)", t.line, t.text)
+		}
+		v, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("lang: line %d: bad number %q", t.line, t.text)
 		}
 		return &Num{Value: v}, nil

@@ -365,10 +365,23 @@ func threadJumps(f *ir.Func) {
 		}
 	}
 	// An empty entry block is kept even when it threads away (it is still
-	// the entry point); removeUnreachable drops the bypassed blocks.
+	// the entry point); removeUnreachable drops the bypassed blocks. A
+	// retargeted block gets a fresh Succs slice: re-emitted blocks share
+	// theirs with the block they were copied from, possibly the input.
 	for _, b := range f.Blocks {
+		var succs []string
 		for i, s := range b.Succs {
-			b.Succs[i] = resolve(s)
+			t := resolve(s)
+			if t == s {
+				continue
+			}
+			if succs == nil {
+				succs = append([]string(nil), b.Succs...)
+			}
+			succs[i] = t
+		}
+		if succs != nil {
+			b.Succs = succs
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -332,6 +333,38 @@ func TestGlobalOptimizeKeepsTerminators(t *testing.T) {
 		for i, b := range out.Blocks {
 			if got := (term{b.Term, fmt.Sprint(b.Succs)}); got != before[i] {
 				t.Fatalf("%s: block %s terminator %v -> %v", label, b.Name, before[i], got)
+			}
+		}
+	})
+}
+
+// TestOptimizeLeavesInputUnchanged: Optimize returns an optimized copy
+// and leaves its input as it was — every block's text and successor
+// list, over the differential corpus. Re-emitted blocks share their
+// Succs slice with the block they copy, so a pass that retargeted an
+// edge in place would show up here as a changed input.
+func TestOptimizeLeavesInputUnchanged(t *testing.T) {
+	step := 1
+	if testing.Short() {
+		step = 10
+	}
+	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
+		before := make([]string, len(f.Blocks))
+		succs := make([][]string, len(f.Blocks))
+		for i, b := range f.Blocks {
+			before[i] = b.String()
+			succs[i] = append([]string(nil), b.Succs...)
+		}
+		Optimize(f)
+		if len(f.Blocks) != len(before) {
+			t.Fatalf("%s: input has %d blocks after Optimize, %d before", label, len(f.Blocks), len(before))
+		}
+		for i, b := range f.Blocks {
+			if got := b.String(); got != before[i] {
+				t.Fatalf("%s: Optimize changed input block %d\nbefore:\n%s\nafter:\n%s", label, i, before[i], got)
+			}
+			if !slices.Equal(b.Succs, succs[i]) {
+				t.Fatalf("%s: Optimize changed input block %s's successors from %v to %v", label, b.Name, succs[i], b.Succs)
 			}
 		}
 	})
