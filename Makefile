@@ -95,8 +95,9 @@ zoojson:
 editsmoke:
 	go test -race -short -run '^TestEditDifferentialCorpus$$' -count=1 .
 
-# Race-enabled cluster differential: the corpus through a 3-node
-# in-process cluster behind the router, concurrent clients, one node
-# killed mid-run (also part of ci.sh).
+# Race-enabled cluster differential: the corpus through the router in
+# front of three in-process servers sharing one disk directory,
+# concurrent clients, one server killed before the last wave, which
+# must recompile no block (also part of ci.sh).
 clustersmoke:
 	go test -race -run '^TestClusterDifferentialCorpus$$' -count=1 .

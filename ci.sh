@@ -91,10 +91,11 @@ echo "== editsmoke: incremental-compilation differential (race, short) =="
 make -s editsmoke
 
 echo "== clustersmoke: cluster differential (race) =="
-# The cluster byte-identity gate: the 50-program corpus through a
-# 3-node in-process cluster behind the consistent-hash router, by
-# concurrent clients, cold + warm + after killing a node mid-run.
-# Under -race this is also the data-race gate for the cluster layer.
+# The cluster byte-identity gate: the 50-program corpus through the
+# consistent-hash router in front of three in-process servers sharing
+# one disk directory, by concurrent clients, cold + warm + after
+# killing a server (that last wave must recompile no block).
+# Under -race this is also the data-race gate for the router.
 make -s clustersmoke
 
 echo "== perfbench module: vet + test =="

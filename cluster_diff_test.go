@@ -13,29 +13,38 @@ import (
 	"aviv/internal/bench"
 	"aviv/internal/cluster"
 	"aviv/internal/cover"
+	"aviv/internal/diskcache"
 	"aviv/internal/isdl"
 	"aviv/internal/server"
 )
 
 // TestClusterDifferentialCorpus is the cluster byte-identity gate: the
-// whole 50-program difftest corpus is compiled through a 3-node
-// in-process cluster behind the consistent-hash router, by concurrent
-// clients, twice per program — and then one node is killed mid-run and
-// the corpus compiled again. Every served assembly, before and after
-// the kill, must equal the local aviv.CompileSource output: routing,
-// forwarding, cache peering, per-block reuse, failover, and
-// local fallback may change where and how fast a compile runs, never
-// its bytes. Run under -race (the clustersmoke CI stage does) this is
-// also the data-race gate for the whole cluster layer.
+// whole 50-program difftest corpus is compiled through the
+// consistent-hash router in front of three in-process servers sharing
+// one disk directory, by concurrent clients, twice per program — and
+// then one server is killed and the corpus compiled again. Every
+// served assembly, before and after the kill, must equal the local
+// aviv.CompileSource output: routing, per-block reuse from either
+// tier, and failover may change where and how fast a compile runs,
+// never its bytes. Because the disk directory is shared, the degraded
+// wave recompiles no block: the survivors read the dead server's
+// blocks from disk. Run under -race (the clustersmoke CI stage does)
+// this is also the data-race gate for the router.
 func TestClusterDifferentialCorpus(t *testing.T) {
 	want := aviv.CorpusProgramText(t, aviv.DefaultOptions())
 
+	dir := t.TempDir()
 	lc, err := cluster.StartLocal(cluster.LocalConfig{
 		N: 3,
 		NodeConfig: func(i int) server.Config {
+			disk, err := diskcache.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return server.Config{
 				Options: aviv.Options{
 					Cache:       cover.NewBoundedCache(256),
+					DiskCache:   disk,
 					Parallelism: 1,
 				},
 				QueueLimit: 256,
@@ -65,15 +74,18 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 		return server.CompileRequest{Source: src, Machine: machine, Unroll: 1, Preset: "default"}
 	}
 
-	runWave := func(label string) [seeds]string {
+	// runWave compiles the corpus once and returns each program's
+	// assembly and the blocks covered fresh, summed over the wave.
+	runWave := func(label string) ([seeds]string, int) {
 		jobs := make(chan int, seeds)
 		for seed := 0; seed < seeds; seed++ {
 			jobs <- seed
 		}
 		close(jobs)
 		var (
-			mu  sync.Mutex
-			got [seeds]string
+			mu         sync.Mutex
+			got        [seeds]string
+			recompiled int
 		)
 		var wg sync.WaitGroup
 		for w := 0; w < 6; w++ {
@@ -104,12 +116,13 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 					}
 					mu.Lock()
 					got[seed] = resp.Assembly
+					recompiled += resp.RecompiledBlocks
 					mu.Unlock()
 				}
 			}()
 		}
 		wg.Wait()
-		return got
+		return got, recompiled
 	}
 
 	check := func(label string, got [seeds]string) {
@@ -123,8 +136,10 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 		}
 	}
 
-	check("cold", runWave("cold"))
-	check("warm", runWave("warm"))
+	for _, label := range []string{"cold", "warm"} {
+		got, _ := runWave(label)
+		check(label, got)
+	}
 
 	// Count how many corpus keys the about-to-die node owns; with 50
 	// keys over 3 nodes this is essentially always nonzero, and it is
@@ -141,17 +156,12 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 	}
 
 	lc.KillNode(2)
-	check("degraded", runWave("degraded"))
+	got, recompiled := runWave("degraded")
+	check("degraded", got)
 
-	// The dead node's keys were re-dispersed: the router failed over,
-	// and at least one survivor hit the corpse once (counted, ejected)
-	// before compiling locally.
-	fallbacks := int64(0)
-	for _, i := range []int{0, 1} {
-		c := lc.Nodes[i].Server().Counters()
-		fallbacks += c.LocalFallbacks.Load()
-	}
-	if fallbacks == 0 {
-		t.Errorf("node killed while owning %d corpus keys, but no survivor recorded a local fallback", doomedOwned)
+	// The router failed the dead server's keys over to the survivors,
+	// which found every block of them in the shared directory.
+	if recompiled != 0 {
+		t.Errorf("server killed while owning %d corpus keys: the degraded wave recompiled %d blocks, want 0", doomedOwned, recompiled)
 	}
 }

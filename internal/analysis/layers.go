@@ -65,8 +65,8 @@ var layerOf = map[string]int{
 	// Layer 9 — the compile service.
 	"internal/server": 9,
 
-	// Layer 10 — the compile cluster: consistent-hash routing, cache
-	// peering, and cluster-wide single-flight over embedded servers.
+	// Layer 10 — the compile cluster's router: consistent-hash routing
+	// and failover over avivd servers that share one disk directory.
 	"internal/cluster": 10,
 
 	// Layer 11 — binaries, examples, and test tooling: import anything,
@@ -122,7 +122,7 @@ var allowedImports = map[string][]string{
 
 	"internal/server": {"aviv", "internal/cover", "internal/diskcache", "internal/isdl", "internal/lru", "internal/metrics"},
 
-	"internal/cluster": {"internal/cover", "internal/diskcache", "internal/metrics", "internal/server"},
+	"internal/cluster": {"internal/server"},
 
 	"internal/analysis":              {},
 	"internal/analysis/analysistest": {"internal/analysis"},

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// healthTracker keeps per-peer liveness. Peers start healthy; one
-// failure (a failed probe or a failed forward) ejects a peer — ring
+// healthTracker keeps per-node liveness. Nodes start healthy; one
+// failure (a failed probe or a failed forward) ejects a node — ring
 // lookups walk past its points until a successful probe restores it.
 // Tracking is reactive as well as probed, so a node that dies between
 // probes is ejected by the first forward that hits it.
@@ -20,62 +20,47 @@ func newHealthTracker() *healthTracker {
 	return &healthTracker{down: make(map[string]bool)}
 }
 
-// healthy reports whether peer is currently in the ring's view.
-func (t *healthTracker) healthy(peer string) bool {
+// healthy reports whether node is currently in the ring's view.
+func (t *healthTracker) healthy(node string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return !t.down[peer]
+	return !t.down[node]
 }
 
-// healthyCount returns how many of peers are currently healthy.
-func (t *healthTracker) healthyCount(peers []string) int {
+// markSuccess restores node.
+func (t *healthTracker) markSuccess(node string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, p := range peers {
-		if !t.down[p] {
-			n++
-		}
-	}
-	return n
+	t.down[node] = false
 }
 
-// markSuccess restores peer.
-func (t *healthTracker) markSuccess(peer string) {
+// markFailure ejects node after a failed probe or forward.
+func (t *healthTracker) markFailure(node string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.down[peer] = false
+	t.down[node] = true
 }
 
-// markFailure ejects peer after a failed probe or forward.
-func (t *healthTracker) markFailure(peer string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.down[peer] = true
-}
-
-// probe checks one peer's /healthz. Any transport error or non-200
-// (a draining node answers 503 exactly so this path ejects it) counts
-// as a failure.
-func (t *healthTracker) probe(client *http.Client, peer string) {
-	resp, err := client.Get(peer + "/healthz")
+// probe checks one node's /healthz. Any transport error or non-200
+// counts as a failure.
+func (t *healthTracker) probe(client *http.Client, node string) {
+	resp, err := client.Get(node + "/healthz")
 	if err != nil {
-		t.markFailure(peer)
+		t.markFailure(node)
 		return
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.markFailure(peer)
+		t.markFailure(node)
 		return
 	}
-	t.markSuccess(peer)
+	t.markSuccess(node)
 }
 
-// probeLoop re-probes every peer in peers (excluding self, which would
-// be pointless) each interval until done closes. It is the recovery
-// path: reactive failure marking ejects peers fast, the loop brings
-// them back.
-func (t *healthTracker) probeLoop(done <-chan struct{}, client *http.Client, peers []string, self string, interval time.Duration) {
+// probeLoop re-probes every node in nodes each interval until done
+// closes. It is the recovery path: reactive failure marking ejects
+// nodes fast, the loop brings them back.
+func (t *healthTracker) probeLoop(done <-chan struct{}, client *http.Client, nodes []string, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -83,10 +68,8 @@ func (t *healthTracker) probeLoop(done <-chan struct{}, client *http.Client, pee
 		case <-done:
 			return
 		case <-ticker.C:
-			for _, p := range peers {
-				if p != self {
-					t.probe(client, p)
-				}
+			for _, n := range nodes {
+				t.probe(client, n)
 			}
 		}
 	}

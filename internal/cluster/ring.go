@@ -1,12 +1,14 @@
-// Package cluster turns a set of avivd servers into one compile
-// cluster: a consistent-hash ring keyed by the server's content
-// fingerprint routes every request to its owning shard, nodes peer
-// cache entries over the wire in diskcache's checksummed framing, and
-// the owning shard's single-flight group becomes the cluster-wide
-// deduplication point. Every cross-node path degrades to a local
-// compile on failure — a dead peer costs latency, never availability,
-// and never a wrong answer (served bytes always come out of
-// aviv.CompileSource or a checksum-verified cache entry).
+// Package cluster is the compile cluster's router: a consistent-hash
+// ring keyed by the server's content fingerprint (server.RequestKey)
+// sends every /compile request to its owning avivd, so each server's
+// memory tier and single-flight group see only the keys it owns, and a
+// health tracker fails requests over along the ring when the owner is
+// down. The servers behind it are ordinary avivd processes that share
+// one -cache-dir: a block any of them compiled is a disk hit for all of
+// them, and no entry crosses the wire between servers. A dead server
+// costs latency, never availability, and never a wrong answer (served
+// bytes always come out of aviv.CompileSource or a checksum-verified
+// disk entry).
 package cluster
 
 import (

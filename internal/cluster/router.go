@@ -16,9 +16,12 @@ import (
 type RouterConfig struct {
 	// Nodes is the cluster membership the router dispatches over.
 	Nodes []string
-	// ProbeInterval, ForwardTimeout: as in Config; zero values select
-	// the same defaults.
-	ProbeInterval  time.Duration
+	// ProbeInterval is the health re-probe period — the recovery path
+	// for ejected nodes; <= 0 selects 1s. Ejection itself is reactive
+	// (the first failed forward marks the node), so a huge interval
+	// only delays recovery, never failure handling.
+	ProbeInterval time.Duration
+	// ForwardTimeout bounds one forwarded compile; <= 0 selects 30s.
 	ForwardTimeout time.Duration
 	// Transport overrides the HTTP transport (tests); nil is default.
 	Transport http.RoundTripper
@@ -27,11 +30,12 @@ type RouterConfig struct {
 // Router is the thin `avivd -route` front end: it computes each
 // request's content key, sends it to the owning node, and fails over
 // along the ring when the owner is down. It holds no compiler and no
-// cache — the nodes do the work; the router only makes the first hop
-// land on the right shard so node-side forwarding is the exception,
-// not the rule. It deliberately does not set the forwarded marker:
-// if its membership view is stale, the receiving node may still make
-// one corrective hop.
+// cache — the nodes do the work. Because every copy of a request lands
+// on one node, that node's single-flight group is the cluster-wide
+// dedup point and its memory tier holds only its share of the keys.
+// The request context travels with the forward, so a client that gives
+// up at the router cancels the owner's handler too and the owner's
+// waiter-counted abandonment takes over.
 type Router struct {
 	ring      *Ring
 	nodes     []string
@@ -56,7 +60,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		done:   make(chan struct{}),
 	}
 	rt.nodes = rt.ring.Nodes()
-	go rt.health.probeLoop(rt.done, rt.client, rt.nodes, "", cfg.ProbeInterval)
+	go rt.health.probeLoop(rt.done, rt.client, rt.nodes, cfg.ProbeInterval)
 	return rt
 }
 
@@ -122,10 +126,13 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		httpReq.Header.Set("Content-Type", "application/json")
 		resp, err := rt.client.Do(httpReq)
 		if err != nil {
-			rt.health.markFailure(target)
 			if r.Context().Err() != nil {
-				return // client gone; nothing to write
+				// The client gave up, not the node: the cancelled forward
+				// cancels the owner's handler too, and the owner stays in
+				// the ring. Nothing to write.
+				return
 			}
+			rt.health.markFailure(target)
 			continue
 		}
 		copyResponse(w, resp)

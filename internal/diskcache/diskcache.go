@@ -93,6 +93,14 @@ type Cache struct {
 // bounds the total payload volume; <= 0 means unbounded. Stale
 // temporary files from crashed writers are swept, and the current disk
 // usage is measured so the size bound holds across process restarts.
+//
+// After that scan a Cache counts only its own writes. N Caches opened
+// together on one directory (N avivd processes sharing a -cache-dir)
+// can therefore hold up to N × maxBytes on disk before any of them
+// trims it. What does hold: once any one Cache's count crosses
+// maxBytes, its eviction walk re-measures the whole directory and
+// trims every entry in it, the other Caches' included, back under
+// maxBytes.
 func Open(dir string, maxBytes int64) (*Cache, error) {
 	root := filepath.Join(dir, versionDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -183,16 +191,12 @@ func readEntry(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeEntry(data)
+	return decodeEntry(data)
 }
 
-// EncodeEntry frames payload exactly as an on-disk entry file is laid
-// out: magic, format version, length, sha256, payload. The framing
-// doubles as the cluster cache-peering wire format — an entry read
-// from one node's store can be shipped verbatim and re-verified by the
-// receiver with DecodeEntry, so a truncated or bit-flipped transfer
-// degrades to a miss, never to a wrong payload.
-func EncodeEntry(payload []byte) []byte {
+// encodeEntry frames payload exactly as an on-disk entry file is laid
+// out: magic, format version, length, sha256, payload.
+func encodeEntry(payload []byte) []byte {
 	out := make([]byte, headerSize+len(payload))
 	copy(out[:4], magic)
 	binary.BigEndian.PutUint32(out[4:8], formatVersion)
@@ -203,11 +207,10 @@ func EncodeEntry(payload []byte) []byte {
 	return out
 }
 
-// DecodeEntry verifies a framed entry — magic, version, exact length,
-// checksum, no trailing bytes — and returns its payload. It is the
-// single validation path for entries however they arrive: read from
-// this node's disk, or transferred from a peer.
-func DecodeEntry(data []byte) ([]byte, error) {
+// decodeEntry verifies a framed entry — magic, version, exact length,
+// checksum, no trailing bytes — and returns its payload. A torn,
+// truncated or bit-flipped file fails here and reads as a miss.
+func decodeEntry(data []byte) ([]byte, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("short header: %d bytes", len(data))
 	}
@@ -311,7 +314,7 @@ func (c *Cache) writeEntry(path string, payload []byte) error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if _, err := tmp.Write(EncodeEntry(payload)); err != nil {
+	if _, err := tmp.Write(encodeEntry(payload)); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
@@ -329,33 +332,6 @@ func (c *Cache) writeEntry(path string, payload []byte) error {
 		return err
 	}
 	return nil
-}
-
-// Keys lists the keys of every entry currently on disk, in sorted
-// order. It is the enumeration behind a cluster node's graceful drain:
-// each locally held entry is offered to its ring owner before the node
-// shuts down. Files that do not look like entries (temporaries,
-// foreign names) are skipped; concurrent eviction is tolerated — a key
-// may be gone by the time the caller Gets it, which is just a miss.
-func (c *Cache) Keys() [][sha256.Size]byte {
-	var keys [][sha256.Size]byte
-	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasSuffix(path, ".tmp") {
-			return nil
-		}
-		raw, err := hex.DecodeString(filepath.Base(path))
-		if err != nil || len(raw) != sha256.Size {
-			return nil
-		}
-		var key [sha256.Size]byte
-		copy(key[:], raw)
-		keys = append(keys, key)
-		return nil
-	})
-	sort.Slice(keys, func(i, j int) bool {
-		return string(keys[i][:]) < string(keys[j][:])
-	})
-	return keys
 }
 
 // dropEntry removes a corrupted entry and un-accounts its payload bytes.

@@ -494,17 +494,17 @@ func TestDiskCacheDeltaHelperProcess(t *testing.T) {
 	}
 }
 
-// TestEntryWireCorruptionTable extends the corruption table to the
-// cluster peering wire path: EncodeEntry's framing is what a node ships
-// to a peer, and DecodeEntry must reject every mutation a lossy or
-// hostile transfer could produce — so a bad transfer can only ever
-// degrade to a miss (and a local compile), never to a wrong payload.
+// TestEntryWireCorruptionTable runs the corruption table over the
+// entry framing itself: decodeEntry must reject every mutation a torn
+// write, a truncation or bit rot could produce, so a bad entry can
+// only ever degrade to a miss (and a local compile), never to a wrong
+// payload.
 func TestEntryWireCorruptionTable(t *testing.T) {
-	payload := []byte("peer-transferred covering payload")
-	framed := EncodeEntry(payload)
+	payload := []byte("covering payload")
+	framed := encodeEntry(payload)
 
-	if got, err := DecodeEntry(append([]byte(nil), framed...)); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("clean transfer rejected: %q, %v", got, err)
+	if got, err := decodeEntry(append([]byte(nil), framed...)); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("clean entry rejected: %q, %v", got, err)
 	}
 
 	variants := []struct {
@@ -524,45 +524,78 @@ func TestEntryWireCorruptionTable(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			data := v.mutate(append([]byte(nil), framed...))
-			if got, err := DecodeEntry(data); err == nil {
-				t.Fatalf("corrupted transfer accepted: %q", got)
+			if got, err := decodeEntry(data); err == nil {
+				t.Fatalf("corrupted entry accepted: %q", got)
 			}
 		})
 	}
 }
 
-// TestKeysEnumeratesEntries pins the drain enumeration: Keys returns
-// exactly the stored keys, sorted, and skips temporaries and foreign
-// files.
-func TestKeysEnumeratesEntries(t *testing.T) {
-	c := openTemp(t, 0)
-	want := map[[sha256.Size]byte]bool{}
-	for i := 0; i < 5; i++ {
-		key := keyOf(fmt.Sprintf("k%d", i))
-		c.Put(key, []byte{byte(i)})
-		want[key] = true
-	}
-	// Distractors: a stale temporary and a foreign file.
-	if err := os.MkdirAll(filepath.Join(c.Dir(), "aa"), 0o755); err != nil {
+// TestSharedDirTrimsEveryCachesEntries pins what the size bound
+// guarantees when several Caches share one directory, as avivd
+// processes given one -cache-dir do. Each counts only its own writes,
+// so two of them can fill the directory to twice the bound with no
+// eviction; but once either crosses its own count, its eviction walk
+// trims the whole directory, the other cache's entries included, back
+// under the bound.
+func TestSharedDirTrimsEveryCachesEntries(t *testing.T) {
+	const (
+		maxBytes = 100 << 10
+		entry    = 10 << 10
+	)
+	dir := t.TempDir()
+	a, err := Open(dir, maxBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), "aa", "stray.tmp"), []byte("x"), 0o644); err != nil {
+	b, err := Open(dir, maxBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), "README"), []byte("not an entry"), 0o644); err != nil {
-		t.Fatal(err)
+	onDisk := func() int64 {
+		t.Helper()
+		c, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().Bytes
+	}
+	put := func(c *Cache, name string, n int) [][sha256.Size]byte {
+		var keys [][sha256.Size]byte
+		for i := 0; i < n; i++ {
+			key := keyOf(fmt.Sprintf("%s%d", name, i))
+			c.Put(key, bytes.Repeat([]byte{byte(i)}, entry))
+			keys = append(keys, key)
+		}
+		return keys
 	}
 
-	keys := c.Keys()
-	if len(keys) != len(want) {
-		t.Fatalf("Keys() returned %d keys, want %d", len(keys), len(want))
-	}
-	for i, k := range keys {
-		if !want[k] {
-			t.Errorf("Keys()[%d] = %x not a stored key", i, k)
+	aKeys := put(a, "a", 9)
+	// a's entries are the oldest in the directory, so they go first.
+	old := time.Now().Add(-time.Hour)
+	for _, key := range aKeys {
+		if err := os.Chtimes(a.path(key), old, old); err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && string(keys[i-1][:]) >= string(k[:]) {
-			t.Errorf("Keys() not sorted at %d", i)
+	}
+	put(b, "b", 9)
+	if got := onDisk(); got != 18*entry {
+		t.Fatalf("two caches under their own counts: %d bytes on disk, want %d", got, 18*entry)
+	}
+	if ea, eb := a.Stats().Evictions, b.Stats().Evictions; ea != 0 || eb != 0 {
+		t.Fatalf("evictions before either cache crossed its count: a %d, b %d", ea, eb)
+	}
+
+	put(b, "c", 2) // b's own count reaches 110 KiB
+	if got := onDisk(); got > maxBytes {
+		t.Fatalf("after b's eviction walk: %d bytes on disk, want <= %d", got, maxBytes)
+	}
+	if got := b.Stats().Evictions; got != 10 {
+		t.Errorf("b evicted %d entries, want the 10 it takes to reach the bound", got)
+	}
+	for _, key := range aKeys {
+		if _, err := os.Stat(a.path(key)); err == nil {
+			t.Errorf("a's entry %x survived b's trim though it was the oldest", key[:4])
 		}
 	}
 }

@@ -34,25 +34,10 @@ type ServerCounters struct {
 	// MachinesInterned counts distinct machine descriptions parsed and
 	// cached by the interner.
 	MachinesInterned atomic.Int64
-	// Forwarded counts compile requests answered by forwarding to the
-	// owning cluster shard; LocalFallbacks counts requests compiled
-	// locally because the owning shard was unreachable. Both stay 0 on
-	// a node running outside a cluster.
-	Forwarded      atomic.Int64
-	LocalFallbacks atomic.Int64
-	// PeerHits / PeerMisses count cache entries fetched from (or
-	// missed at) the owning shard over the wire.
-	PeerHits   atomic.Int64
-	PeerMisses atomic.Int64
-	// ForwardErrors counts peer RPCs that failed in transit; each
-	// degrades to a local compile or a cache miss, never an error.
-	ForwardErrors atomic.Int64
-	// Drained counts cache entries bled to their ring owners during a
-	// graceful drain.
-	Drained atomic.Int64
 }
 
-// ServerSnapshot is the JSON shape of ServerCounters for /stats.
+// ServerSnapshot is the JSON shape of ServerCounters for /stats. Block
+// reuse is reported once, in the "delta" section (CacheStats).
 type ServerSnapshot struct {
 	Requests         int64 `json:"requests"`
 	Completed        int64 `json:"completed"`
@@ -64,15 +49,6 @@ type ServerSnapshot struct {
 	Inflight         int64 `json:"inflight"`
 	Queued           int64 `json:"queued"`
 	MachinesInterned int64 `json:"machines_interned"`
-	// Block reuse is reported once, in the "delta" section
-	// (CacheStats). The cluster counters stay 0 (but present, for a
-	// stable shape) on a node running outside a cluster.
-	Forwarded      int64 `json:"forwarded"`
-	LocalFallbacks int64 `json:"local_fallbacks"`
-	PeerHits       int64 `json:"peer_hits"`
-	PeerMisses     int64 `json:"peer_misses"`
-	ForwardErrors  int64 `json:"forward_errors"`
-	Drained        int64 `json:"drained"`
 }
 
 // Snapshot reads every counter atomically.
@@ -88,19 +64,5 @@ func (c *ServerCounters) Snapshot() ServerSnapshot {
 		Inflight:         c.Inflight.Load(),
 		Queued:           c.Queued.Load(),
 		MachinesInterned: c.MachinesInterned.Load(),
-		Forwarded:        c.Forwarded.Load(),
-		LocalFallbacks:   c.LocalFallbacks.Load(),
-		PeerHits:         c.PeerHits.Load(),
-		PeerMisses:       c.PeerMisses.Load(),
-		ForwardErrors:    c.ForwardErrors.Load(),
-		Drained:          c.Drained.Load(),
 	}
-}
-
-// DedupRate returns deduped / (requests), or 0 before any request.
-func (s ServerSnapshot) DedupRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.Deduped) / float64(s.Requests)
 }

@@ -88,27 +88,6 @@ type StatsResponse struct {
 	// request; it is present on every server (Entries and Evictions
 	// stay 0 without a memory tier).
 	Delta *metrics.CacheStats `json:"delta,omitempty"`
-	// Cluster reports ring membership and the peer-path counters when
-	// the server runs as a cluster node (internal/cluster fills it in;
-	// a standalone server omits the section).
-	Cluster *metrics.ClusterStats `json:"cluster,omitempty"`
-}
-
-// PeerCompiler lets a cluster layer claim compiles whose content key
-// is owned by another node. It is consulted inside the single-flight
-// group and before admission control, so concurrent identical requests
-// collapse into one peer RPC and a forwarded compile never holds a
-// local worker slot while the owning shard does the work.
-//
-// Compile returns (resp, true, nil) when the owning peer served the
-// request, and (nil, false, nil) to hand the compile back to the local
-// path — because this node owns the key, the request already arrived
-// over a forwarding hop, or the owner is unreachable (the
-// fallback-to-local contract: a dead peer costs latency, never
-// availability). A non-nil error is reserved for the caller's context
-// expiring mid-forward.
-type PeerCompiler interface {
-	Compile(ctx context.Context, key string, req CompileRequest) (*CompileResponse, bool, error)
 }
 
 // Config configures a Server.
@@ -138,10 +117,6 @@ type Config struct {
 	// Deprecated: Options.Cache (cover.NewBoundedCache) is the one
 	// memory tier and carries the one entry cap.
 	DeltaEntries int
-	// Peer, when set, is consulted before admission control for every
-	// compile: a cluster layer forwards keys owned by other nodes to
-	// the owning shard (see PeerCompiler). Nil means standalone.
-	Peer PeerCompiler
 }
 
 // errShed rejects work when the queue is full.
@@ -249,7 +224,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	key := RequestKey(req)
 	resp, shared, err := s.flight.do(ctx, key, func(runCtx context.Context) (*CompileResponse, error) {
-		return s.compile(runCtx, key, req)
+		return s.compile(runCtx, req)
 	})
 	if shared {
 		s.counters.Deduped.Add(1)
@@ -283,23 +258,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // consuming queue capacity. Compile failures are in-band (see
 // CompileResponse); the error return is reserved for admission
 // decisions.
-//
-// When a cluster peer claims the key, the response comes back over the
-// wire without touching local admission control — the owning shard runs
-// its own queue, worker pool, and single-flight group, which is what
-// makes dedup cluster-wide: every replica of a request funnels into one
-// compile on one node.
-func (s *Server) compile(ctx context.Context, key string, req CompileRequest) (*CompileResponse, error) {
-	if s.cfg.Peer != nil {
-		resp, handled, err := s.cfg.Peer.Compile(ctx, key, req)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			s.counters.Completed.Add(1)
-			return resp, nil
-		}
-	}
+func (s *Server) compile(ctx context.Context, req CompileRequest) (*CompileResponse, error) {
 	if s.counters.Queued.Add(1) > int64(s.queueCap) {
 		s.counters.Queued.Add(-1)
 		return nil, errShed
@@ -371,9 +330,9 @@ func (s *Server) requestOptions(req CompileRequest) (aviv.Options, error) {
 
 // RequestKey fingerprints everything that determines a compile's
 // output, so the single-flight group only merges requests whose results
-// are interchangeable. The cluster layer reuses it as the ring key:
+// are interchangeable. The cluster router reuses it as the ring key:
 // ownership follows content, so identical requests land on the same
-// shard no matter which node receives them. Spellings that compile
+// server no matter which client sends them. Spellings that compile
 // alike hash alike: Preset "" is "default", and every Unroll ≤ 1 means
 // no unrolling.
 func RequestKey(req CompileRequest) string {
