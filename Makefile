@@ -69,7 +69,7 @@ benchsmoke:
 # multi-block compile, warm-path and disk-rebuild benchmarks (also part
 # of ci.sh, -short included).
 layerbench:
-	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkFrontEnd|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
+	go test -run '^$$' -bench 'BenchmarkPeepholeOptimize|BenchmarkCoverBlock|BenchmarkOptimize|BenchmarkGlobalOptimize|BenchmarkFrontEnd|BenchmarkCompileMultiBlock|BenchmarkCompileWarm|BenchmarkCompileDiskRebuild' -benchtime 1x ./internal/peephole ./internal/cover ./internal/opt .
 
 # One second of the gated serving benchmark on each of its workloads:
 # builds perfbench and drives avivd's handler through the disk tier

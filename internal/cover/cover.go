@@ -267,6 +267,8 @@ func coverAssignment(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solu
 	} else {
 		pm = graphMatrix(g, opts)
 	}
+	// The list schedule gets its own copy: the clique covering mutates g.
+	lg := g.clone()
 	best, firstErr := cliqueCover(d, a, g, pm, opts)
 	if opts.LevelWindow < 0 {
 		windowed := opts
@@ -279,7 +281,7 @@ func coverAssignment(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solu
 			}
 		}
 	}
-	if ls, err := ListSchedule(d, a, opts); err == nil {
+	if ls, err := listSchedule(d, a, lg, opts); err == nil {
 		best = betterSolution(best, ls)
 	}
 	if best == nil {

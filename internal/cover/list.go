@@ -23,6 +23,12 @@ func ListSchedule(d *sndag.DAG, a *Assignment, opts Options) (*Solution, error) 
 	if err != nil {
 		return nil, err
 	}
+	return listSchedule(d, a, g, opts)
+}
+
+// listSchedule is ListSchedule on a's solution graph g, fresh from
+// buildGraph (or a clone of one).
+func listSchedule(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solution, error) {
 	s := newScheduler(g, opts)
 
 	// Heights by SNode.ID: snodeLevels indexes by position, and

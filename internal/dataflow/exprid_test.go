@@ -57,7 +57,7 @@ func forEachCorpusFunc(t *testing.T, step int, fn func(label string, f *ir.Func)
 	}
 }
 
-// checkExprIDs interns every block of f in one Exprs and checks it
+// checkExprIDs interns every block of f in one State and checks it
 // against ExprKey, the string oracle: a node has an ID exactly when
 // ExprKey returns ok, two nodes share an ID exactly when their keys are
 // equal, and each ID carries the key's variables and kind. It also
@@ -65,11 +65,12 @@ func forEachCorpusFunc(t *testing.T, step int, fn func(label string, f *ir.Func)
 // is, in string form, exactly the facts ExprKey derives block by block.
 func checkExprIDs(t *testing.T, label string, f *ir.Func) {
 	t.Helper()
-	x := dataflow.NewExprs()
+	st := dataflow.NewState(dataflow.NewCFG(f))
+	x := st.X
 	idOf := make(map[string]dataflow.ExprID)
 	keyOf := make(map[dataflow.ExprID]string)
 	for i, b := range f.Blocks {
-		ids := x.Block(i, b)
+		ids := st.ExprIDs(i)
 		for _, n := range b.Nodes {
 			key, vars, ok := dataflow.ExprKey(n)
 			id := ids[n.ID]
@@ -86,8 +87,8 @@ func checkExprIDs(t *testing.T, label string, f *ir.Func) {
 				t.Fatalf("%s: ID %d names %s and %s", label, id, prev, key)
 			}
 			idOf[key], keyOf[id] = id, key
-			if !slices.Equal(x.Vars(id), vars) {
-				t.Fatalf("%s: %s reads %v, interner says %v", label, key, vars, x.Vars(id))
+			if got := varNames(x, id); !slices.Equal(got, vars) {
+				t.Fatalf("%s: %s reads %v, interner says %v", label, key, vars, got)
 			}
 			if comp := !strings.HasPrefix(key, "@") && !strings.HasPrefix(key, "#"); x.IsComputation(id) != comp {
 				t.Fatalf("%s: %s IsComputation = %v", label, key, x.IsComputation(id))
@@ -118,6 +119,17 @@ func checkExprIDs(t *testing.T, label string, f *ir.Func) {
 			t.Fatalf("%s: fact %+v missing from the universe", label, of)
 		}
 	}
+}
+
+// varNames returns the names of the variables expression id reads,
+// sorted like ExprKey's.
+func varNames(x *dataflow.Exprs, id dataflow.ExprID) []string {
+	var names []string
+	for _, v := range x.Vars(id) {
+		names = append(names, x.VarName(v))
+	}
+	slices.Sort(names)
+	return names
 }
 
 // TestExprIDsMatchExprKey runs checkExprIDs over the optimizer corpus,
@@ -167,8 +179,14 @@ func TestExprIDsDepthAndSharing(t *testing.T) {
 	b.NewStore("z", d12)
 	b.NewStore("w", d12copy)
 	b.NewStore("v", d13)
-	x := dataflow.NewExprs()
-	ids := x.Block(0, b)
+	c := ir.NewBlock("c")
+	la, lb := c.NewLoad("a"), c.NewLoad("b")
+	ab, ba := c.NewNode(ir.OpAdd, la, lb), c.NewNode(ir.OpAdd, lb, la)
+	sab, sba := c.NewNode(ir.OpSub, la, lb), c.NewNode(ir.OpSub, lb, la)
+	f := &ir.Func{Name: "f", Blocks: []*ir.Block{b, c}}
+	st := dataflow.NewState(dataflow.NewCFG(f))
+	x := st.X
+	ids := st.ExprIDs(0)
 	for _, tc := range []struct {
 		name  string
 		n     *ir.Node
@@ -193,7 +211,7 @@ func TestExprIDsDepthAndSharing(t *testing.T) {
 	if ids[d12.ID] != ids[d12copy.ID] {
 		t.Fatal("two copies of the doubling DAG got different IDs")
 	}
-	if vars := x.Vars(ids[d12.ID]); !slices.Equal(vars, []string{"a"}) {
+	if vars := varNames(x, ids[d12.ID]); !slices.Equal(vars, []string{"a"}) {
 		t.Fatalf("doubling DAG reads %v, want [a]", vars)
 	}
 	// IDs: load a; constants 0..12; 12 Subs (the chain of 13 reuses the
@@ -205,25 +223,22 @@ func TestExprIDsDepthAndSharing(t *testing.T) {
 
 	// Commutative operands in either order share an ID; a
 	// non-commutative op keeps its operand order.
-	c := ir.NewBlock("c")
-	la, lb := c.NewLoad("a"), c.NewLoad("b")
-	ab, ba := c.NewNode(ir.OpAdd, la, lb), c.NewNode(ir.OpAdd, lb, la)
-	sab, sba := c.NewNode(ir.OpSub, la, lb), c.NewNode(ir.OpSub, lb, la)
-	cids := x.Block(1, c)
+	cids := st.ExprIDs(1)
 	if cids[ab.ID] != cids[ba.ID] {
 		t.Error("a+b and b+a got different IDs")
 	}
 	if cids[sab.ID] == cids[sba.ID] {
 		t.Error("a-b and b-a share an ID")
 	}
-	// A block is keyed again only when the function holds another block
-	// at its index.
-	if again := x.Block(1, c); &again[0] != &cids[0] {
+	// A State keys a block again only when the function holds another
+	// block at its index.
+	if again := st.ExprIDs(1); &again[0] != &cids[0] {
 		t.Error("an unchanged block was keyed again")
 	}
 	c2 := ir.NewBlock("c")
 	ba2 := c2.NewNode(ir.OpAdd, c2.NewLoad("b"), c2.NewLoad("a"))
-	if ids2 := x.Block(1, c2); ids2[ba2.ID] != cids[ab.ID] {
+	f.Blocks[1] = c2
+	if ids2 := st.ExprIDs(1); ids2[ba2.ID] != cids[ab.ID] {
 		t.Error("a replaced block's expression got a new ID")
 	}
 }

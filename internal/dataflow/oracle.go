@@ -182,7 +182,7 @@ type OracleFact struct {
 // under fact.Expr.
 func OracleFactOf(x *Exprs, fact ExprFact) (OracleFact, []string) {
 	key, vars, _ := ExprKey(x.info[fact.Expr].rep)
-	return OracleFact{Var: fact.Var, Expr: key}, vars
+	return OracleFact{Var: x.VarName(fact.Var), Expr: key}, vars
 }
 
 // OracleGenFacts returns the facts block b generates, derived from
@@ -190,7 +190,7 @@ func OracleFactOf(x *Exprs, fact ExprFact) (OracleFact, []string) {
 // variable's last store, the stored expression when it contains an
 // operation and reads no variable b stores.
 func OracleGenFacts(b *ir.Block) []OracleFact {
-	stored := storedVars(b)
+	stored := oracleStoredVars(b)
 	last := make(map[string]*ir.Node)
 	for _, n := range b.Nodes {
 		if n.Op == ir.OpStore {
@@ -222,6 +222,17 @@ func OracleGenFacts(b *ir.Block) []OracleFact {
 	return out
 }
 
+// oracleStoredVars returns the set of variables b stores.
+func oracleStoredVars(b *ir.Block) map[string]bool {
+	s := make(map[string]bool)
+	for _, n := range b.Nodes {
+		if n.Op == ir.OpStore {
+			s[n.Var] = true
+		}
+	}
+	return s
+}
+
 // OracleAvailIn reports whether fact holds at the entry of block i on
 // every path from the entry: it searches for a witness path on which
 // the fact does NOT hold, over the product graph of (block, holds).
@@ -236,7 +247,7 @@ func OracleAvailIn(g *CFG, i int, fact OracleFact, exprVars []string) bool {
 		return false
 	}
 	kills := func(b *ir.Block) bool {
-		stored := storedVars(b)
+		stored := oracleStoredVars(b)
 		if stored[fact.Var] {
 			return true
 		}

@@ -15,25 +15,31 @@ import (
 // turn can expose the previous store of that variable as dead, so the
 // scan iterates to a fixpoint; each round removes at least one store.
 func PruneBlock(b *ir.Block, liveOut map[string]bool) (*ir.Block, int) {
-	idx, live := blockLiveOut(b, liveOut)
-	return pruneBlock(b, live, idx)
+	x, refs, live := blockLiveOut(b, liveOut)
+	return pruneBlock(b, live, refs, x, nil)
 }
 
 // PruneBlock is the package-level PruneBlock for block i of the analysed
 // function, reading its live-out set straight from r.Out[i]: the same
 // result as PruneBlock(b, r.OutSets()[i]), with no map per block.
 func (r *LivenessResult) PruneBlock(i int) (*ir.Block, int) {
-	return pruneBlock(r.G.F.Blocks[i], r.Out[i], r.varIndex)
+	s := r.s
+	s.prune = resizeFill(s.prune, len(r.Out[i]), 0)
+	return pruneBlock(s.G.F.Blocks[i], r.Out[i], s.summary(i).refs, s.X, s.prune)
 }
 
 // pruneBlock iterates deadStoreScan to a fixpoint from the live-out set
-// liveOut, bits indexed by idx; liveOut itself is not modified.
-func pruneBlock(b *ir.Block, liveOut bitset.Set, idx map[string]int) (*ir.Block, int) {
+// liveOut, bits indexed by x's VarIDs; refs are b's memory accesses.
+// liveOut itself is not modified; live is scratch of its width (nil
+// allocates).
+func pruneBlock(b *ir.Block, liveOut bitset.Set, refs []memRef, x *Exprs, live bitset.Set) (*ir.Block, int) {
 	pruned := 0
-	live := bitset.New(len(idx))
+	if live == nil {
+		live = make(bitset.Set, len(liveOut))
+	}
 	for {
 		copy(live, liveOut)
-		dead := deadStoreScan(b, live, idx)
+		dead := deadStoreScan(b, live, refs)
 		if dead == nil {
 			return b, pruned
 		}
@@ -43,6 +49,7 @@ func pruneBlock(b *ir.Block, liveOut bitset.Set, idx map[string]int) (*ir.Block,
 				pruned++
 			}
 		}
+		refs = x.memRefs(b, b.LiveByID(nil), nil)
 	}
 }
 

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"slices"
-
 	"aviv/internal/bitset"
 )
 
@@ -56,34 +54,30 @@ type Facts struct {
 // the fixpoint itself is order-independent.
 func Solve(g *CFG, p Problem) *Facts {
 	n := len(g.F.Blocks)
-	f := &Facts{In: make([]bitset.Set, n), Out: make([]bitset.Set, n)}
+	w := (p.Bits + 63) / 64
+	// One allocation holds every fact set plus four scratch sets.
+	words := make([]uint64, (2*n+4)*w)
+	set := func(k int) bitset.Set { return bitset.Set(words[k*w : (k+1)*w : (k+1)*w]) }
+	sets := make([]bitset.Set, 2*n)
+	f := &Facts{In: sets[:n:n], Out: sets[n:]}
 	// top is the meet identity: ∅ for union, the universe for intersect.
-	top := bitset.New(p.Bits)
+	// acc and next are transfer's scratch sets.
+	top, acc, next := set(2*n), set(2*n+1), set(2*n+2)
 	if p.Meet == Intersect {
-		top = full(p.Bits)
+		for i := 0; i < p.Bits; i++ {
+			top.Set(i)
+		}
 	}
 	for i := 0; i < n; i++ {
-		f.In[i] = slices.Clone(top)
-		f.Out[i] = slices.Clone(top)
+		f.In[i], f.Out[i] = set(i), set(n+i)
+		f.In[i].Copy(top)
+		f.Out[i].Copy(top)
 	}
 	boundary := p.Boundary
 	if boundary == nil {
-		boundary = bitset.New(p.Bits)
+		boundary = set(2*n + 3)
 	}
 
-	// order is the deterministic processing sequence; pos maps block to
-	// its position for worklist membership checks.
-	order := make([]int, 0, n)
-	if p.Dir == Forward {
-		order = append(order, g.RPO...)
-	} else {
-		for i := len(g.RPO) - 1; i >= 0; i-- {
-			order = append(order, g.RPO[i])
-		}
-	}
-
-	// acc and next are transfer's scratch sets.
-	acc, next := bitset.New(p.Bits), bitset.New(p.Bits)
 	meet := func(s bitset.Set) {
 		if p.Meet == Union {
 			acc.Or(acc, s)
@@ -142,15 +136,23 @@ func Solve(g *CFG, p Problem) *Facts {
 		return true
 	}
 
+	// The worklist is a FIFO ring: a block is queued at most once, so n
+	// slots suffice. It is seeded in reverse postorder for forward
+	// problems and in postorder for backward ones.
 	inQueue := make([]bool, n)
-	queue := make([]int, 0, n)
-	for _, b := range order {
-		queue = append(queue, b)
+	queue := make([]int, n)
+	head, size := 0, n
+	for k, b := range g.RPO {
+		if p.Dir == Backward {
+			b = g.RPO[n-1-k]
+		}
+		queue[k] = b
 		inQueue[b] = true
 	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
+	for size > 0 {
+		b := queue[head]
+		head = (head + 1) % n
+		size--
 		inQueue[b] = false
 		if !transfer(b) {
 			continue
@@ -163,19 +165,11 @@ func Solve(g *CFG, p Problem) *Facts {
 		}
 		for _, d := range deps {
 			if !inQueue[d] {
-				queue = append(queue, d)
+				queue[(head+size)%n] = d
+				size++
 				inQueue[d] = true
 			}
 		}
 	}
 	return f
-}
-
-// full returns a set holding bits 0..n-1.
-func full(n int) bitset.Set {
-	s := bitset.New(n)
-	for i := 0; i < n; i++ {
-		s.Set(i)
-	}
-	return s
 }

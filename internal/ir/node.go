@@ -206,15 +206,11 @@ func (b *Block) IDBound() int {
 }
 
 // LiveByID marks the nodes reachable from the block's roots, indexed by
-// Node.ID (the slice has length IDBound). Operands outside that range
-// are not block nodes (Verify rejects them) and are not marked.
-func (b *Block) LiveByID() []bool {
-	return b.markLive(nil)
-}
-
-// markLive is LiveByID writing its marks into buf's storage when it is
-// large enough.
-func (b *Block) markLive(buf []bool) []bool {
+// Node.ID (the slice has length IDBound), writing the marks into buf's
+// storage when it is large enough (buf may be nil). Operands outside
+// that range are not block nodes (Verify rejects them) and are not
+// marked.
+func (b *Block) LiveByID(buf []bool) []bool {
 	live := slices.Grow(buf[:0], b.IDBound())[:b.IDBound()]
 	clear(live)
 	var mark func(*Node)
@@ -247,7 +243,7 @@ func (b *Block) RemoveDead() {
 // removeDead is RemoveDead keeping its liveness marks in buf's storage
 // when it is large enough; it returns the marks' slice for reuse.
 func (b *Block) removeDead(buf []bool) []bool {
-	live := b.markLive(buf)
+	live := b.LiveByID(buf)
 	kept := b.Nodes[:0]
 	for _, n := range b.Nodes {
 		if live[n.ID] {
