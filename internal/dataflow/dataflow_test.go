@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"aviv/internal/ir"
@@ -168,6 +169,9 @@ func checkAllAnalyses(t *testing.T, label string, f *ir.Func, g *CFG) {
 	t.Helper()
 	// Liveness.
 	live := LivenessCFG(g)
+	if !slices.IsSorted(live.Vars) {
+		t.Errorf("%s: liveness variables %v are not sorted", label, live.Vars)
+	}
 	for i := range f.Blocks {
 		for _, v := range live.Vars {
 			if got, want := live.LiveOutOf(i, v), OracleLiveOut(g, i, v); got != want {
