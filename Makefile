@@ -16,8 +16,15 @@ vet:
 # Run the four example programs: they are the callers of aviv.Compile on
 # hand-built IR, and quickstart and dspfir exit nonzero when the
 # simulated result disagrees with the expected one (also part of ci.sh).
+# Then compile one source twice over a fresh -cache directory with
+# -stats: the second compile must take every block from the disk tier.
 examples:
 	for e in quickstart dspfir archexplore codesign; do go run ./examples/$$e >/dev/null || exit 1; done
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go build -o "$$dir/avivcc" ./cmd/avivcc && \
+	"$$dir/avivcc" -example -S=false -stats -cache "$$dir/cache" examples/sources/cached.c >/dev/null && \
+	"$$dir/avivcc" -example -S=false -stats -verify -cache "$$dir/cache" examples/sources/cached.c | \
+	grep -Eq ' ([0-9]+)/\1 blocks from compile cache \(\1 via disk tier\)'
 
 # Pinned in ci.sh (STATICCHECK_VERSION); skipped with a warning when the
 # binary is not on PATH — it is never downloaded by the build.
@@ -56,6 +63,7 @@ toolinstall:
 fuzz:
 	go test -run '^$$' -fuzz='^FuzzCompileSource$$' -fuzztime=10s .
 	go test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/lang
+	go test -run '^$$' -fuzz='^FuzzDecodeBlock$$' -fuzztime=5s .
 
 bench:
 	go run ./cmd/avivbench -all

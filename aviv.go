@@ -65,19 +65,20 @@ type Options struct {
 	// invariant is violated.
 	Verify bool
 	// Cache, when non-nil, is the per-block memory tier shared across
-	// Compile calls (cover.NewBoundedCache): it holds finished blocks
-	// under a key covering everything a block's code depends on (see
-	// domainKey), so recompiling an unchanged block skips covering,
-	// peephole, register allocation and emission. Emitted programs are
-	// byte-identical with and without it.
+	// Compile calls (cover.NewBoundedCache): it holds each block's
+	// finished code under a key covering everything that code depends
+	// on (see domainKey), so recompiling an unchanged block skips
+	// covering, peephole, register allocation and emission. Emitted
+	// programs are byte-identical with and without it.
 	Cache *cover.Cache
 	// DiskCache, when non-nil, is the persistent tier below Cache
-	// (internal/diskcache): it holds each block's finished schedule —
-	// the solution after the peephole pass, with its effort counters —
-	// under the same key, so a block missing from memory skips the
-	// covering search and the peephole and survives process restarts.
-	// Like Cache, it cannot change output — entries that fail to decode
-	// are deleted and recompiled, and decoded schedules are re-verified.
+	// (internal/diskcache): it holds the same finished code, encoded
+	// with its effort counters, under the same key, so a block missing
+	// from memory is decoded instead of compiled, across process
+	// restarts too. Like Cache, it cannot change output: an entry that
+	// fails to decode (a stale version, or one naming a unit, bus or
+	// register the machine does not have) is deleted and the block
+	// recompiled.
 	DiskCache cover.EntryStore
 }
 
@@ -97,17 +98,19 @@ func ExhaustiveOptions() Options {
 func LoadMachine(src string) (*isdl.Machine, error) { return isdl.Parse(src) }
 
 // BlockResult is the compilation outcome for one basic block.
+//
+// Covering, Solution and Allocation are set only when this call covered
+// the block. A block reused from a cache tier carries its code and the
+// effort counters of the compile that produced it, and leaves the three
+// nil.
 type BlockResult struct {
 	Block *ir.Block
-	// Covering is the covering the block was built from: on a fresh
-	// compile the raw pre-peephole result of cover.CoverBlock, on a disk
-	// hit the decoded finished schedule (Covering.Best is then the
-	// post-peephole solution and Covering.PeepholeSaved what the
-	// peephole removed). Covering.DAG is the Split-Node DAG (node
-	// counts reproduce the paper's "#Nodes" columns). Solution below is
-	// the post-peephole view everything downstream consumes.
+	// Covering is the raw pre-peephole result of cover.CoverBlock.
+	// Covering.DAG is the Split-Node DAG (node counts reproduce the
+	// paper's "#Nodes" columns).
 	Covering *cover.Result
-	// Solution is the covering (instruction count = code size metric).
+	// Solution is the post-peephole covering everything downstream
+	// consumes (instruction count = code size metric).
 	Solution *cover.Solution
 	// Allocation is the detailed register allocation.
 	Allocation *regalloc.Allocation
@@ -133,38 +136,24 @@ type CompileResult struct {
 // including control-flow instructions.
 func (r *CompileResult) CodeSize() int { return r.Program.CodeSize() }
 
-// CompileBlock compiles a single basic block from scratch, consulting
-// no cache tier, and records per-phase timings and effort counters in
-// the result's Metrics.
+// CompileBlock compiles a single basic block from scratch — covering,
+// peephole, register allocation, emission — consulting no cache tier,
+// and records per-phase timings and effort counters in the result's
+// Metrics.
 func CompileBlock(b *ir.Block, m *isdl.Machine, opts Options) (*BlockResult, error) {
 	total := metrics.StartTimer()
+	bm := metrics.BlockMetrics{Block: b.Name}
 	res, err := cover.CoverBlock(b, m, opts.Cover)
 	if err != nil {
 		return nil, fmt.Errorf("aviv: block %s: %w", b.Name, err)
 	}
-	coverTime := total.Elapsed()
-	br, err := finishBlock(b, res, opts.Peephole)
-	if err != nil {
-		return nil, err
-	}
-	br.Metrics.Cover = coverTime
-	br.Metrics.Total = total.Elapsed()
-	return br, nil
-}
-
-// finishBlock runs the passes after covering — peephole, register
-// allocation, emission — and fills in every metric but Cover and Total.
-// With peep false the peephole is skipped and res.PeepholeSaved (set
-// when res.Best is an already finished schedule) is reported as is.
-func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error) {
-	bm := metrics.BlockMetrics{Block: b.Name}
+	bm.Cover = total.Elapsed()
 	sol := res.Best
-	saved := res.PeepholeSaved
-	if peep {
+	if opts.Peephole {
 		phase := metrics.StartTimer()
 		before := sol.Cost()
 		sol = peephole.Optimize(sol)
-		saved += before - sol.Cost()
+		bm.PeepholeSaved = before - sol.Cost()
 		bm.Peephole = phase.Elapsed()
 	}
 	phase := metrics.StartTimer()
@@ -183,8 +172,8 @@ func finishBlock(b *ir.Block, res *cover.Result, peep bool) (*BlockResult, error
 	bm.Instructions = sol.Cost()
 	bm.Spills = sol.SpillCount
 	bm.AssignmentsExplored = res.AssignmentsExplored
-	bm.PeepholeSaved = saved
 	bm.PrunedAssignments = res.PrunedAssignments
+	bm.Total = total.Elapsed()
 	return &BlockResult{
 		Block:      b,
 		Covering:   res,
@@ -352,9 +341,9 @@ func Compile(f *ir.Func, m *isdl.Machine, opts Options) (*CompileResult, error) 
 // block they name when it exists.
 //
 // Each block's code is validated against br.Block, the current source
-// block, never against Solution.Block: on a memory hit the solution
-// comes from an earlier compile, so fresh and reused blocks get the
-// same check against what this compile was asked to build.
+// block: a reused block has no solution of its own, so fresh and reused
+// blocks get the same check against what this compile was asked to
+// build.
 func verifyResult(out *CompileResult) *verify.VerifyError {
 	byName := make(map[string]*BlockResult, len(out.Blocks))
 	var all []verify.Violation

@@ -2,7 +2,10 @@ package aviv
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 
+	"aviv/internal/asm"
 	"aviv/internal/cover"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
@@ -36,16 +39,76 @@ func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
 	return sha256.Sum256(in[:])
 }
 
+// entryVersion versions the disk tier's entries: the block's effort
+// counters (varints, in effortFields order) followed by its pre-layout
+// code in asm's block codec. An entry holds what covering, peephole,
+// register allocation and emission produced, and the block key sees
+// none of them, so a change to what any of these passes outputs must
+// bump entryVersion, as must a change to either layout
+// (TestEntryVersionPinsContent fails until it is bumped). Versions up
+// to 3 held the cover codec's finished schedule; they fail to decode
+// here and are deleted and rewritten like any stale entry.
+const entryVersion = 4
+
+// effortFields lists the counters an entry carries, in entry order.
+func effortFields(bm *metrics.BlockMetrics) [6]*int {
+	return [6]*int{&bm.DAGNodes, &bm.Instructions, &bm.Spills,
+		&bm.AssignmentsExplored, &bm.PeepholeSaved, &bm.PrunedAssignments}
+}
+
+// appendEntry appends the disk entry of a freshly compiled block: code
+// must still be pre-layout.
+func appendEntry(dst []byte, code *asm.Block, bm metrics.BlockMetrics, m *isdl.Machine) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, entryVersion)
+	for _, v := range effortFields(&bm) {
+		dst = binary.AppendVarint(dst, int64(*v))
+	}
+	return asm.AppendBlock(dst, code, m)
+}
+
+// decodeEntry reads back an entry appendEntry wrote for the code of b on
+// m: the pre-layout code and the effort counters of the compile that
+// wrote it. Any error means a stale or foreign entry; the caller treats
+// it as a miss.
+func decodeEntry(data []byte, b *ir.Block, m *isdl.Machine) (*asm.Block, metrics.BlockMetrics, error) {
+	bm := metrics.BlockMetrics{Block: b.Name}
+	v, n := binary.Uvarint(data)
+	if n <= 0 || v != entryVersion {
+		return nil, bm, fmt.Errorf("aviv: block %s: cache entry version %d, want %d", b.Name, v, entryVersion)
+	}
+	data = data[n:]
+	for _, f := range effortFields(&bm) {
+		c, n := binary.Varint(data)
+		if n <= 0 {
+			return nil, bm, fmt.Errorf("aviv: block %s: truncated cache entry", b.Name)
+		}
+		*f, data = int(c), data[n:]
+	}
+	code, err := asm.DecodeBlock(data, b, m)
+	if err != nil {
+		return nil, bm, fmt.Errorf("aviv: block %s: %w", b.Name, err)
+	}
+	return code, bm, nil
+}
+
+// cachedBlock is a block as the memory tier holds it: pristine
+// pre-layout code and the effort counters of the compile that made it.
+type cachedBlock struct {
+	code   asm.Block
+	effort metrics.BlockMetrics
+}
+
 // blockCache is one Compile's view of the per-block cache tiers. A nil
 // *blockCache compiles every block from scratch.
 //
-// The memory tier (Options.Cache) holds finished *BlockResults with
-// pristine pre-layout code; a hit skips every per-block pass. The disk
-// tier (Options.DiskCache) holds the encoded finished schedule — the
-// post-peephole Solution with the covering's and the peephole's
-// counters — under the same key; a hit decodes and re-verifies it and
-// runs only register allocation and emission. A fresh compile is
-// written once to each tier.
+// Both tiers hold a block's finished code: its pre-layout emitted
+// instructions plus the effort counters of the compile that made it.
+// The memory tier (Options.Cache) holds them as a *cachedBlock; the
+// disk tier (Options.DiskCache) holds them encoded (appendEntry) under
+// the same key. A hit in either skips every per-block pass — covering,
+// peephole, register allocation and emission; a disk hit costs one
+// decode and fills the memory tier. A fresh compile is written once to
+// each tier.
 type blockCache struct {
 	mem  *cover.Cache
 	disk cover.EntryStore
@@ -77,38 +140,31 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	key := domainKey(bc.keys.Key(b), opts.Peephole)
 	if bc.mem != nil {
 		if v, ok := bc.mem.Get(key); ok {
-			hit := v.(*BlockResult)
-			br := *hit
-			code := *hit.Code // layout rewrites Branch; the cached block stays pristine
-			br.Block, br.Code = b, &code
-			br.Metrics = hit.Metrics.Effort()
+			hit := v.(*cachedBlock)
+			code := hit.code // layout rewrites Branch; the cached block stays pristine
+			br := &BlockResult{Block: b, Code: &code, Metrics: hit.effort}
 			br.Metrics.CacheHit = true
 			br.Metrics.Total = total.Elapsed()
-			return &br, nil
+			return br, nil
 		}
 	}
 	invalidated := false
 	if bc.disk != nil {
 		if data, ok := bc.disk.Get(key); ok {
 			decode := metrics.StartTimer()
-			res, err := cover.DecodeBlock(data, b, m)
-			decodeTime := decode.Elapsed()
-			var br *BlockResult
+			code, effort, err := decodeEntry(data, b, m)
 			if err == nil {
-				// The entry is the finished schedule: the peephole already ran.
-				br, err = finishBlock(b, res, false)
-			}
-			if err == nil {
-				br.Metrics.Cover = decodeTime
+				br := &BlockResult{Block: b, Code: code, Metrics: effort}
+				br.Metrics.Cover = decode.Elapsed()
 				br.Metrics.CacheHit, br.Metrics.DiskHit = true, true
-				bc.remember(key, br)
+				bc.remember(key, code, effort)
 				br.Metrics.Total = total.Elapsed()
 				return br, nil
 			}
-			// The entry read back clean (the storage checksum held) but no
-			// longer decodes — codec version skew, say. Left in place it
-			// would be re-read and re-rejected on every lookup; delete it
-			// so the Put below rewrites it.
+			// The entry read back clean (the storage checksum held) but
+			// does not decode — version skew, say. Left in place it would
+			// be re-read and re-rejected on every lookup; delete it so the
+			// Put below rewrites it.
 			invalidated = true
 			if del, ok := bc.disk.(cover.DeletableStore); ok {
 				del.Delete(key)
@@ -121,11 +177,9 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	}
 	br.Metrics.DiskMiss = bc.disk != nil
 	br.Metrics.Invalidated = invalidated
-	bc.remember(key, br)
+	bc.remember(key, br.Code, br.Metrics.Effort())
 	if bc.disk != nil {
-		finished := *br.Covering
-		finished.Best, finished.PeepholeSaved = br.Solution, br.Metrics.PeepholeSaved
-		if data, ok := cover.EncodeResult(&finished); ok {
+		if data, err := appendEntry(nil, br.Code, br.Metrics, m); err == nil {
 			bc.disk.Put(key, data)
 		}
 	}
@@ -133,14 +187,11 @@ func (bc *blockCache) compile(b *ir.Block, m *isdl.Machine, opts Options) (*Bloc
 	return br, nil
 }
 
-// remember stores a private copy of br in the memory tier, so the
-// caller's br.Code is free to go through layout.
-func (bc *blockCache) remember(key [sha256.Size]byte, br *BlockResult) {
+// remember stores a private copy of code in the memory tier, so the
+// caller's code is free to go through layout.
+func (bc *blockCache) remember(key [sha256.Size]byte, code *asm.Block, effort metrics.BlockMetrics) {
 	if bc.mem == nil {
 		return
 	}
-	cp := *br
-	code := *br.Code
-	cp.Code = &code
-	bc.mem.Add(key, &cp, br.Covering.ApproxBytes())
+	bc.mem.Add(key, &cachedBlock{code: *code, effort: effort}, code.Footprint())
 }

@@ -56,7 +56,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "block-compilation worker pool size (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	verifyFlag := flag.Bool("verify", false, "run the static translation validator on the compiled output (fails the compile on any violation)")
 	analyze := flag.Bool("analyze", false, "run the global dataflow diagnostics on the lowered IR and print findings (no machine description needed)")
-	cacheDir := flag.String("cache", "", "persistent per-block cache directory (created if missing): an edited recompile re-covers only changed blocks; decoded coverings are re-verified, so stale entries cannot change output")
+	cacheDir := flag.String("cache", "", "persistent per-block cache directory (created if missing): an edited recompile re-covers only changed blocks; an entry that fails to decode is deleted and its block recompiled, so stale entries cannot change output")
 	serverURL := flag.String("server", "", "compile via a running avivd at this base URL (requires -march; falls back to a local compile if the server is unreachable or overloaded)")
 	flag.Parse()
 
@@ -201,7 +201,7 @@ func main() {
 		for _, br := range res.Blocks {
 			fmt.Printf("; block %-8s DAG %3d nodes -> SN-DAG %4d nodes, %2d instrs, %d spills, %d assignments explored, peephole saved %d\n",
 				br.Block.Name, len(br.Block.Nodes), br.Metrics.DAGNodes,
-				br.Solution.Cost(), br.Solution.SpillCount, br.Metrics.AssignmentsExplored, br.Metrics.PeepholeSaved)
+				br.Metrics.Instructions, br.Metrics.Spills, br.Metrics.AssignmentsExplored, br.Metrics.PeepholeSaved)
 		}
 		for _, line := range strings.Split(strings.TrimRight(res.Metrics.String(), "\n"), "\n") {
 			fmt.Printf("; %s\n", line)

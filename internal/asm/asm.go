@@ -393,36 +393,44 @@ func movePredReg(alloc *regalloc.Allocation, n *cover.SNode) (int, error) {
 
 func setBranch(out *Block, sol *cover.Solution, alloc *regalloc.Allocation) error {
 	blk := sol.Block
+	out.Branch = terminator(blk)
+	if out.Branch.Kind != BranchCond {
+		return nil
+	}
+	if blk.Cond.Op == ir.OpConst {
+		c := blk.Cond.Const
+		out.Branch.CondConst = &c
+		return nil
+	}
+	holder := sol.CondHolder()
+	if holder == nil {
+		return fmt.Errorf("asm: block %s branches but no condition holder", blk.Name)
+	}
+	loc, _ := holder.DefLoc()
+	r, ok := alloc.Reg[holder]
+	if !ok {
+		return fmt.Errorf("asm: condition holder %s has no register", holder)
+	}
+	out.Branch.CondUnit = loc.Name
+	out.Branch.CondReg = r
+	return nil
+}
+
+// terminator returns the control-flow instruction ending blk before
+// layout: its kind and targets, without a condition.
+func terminator(blk *ir.Block) Branch {
 	switch blk.Term {
 	case ir.TermReturn:
-		out.Branch = Branch{Kind: BranchHalt}
+		return Branch{Kind: BranchHalt}
 	case ir.TermJump:
-		out.Branch = Branch{Kind: BranchJump, Target: blk.Succs[0]}
+		return Branch{Kind: BranchJump, Target: blk.Succs[0]}
 	case ir.TermNone:
 		if len(blk.Succs) == 1 {
-			out.Branch = Branch{Kind: BranchNone, Target: blk.Succs[0]}
-		} else {
-			out.Branch = Branch{Kind: BranchHalt}
+			return Branch{Kind: BranchNone, Target: blk.Succs[0]}
 		}
+		return Branch{Kind: BranchHalt}
 	case ir.TermBranch:
-		br := Branch{Kind: BranchCond, Target: blk.Succs[0], Else: blk.Succs[1]}
-		if blk.Cond.Op == ir.OpConst {
-			c := blk.Cond.Const
-			br.CondConst = &c
-		} else {
-			holder := sol.CondHolder()
-			if holder == nil {
-				return fmt.Errorf("asm: block %s branches but no condition holder", blk.Name)
-			}
-			loc, _ := holder.DefLoc()
-			r, ok := alloc.Reg[holder]
-			if !ok {
-				return fmt.Errorf("asm: condition holder %s has no register", holder)
-			}
-			br.CondUnit = loc.Name
-			br.CondReg = r
-		}
-		out.Branch = br
+		return Branch{Kind: BranchCond, Target: blk.Succs[0], Else: blk.Succs[1]}
 	}
-	return nil
+	return Branch{}
 }

@@ -12,10 +12,11 @@ import (
 
 // EntryStore is the persistent tier below Cache: a byte-oriented
 // content-addressed store (implemented by internal/diskcache) keyed by
-// the same fingerprints. aviv serializes each block's finished schedule
-// into it (EncodeResult) and treats every failure — absent key, truncated or
-// corrupted entry, version skew — as a miss, so a store can never
-// change compiled output, only skip recomputation.
+// the same fingerprints. aviv stores each block's finished code in it,
+// encoded with its effort counters, and treats every failure — absent
+// key, truncated or corrupted entry, version skew, an entry that names
+// a unit, bus or register the machine does not have — as a miss, so a
+// store can never change compiled output, only skip recomputation.
 type EntryStore interface {
 	// Get returns the stored entry for key, or ok=false on any miss.
 	Get(key [sha256.Size]byte) ([]byte, bool)
@@ -114,27 +115,6 @@ func (c *Cache) MachineFingerprint(m *isdl.Machine) [sha256.Size]byte {
 // MachineFingerprints returns how many machine fingerprints the cache
 // memoizes, at most MaxMachineFingerprints.
 func (c *Cache) MachineFingerprints() int { return c.machFPs.Stats().Len }
-
-// ApproxBytes estimates the retained size of a covering: the dominant
-// costs are the solution-graph nodes reachable from the schedule and
-// the Split-Node DAG. It is an accounting estimate for stats output,
-// not an allocator measurement.
-func (res *Result) ApproxBytes() int64 {
-	const (
-		nodeSize  = 200 // SNode + edge slices
-		sliceSize = 24
-	)
-	n := int64(0)
-	if res.Best != nil {
-		for _, instr := range res.Best.Instrs {
-			n += sliceSize + int64(len(instr))*nodeSize
-		}
-	}
-	if res.DAG != nil {
-		n += int64(res.DAG.Counts.Total()) * nodeSize
-	}
-	return n + 256
-}
 
 // fpWriter accumulates fingerprint material, length-prefixing every
 // field so adjacent records cannot alias.

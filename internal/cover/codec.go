@@ -10,17 +10,15 @@ import (
 	"aviv/internal/sndag"
 )
 
-// Binary codec for cover.Result, the unit of the persistent compile
-// cache. aviv persists the finished schedule, not the raw covering: the
-// Best it writes is the solution after the peephole pass (Sec. IV-G),
-// and PeepholeSaved records what that pass removed, so a disk hit runs
-// only register allocation and emission. A Result is a pointer graph:
-// the schedule's SNodes reference ir.Nodes of the covered block and
-// sndag.Alt alternatives of the Split-Node DAG. Neither is serialized;
-// both are re-derived on decode from the cache key's own components —
-// the covered block and the machine are deterministic functions of
-// (source block, machine, options), so sndag.Build reproduces the
-// identical DAG and pointers are resolved positionally:
+// Binary codec for cover.Result. Its one caller is perfbench's replay,
+// which persists coverings in its own tier to time the covering's
+// layers apart; aviv's cache tiers hold finished code instead (asm's
+// block codec), so nothing on the compile path reads or writes this
+// format. A Result is a pointer graph: the schedule's SNodes reference
+// ir.Nodes of the covered block and sndag.Alt alternatives of the
+// Split-Node DAG. Neither is serialized; both are re-derived on decode
+// from the covered block and the machine — sndag.Build reproduces the
+// identical DAG — and pointers are resolved positionally:
 //
 //   - ir.Node   -> by node ID within the covered block
 //   - sndag.Alt -> by (ID of Covers[0], index within that split's Alts)
@@ -34,16 +32,13 @@ import (
 // against them.
 //
 // The encoding is versioned; any structural change must bump
-// codecVersion so stale disk entries decode as misses, never as wrong
+// codecVersion so stale entries decode as misses, never as wrong
 // results. Integrity (truncation, bit rot) is the storage layer's job —
 // decodeResult only needs to fail cleanly on garbage, which the
 // bounds-checked reader plus a final Solution.Verify guarantee.
 //
-// Version 3 added PeepholeSaved, when the persisted schedule became
-// the post-peephole one. Because an entry holds the peephole's output,
-// a change to what the peephole produces must bump codecVersion, just
-// as a change to what the covering produces must: the block keys do
-// not see either pass's code.
+// Version 3 added PeepholeSaved, for the finished (post-peephole)
+// schedules aviv's disk tier held before it held finished code.
 const codecVersion = 3
 
 type encBuf struct{ b []byte }

@@ -9,6 +9,7 @@ import (
 
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
+	"aviv/internal/sndag"
 )
 
 // solutionSignature renders every field of a solution the downstream
@@ -121,9 +122,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			// Decoding against a fresh identical block must rebuild an
 			// identical solution.
-			second, err := DecodeBlock(data, tc.block(), tc.mach)
+			dag, err := sndag.Build(tc.block(), tc.mach)
 			if err != nil {
-				t.Fatalf("DecodeBlock: %v", err)
+				t.Fatal(err)
+			}
+			second, err := decodeResult(data, dag)
+			if err != nil {
+				t.Fatalf("decodeResult: %v", err)
 			}
 			if got, want := solutionSignature(second.Best), solutionSignature(res.Best); got != want {
 				t.Errorf("decoded solution differs from fresh covering\n--- decoded ---\n%s--- fresh ---\n%s", got, want)
@@ -185,8 +190,8 @@ func TestCodecCorruptionDegradesToMiss(t *testing.T) {
 
 	// Garbage is a decode error, which callers treat as a miss (the
 	// aviv-level tier tests check the recompile that follows).
-	if _, err := DecodeBlock([]byte("not a covering"), fig2Block(), isdl.ExampleArch(4)); err == nil {
-		t.Fatal("DecodeBlock accepted garbage")
+	if _, err := decodeResult([]byte("not a covering"), dag); err == nil {
+		t.Fatal("decodeResult accepted garbage")
 	}
 }
 

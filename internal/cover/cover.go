@@ -87,8 +87,8 @@ type Result struct {
 	// Options.LiveOut proved them dead past the block.
 	PrunedStores int
 	// PeepholeSaved counts instructions a post-covering pass already
-	// removed from Best: zero for a fresh covering, the peephole's
-	// saving for a finished schedule read back from a persistent tier.
+	// removed from Best: zero for a fresh covering. The codec carries
+	// it, so a finished schedule can be persisted with its saving.
 	PeepholeSaved int
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 
 	"aviv/internal/ir"
-	"aviv/internal/isdl"
 	"aviv/internal/sndag"
 )
 
@@ -54,20 +53,8 @@ func (k *BlockKeyer) Key(block *ir.Block) [sha256.Size]byte {
 
 // EncodeResult serializes a covering for a persistent tier, declining
 // (ok=false) when the result is not representable. The format is
-// versioned; DecodeResult and DecodeBlock read it back.
+// versioned; DecodeResult reads it back.
 func EncodeResult(res *Result) (data []byte, ok bool) { return encodeResult(res) }
-
-// DecodeBlock rebuilds a persisted covering of block as given: it
-// builds the block's Split-Node DAG (a deterministic function of the
-// block and the machine) and decodes data against it. No store is
-// pruned on decode. Any error must be treated as a cache miss.
-func DecodeBlock(data []byte, block *ir.Block, m *isdl.Machine) (*Result, error) {
-	d, err := sndag.Build(block, m)
-	if err != nil {
-		return nil, err
-	}
-	return decodeResult(data, d)
-}
 
 // DecodeResult rebuilds a covering from its serialized form against a
 // freshly derived Split-Node DAG of the covered block. Any

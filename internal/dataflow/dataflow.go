@@ -48,8 +48,7 @@ import (
 // indices into F.Blocks, predecessor/successor adjacency, and a
 // deterministic reverse-postorder over the reachable blocks.
 type CFG struct {
-	F     *ir.Func
-	Index map[string]int // block name -> index in F.Blocks
+	F *ir.Func
 
 	Succs [][]int
 	Preds [][]int
@@ -77,13 +76,13 @@ func NewCFGFolded(f *ir.Func) *CFG { return newCFG(f, true) }
 func newCFG(f *ir.Func, foldConst bool) *CFG {
 	g := &CFG{
 		F:     f,
-		Index: make(map[string]int, len(f.Blocks)),
 		Succs: make([][]int, len(f.Blocks)),
 		Preds: make([][]int, len(f.Blocks)),
 		Reach: make([]bool, len(f.Blocks)),
 	}
+	index := make(map[string]int, len(f.Blocks)) // block name -> index in f.Blocks
 	for i, b := range f.Blocks {
-		g.Index[b.Name] = i
+		index[b.Name] = i
 	}
 	for i, b := range f.Blocks {
 		succs := b.Succs
@@ -95,7 +94,7 @@ func newCFG(f *ir.Func, foldConst bool) *CFG {
 			}
 		}
 		for _, name := range succs {
-			j, ok := g.Index[name]
+			j, ok := index[name]
 			if !ok {
 				continue // f.Verify rejects this; stay total anyway
 			}

@@ -37,10 +37,11 @@ type BlockMetrics struct {
 	// CacheHit reports the block was reused from the per-block cache
 	// (either tier) instead of being covered fresh.
 	CacheHit bool
-	// DiskHit reports the block was rebuilt from the persistent tier's
-	// finished schedule (implies CacheHit): the peephole did not run, so
-	// Peephole is zero and PeepholeSaved is the persisted count. A
-	// CacheHit without DiskHit came from the memory tier.
+	// DiskHit reports the block's code was decoded from the persistent
+	// tier (implies CacheHit): no pass ran, so Peephole, Regalloc and
+	// Emit are zero, Cover is the decode, and the effort counters are
+	// the persisted ones. A CacheHit without DiskHit came from the
+	// memory tier.
 	DiskHit bool
 	// DiskMiss reports the block was looked up in the persistent tier
 	// and not found there (or found undecodable), so it was covered

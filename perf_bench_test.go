@@ -88,9 +88,8 @@ func BenchmarkCompileWarm(b *testing.B) {
 // 25-block MultiBlockSource programs are compiled once into a disk tier,
 // then each iteration recompiles all eight, round-robin, through a
 // 64-entry memory tier that the other seven programs flush between two
-// visits. Every block rebuilds from disk — decode, Solution.Verify,
-// register allocation and emission — after the same front end as
-// BenchmarkCompileWarm. It reports disk hits per op.
+// visits. Every block's code is decoded from disk, after the same
+// front end as BenchmarkCompileWarm. It reports disk hits per op.
 func BenchmarkCompileDiskRebuild(b *testing.B) {
 	m := isdl.ExampleArchFull(4)
 	disk, err := diskcache.Open(b.TempDir(), 0)
