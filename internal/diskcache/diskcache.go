@@ -33,6 +33,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -194,18 +195,34 @@ func (c *Cache) Get(key [sha256.Size]byte) ([]byte, bool) {
 	c.mu.Lock()
 	c.hits++
 	c.mu.Unlock()
-	// Touch for LRU-ish eviction ordering; best-effort.
-	now := time.Now()
-	os.Chtimes(path, now, now)
 	return payload, true
 }
 
+// readEntry reads and verifies the entry at path and, when it is good,
+// touches it for LRU-ish eviction ordering (best-effort). Both go
+// through one open descriptor, so a hit looks the path up once. Put
+// renames a finished file into place and nothing writes an entry file
+// after that, so the size the descriptor reports is the whole entry.
 func readEntry(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return decodeEntry(data)
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	payload, err := decodeEntry(data)
+	if err != nil {
+		return nil, err
+	}
+	touch(f)
+	return payload, nil
 }
 
 // encodeEntry frames payload exactly as an on-disk entry file is laid

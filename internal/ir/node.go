@@ -98,6 +98,25 @@ func NewBlock(name string) *Block {
 	return &Block{Name: name}
 }
 
+// WithSuccs returns a new block with b's name, nodes and terminator and
+// the successors succs, leaving b as it was. The two blocks share their
+// nodes, so neither may renumber or drop nodes in place afterwards
+// (RemoveDead, Renumber). The new block's slabs are clipped to their
+// length: a node added to it is allocated afresh, never in b's free slab
+// space.
+func (b *Block) WithSuccs(succs []string) *Block {
+	return &Block{
+		Name:    b.Name,
+		Nodes:   slices.Clip(b.Nodes),
+		Term:    b.Term,
+		Cond:    b.Cond,
+		Succs:   succs,
+		nextID:  b.nextID,
+		slab:    slices.Clip(b.slab),
+		argSlab: slices.Clip(b.argSlab),
+	}
+}
+
 // reserve sizes the block's slabs for the given numbers of nodes and
 // operands, so a block re-emitted from a source of that size allocates
 // each slab once.

@@ -79,6 +79,33 @@ func TestNewNodeCopiesArgs(t *testing.T) {
 	}
 }
 
+// TestWithSuccsLeavesSourceAlone: a block made by WithSuccs shares the
+// source's nodes, yet a node added to it lands in new slab space, and
+// neither its successors nor its node list are the source's.
+func TestWithSuccsLeavesSourceAlone(t *testing.T) {
+	b := NewBlock("b")
+	b.reserve(8, 8) // leave free slab space behind the nodes
+	x := b.NewLoad("x")
+	b.NewStore("y", b.NewNode(OpNeg, x))
+	b.Term, b.Succs = TermJump, []string{"c"}
+	before := b.String()
+
+	nb := b.WithSuccs([]string{"d"})
+	if nb.Nodes[0] != x || nb.Succs[0] != "d" {
+		t.Fatalf("WithSuccs gave %v", nb)
+	}
+	nb.NewStore("z", nb.NewNode(OpCompl, x))
+	if got := b.String(); got != before {
+		t.Fatalf("adding to the copy changed the source\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+	if b.slab[:len(b.slab)+1][len(b.slab)].Op != OpInvalid || b.argSlab[:len(b.argSlab)+1][len(b.argSlab)] != nil {
+		t.Fatal("adding to the copy wrote into the source's free slab space")
+	}
+	if err := nb.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // chainSource returns a block of about 4n nodes: n loads feeding a
 // chain of adds and multiplies, stored and branched on.
 func chainSource(n int) *Block {

@@ -8,11 +8,17 @@
 package opt
 
 import (
+	"slices"
+
 	"aviv/internal/ir"
 )
 
 // Optimize returns an optimized copy of the function. The input is not
-// modified.
+// modified, but the result may share blocks with it: a block that no
+// pass changes is returned as it came, and a block whose only change is
+// a retargeted edge shares the input's nodes. No pass writes into a
+// block it did not emit, and neither function may be edited in place
+// afterwards.
 func Optimize(f *ir.Func) *ir.Func {
 	// One builder re-emits every block of every pass: each re-emission
 	// resets it, so its hash-consing maps are allocated once per call.
@@ -25,14 +31,16 @@ func Optimize(f *ir.Func) *ir.Func {
 }
 
 // optimizeLocal runs Optimize's block-local and control-flow passes on
-// a copy of f, re-emitting through bb: everything before the
-// whole-function passes.
+// a copy of f, re-emitting through bb the blocks a local pass changes:
+// everything before the whole-function passes. The passes' checks share
+// one scratch, as the re-emissions share bb.
 func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
+	c := newCheck()
 	out := &ir.Func{Name: f.Name, Blocks: make([]*ir.Block, 0, len(f.Blocks))}
 	for _, b := range f.Blocks {
-		out.Blocks = append(out.Blocks, reassociateBlock(bb, optimizeBlock(bb, b)))
+		out.Blocks = append(out.Blocks, localPass(bb, c, b))
 	}
-	foldBranches(out)
+	foldBranches(bb, out)
 	threadJumps(out)
 	removeUnreachable(out)
 	mergeBlocks(bb, out)
@@ -44,69 +52,98 @@ func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
 	// leaves x * (-3 * -2), the second x * 6), and re-emitting the
 	// reordered nodes can flip commutative operands into another
 	// canonical order (TestSecondLocalPassOnUnmergedBlocks).
+	//
+	// A block that is still one of f's came through the first pass
+	// unchanged and no control-flow pass replaced it, so the second
+	// pass's checks would say so again. The passes keep the blocks' order
+	// and names, so one cursor over f finds each block's origin.
+	k := 0
 	for i, b := range out.Blocks {
-		out.Blocks[i] = reassociateBlock(bb, optimizeBlock(bb, b))
+		for k < len(f.Blocks) && f.Blocks[k].Name != b.Name {
+			k++
+		}
+		if k < len(f.Blocks) && f.Blocks[k] == b {
+			continue
+		}
+		out.Blocks[i] = localPass(bb, c, b)
 	}
 	return out
+}
+
+// localPass runs optimizeBlock and then reassociateBlock on b. Each
+// re-emits only when c says it would change the block; otherwise its
+// input is passed on as it is.
+func localPass(bb *ir.Builder, c *check, b *ir.Block) *ir.Block {
+	if !c.foldsNothing(b) || deadStores(b) != nil {
+		b = optimizeBlock(bb, b)
+	}
+	if !c.rebalancesNothing(b) {
+		b = reassociateBlock(bb, b)
+	}
+	return b
+}
+
+// blockIndex maps each block name of f to the block's position. Block
+// names are unique within a function (Func.Verify).
+func blockIndex(f *ir.Func) map[string]int {
+	at := make(map[string]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		at[b.Name] = i
+	}
+	return at
 }
 
 // mergeBlocks merges a block into its jump-only successor when that
 // successor has no other predecessors, growing basic blocks (and with
 // them the scope of the DAG covering — bigger blocks are exactly what
 // the paper's front end aims for). Merged blocks are emitted through bb.
+//
+// Blocks are merged in order, each as often as it can be, which is the
+// order of always merging the first mergeable block: a merge moves the
+// successor's edges to the merged block unchanged, so no predecessor
+// count changes and a block that could not merge before still cannot.
+// The counts are taken once, and a merged-away successor leaves a nil
+// at its position until the end.
 func mergeBlocks(bb *ir.Builder, f *ir.Func) {
-	for {
-		preds := make(map[string]int)
-		for _, b := range f.Blocks {
-			for _, s := range b.Succs {
-				preds[s]++
+	at := blockIndex(f)
+	preds := make([]int, len(f.Blocks))
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			if j, ok := at[s]; ok {
+				preds[j]++
 			}
 		}
-		merged := false
-		for _, b := range f.Blocks {
-			if b.Term != ir.TermJump {
-				continue
+	}
+	merged := false
+	for i := range f.Blocks {
+		for {
+			b := f.Blocks[i]
+			if b == nil || b.Term != ir.TermJump {
+				break
 			}
-			succ := b.Succs[0]
-			if succ == b.Name || preds[succ] != 1 {
-				continue
+			// The entry block (position 0) has an implicit predecessor.
+			j, ok := at[b.Succs[0]]
+			if !ok || j == i || j == 0 || preds[j] != 1 || f.Blocks[j] == nil {
+				break
 			}
-			if len(f.Blocks) > 0 && succ == f.Blocks[0].Name {
-				continue // the entry block has an implicit predecessor
-			}
-			c := f.Block(succ)
-			if c == nil {
-				continue
-			}
-			replaceWithMerge(bb, f, b, c)
+			f.Blocks[i] = mergePair(bb, b, f.Blocks[j])
+			f.Blocks[j] = nil
 			merged = true
-			break
 		}
-		if !merged {
-			return
-		}
+	}
+	if merged {
+		f.Blocks = slices.DeleteFunc(f.Blocks, func(b *ir.Block) bool { return b == nil })
 	}
 }
 
-// replaceWithMerge re-emits b followed by c through bb as one block
-// named after b, and removes c from the function.
-func replaceWithMerge(bb *ir.Builder, f *ir.Func, b, c *ir.Block) {
+// mergePair re-emits b followed by c through bb as one block named after
+// b, ending as c ends.
+func mergePair(bb *ir.Builder, b, c *ir.Block) *ir.Block {
 	bb.Reset(b.Name, b, c)
 	emitNodes(bb, b, nil, nil)
 	newOf := emitNodes(bb, c, nil, nil)
 	bb.CopyTerm(c, branchCond(c, newOf))
-	nb := bb.Finish()
-	for i, blk := range f.Blocks {
-		if blk == b {
-			f.Blocks[i] = nb
-		}
-	}
-	for i, blk := range f.Blocks {
-		if blk == c {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			break
-		}
-	}
+	return bb.Finish()
 }
 
 // optimizeBlock re-emits the block through bb until no
@@ -210,6 +247,37 @@ func deadStores(b *ir.Block) map[int]bool {
 // emitSimplified emits op over args with constant folding and algebraic
 // identities applied.
 func emitSimplified(bb *ir.Builder, op ir.Op, args []*ir.Node) *ir.Node {
+	switch r, v := simplify(op, args); r {
+	case toConst:
+		return bb.Const(v)
+	case toX:
+		return args[0]
+	case toY:
+		return args[1]
+	case toInner:
+		// The arg's arg is already re-emitted (it appears earlier in
+		// topological order), so it can be returned directly.
+		return args[0].Args[0]
+	}
+	return bb.Op(op, args...)
+}
+
+// rule is what simplify makes of one computation.
+type rule uint8
+
+const (
+	keep    rule = iota // emit the operation as it is
+	toConst             // a constant (simplify's value)
+	toX                 // the first operand
+	toY                 // the second operand
+	toInner             // the first operand's operand: --x = x, ~~x = x
+)
+
+// simplify returns the rule emitSimplified applies to op over args, and
+// the constant's value for toConst. It is the one statement of the
+// folding and algebraic rules: the emitter and the check's foldsNothing
+// both call it.
+func simplify(op ir.Op, args []*ir.Node) (rule, int64) {
 	// Full constant folding (skipping division by zero, which must keep
 	// its runtime behaviour).
 	allConst := true
@@ -224,27 +292,21 @@ func emitSimplified(bb *ir.Builder, op ir.Op, args []*ir.Node) *ir.Node {
 	}
 	if allConst {
 		if v, err := ir.EvalOp(op, vals...); err == nil {
-			return bb.Const(v)
+			return toConst, v
 		}
 	}
-	if len(args) == 2 {
-		if n := simplifyBinary(bb, op, args[0], args[1]); n != nil {
-			return n
+	switch len(args) {
+	case 2:
+		return simplifyBinary(op, args[0], args[1])
+	case 1:
+		if x := args[0]; (op == ir.OpNeg && x.Op == ir.OpNeg) || (op == ir.OpCompl && x.Op == ir.OpCompl) {
+			return toInner, 0
 		}
 	}
-	if len(args) == 1 {
-		x := args[0]
-		// --x = x, ~~x = x.
-		if (op == ir.OpNeg && x.Op == ir.OpNeg) || (op == ir.OpCompl && x.Op == ir.OpCompl) {
-			// The arg's arg is already re-emitted (it appears earlier in
-			// topological order), so it can be returned directly.
-			return x.Args[0]
-		}
-	}
-	return bb.Op(op, args...)
+	return keep, 0
 }
 
-func simplifyBinary(bb *ir.Builder, op ir.Op, x, y *ir.Node) *ir.Node {
+func simplifyBinary(op ir.Op, x, y *ir.Node) (rule, int64) {
 	yZero := y.Op == ir.OpConst && y.Const == 0
 	yOne := y.Op == ir.OpConst && y.Const == 1
 	xZero := x.Op == ir.OpConst && x.Const == 0
@@ -254,83 +316,85 @@ func simplifyBinary(bb *ir.Builder, op ir.Op, x, y *ir.Node) *ir.Node {
 	switch op {
 	case ir.OpAdd:
 		if yZero {
-			return x
+			return toX, 0
 		}
 		if xZero {
-			return y
+			return toY, 0
 		}
 	case ir.OpSub:
 		if yZero {
-			return x
+			return toX, 0
 		}
 		if same {
-			return bb.Const(0)
+			return toConst, 0
 		}
 	case ir.OpMul:
 		if yOne {
-			return x
+			return toX, 0
 		}
 		if xOne {
-			return y
+			return toY, 0
 		}
 		if yZero || xZero {
-			return bb.Const(0)
+			return toConst, 0
 		}
 	case ir.OpDiv:
 		if yOne {
-			return x
+			return toX, 0
 		}
 	case ir.OpAnd:
 		if same {
-			return x
+			return toX, 0
 		}
 		if yZero || xZero {
-			return bb.Const(0)
+			return toConst, 0
 		}
 	case ir.OpOr:
 		if same || yZero {
-			return x
+			return toX, 0
 		}
 		if xZero {
-			return y
+			return toY, 0
 		}
 	case ir.OpXor:
 		if same {
-			return bb.Const(0)
+			return toConst, 0
 		}
 		if yZero {
-			return x
+			return toX, 0
 		}
 		if xZero {
-			return y
+			return toY, 0
 		}
 	case ir.OpShl, ir.OpShr:
 		if yZero {
-			return x
+			return toX, 0
 		}
 	case ir.OpCmpEQ:
 		if same {
-			return bb.Const(1)
+			return toConst, 1
 		}
 	case ir.OpCmpNE:
 		if same {
-			return bb.Const(0)
+			return toConst, 0
 		}
 	case ir.OpCmpLE, ir.OpCmpGE:
 		if same {
-			return bb.Const(1)
+			return toConst, 1
 		}
 	case ir.OpCmpLT, ir.OpCmpGT:
 		if same {
-			return bb.Const(0)
+			return toConst, 0
 		}
 	}
-	return nil
+	return keep, 0
 }
 
-// foldBranches turns branches on constants into jumps.
-func foldBranches(f *ir.Func) {
-	for _, b := range f.Blocks {
+// foldBranches turns branches on constants into jumps. The jump block
+// is a copy of b made through bb, not b edited: b may be a block of
+// Optimize's input, and dropping the dead condition renumbers nodes.
+func foldBranches(bb *ir.Builder, f *ir.Func) {
+	for i, b := range f.Blocks {
 		if b.Term != ir.TermBranch || b.Cond == nil || b.Cond.Op != ir.OpConst {
 			continue
 		}
@@ -338,50 +402,62 @@ func foldBranches(f *ir.Func) {
 		if b.Cond.Const == 0 {
 			target = b.Succs[1]
 		}
-		b.Term = ir.TermJump
-		b.Cond = nil
-		b.Succs = []string{target}
-		b.RemoveDead()
+		bb.Reset(b.Name, b)
+		newOf := make([]*ir.Node, b.IDBound())
+		for _, n := range b.Nodes {
+			var buf [2]*ir.Node
+			args := buf[:0]
+			for _, a := range n.Args {
+				args = append(args, newOf[a.ID])
+			}
+			nn := bb.Block.NewNode(n.Op, args...)
+			nn.Const, nn.Var = n.Const, n.Var
+			newOf[n.ID] = nn
+		}
+		bb.Jump(target)
+		f.Blocks[i] = bb.Finish()
 	}
 }
 
-// threadJumps redirects edges that land on empty jump-only blocks.
+// threadJumps redirects edges that land on empty jump-only blocks. A
+// retargeted block is replaced by a copy of its header with fresh
+// successors (ir.Block.WithSuccs): the block itself may be shared with
+// Optimize's input, and edges still resolve through the blocks as they
+// were.
 func threadJumps(f *ir.Func) {
-	target := make(map[string]string)
-	for _, b := range f.Blocks {
-		if len(b.Nodes) == 0 && b.Term == ir.TermJump {
-			target[b.Name] = b.Succs[0]
-		}
-	}
+	at := blockIndex(f)
+	old := slices.Clone(f.Blocks)
+	// seen[j] == pass while resolving an edge: block j is on its path
+	// already, so the path has come round a cycle.
+	seen := make([]int, len(old))
+	pass := 0
 	resolve := func(name string) string {
-		seen := map[string]bool{}
+		pass++
 		for {
-			next, ok := target[name]
-			if !ok || seen[name] {
+			j, ok := at[name]
+			if !ok || seen[j] == pass || len(old[j].Nodes) != 0 || old[j].Term != ir.TermJump {
 				return name
 			}
-			seen[name] = true
-			name = next
+			seen[j] = pass
+			name = old[j].Succs[0]
 		}
 	}
 	// An empty entry block is kept even when it threads away (it is still
-	// the entry point); removeUnreachable drops the bypassed blocks. A
-	// retargeted block gets a fresh Succs slice: re-emitted blocks share
-	// theirs with the block they were copied from, possibly the input.
-	for _, b := range f.Blocks {
+	// the entry point); removeUnreachable drops the bypassed blocks.
+	for i, b := range old {
 		var succs []string
-		for i, s := range b.Succs {
+		for k, s := range b.Succs {
 			t := resolve(s)
 			if t == s {
 				continue
 			}
 			if succs == nil {
-				succs = append([]string(nil), b.Succs...)
+				succs = slices.Clone(b.Succs)
 			}
-			succs[i] = t
+			succs[k] = t
 		}
 		if succs != nil {
-			b.Succs = succs
+			f.Blocks[i] = b.WithSuccs(succs)
 		}
 	}
 }
@@ -391,25 +467,26 @@ func removeUnreachable(f *ir.Func) {
 	if len(f.Blocks) == 0 {
 		return
 	}
-	reach := map[string]bool{}
-	var visit func(name string)
-	visit = func(name string) {
-		if reach[name] {
-			return
-		}
-		reach[name] = true
-		if b := f.Block(name); b != nil {
-			for _, s := range b.Succs {
-				visit(s)
+	at := blockIndex(f)
+	reach := make([]bool, len(f.Blocks))
+	reach[0] = true
+	stack := append(make([]int, 0, len(f.Blocks)), 0) // each block is pushed once
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range f.Blocks[i].Succs {
+			if j, ok := at[s]; ok && !reach[j] {
+				reach[j] = true
+				stack = append(stack, j)
 			}
 		}
 	}
-	visit(f.Blocks[0].Name)
-	var kept []*ir.Block
-	for _, b := range f.Blocks {
-		if reach[b.Name] {
+	kept := f.Blocks[:0]
+	for i, b := range f.Blocks {
+		if reach[i] {
 			kept = append(kept, b)
 		}
 	}
+	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
 }
