@@ -225,8 +225,6 @@ func BenchmarkAblation(b *testing.B) {
 		{"noPrune", func(o *cover.Options) { o.PruneIncremental = false }},
 		{"noLevelWindow", func(o *cover.Options) { o.LevelWindow = -1 }},
 		{"noLookahead", func(o *cover.Options) { o.Lookahead = false }},
-		{"firstPath", func(o *cover.Options) { o.TransferParallelismHeuristic = false }},
-		{"spillAware", func(o *cover.Options) { o.SpillAwareAssignment = true }},
 	}
 	w := bench.Ex5()
 	m := isdl.ExampleArch(4)

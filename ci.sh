@@ -4,7 +4,8 @@
 #   ./ci.sh          full gate (vet, build, race tests, fuzz smoke,
 #                    benchmark smokes)
 #   ./ci.sh -short   skip the fuzz smoke, the one-iteration run of every
-#                    Go benchmark, perfsmoke and the avivbench table run
+#                    Go benchmark, perfsmoke and the avivbench table and
+#                    ablation runs
 #
 # The -race run doubles as the determinism proof for the parallel
 # block-compilation pipeline: TestParallelDeterminism compiles the same
@@ -132,10 +133,13 @@ if [ "${1:-}" != "-short" ]; then
     # the interpreter.
     make -s perfsmoke
 
-    echo "== avivbench: Table II end to end =="
-    # The one run of the paper-reproduction binary in CI, end to end.
-    # Its rows are pinned by internal/bench's TestPaperTableRows.
+    echo "== avivbench: Table II and the heuristic ablation end to end =="
+    # The runs of the paper-reproduction binary in CI, end to end.
+    # Table II's rows are pinned by internal/bench's TestPaperTableRows;
+    # the ablation run keeps its option mutations executing, not only
+    # compiling.
     go run ./cmd/avivbench -table 2 >/dev/null
+    go run ./cmd/avivbench -ablation >/dev/null
 fi
 
 echo "ci.sh: all checks passed"

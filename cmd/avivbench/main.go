@@ -511,8 +511,6 @@ func ablationStudy() error {
 		{"no-level-window", func(o *cover.Options) { o.LevelWindow = -1 }},
 		{"window=1", func(o *cover.Options) { o.LevelWindow = 1 }},
 		{"no-lookahead", func(o *cover.Options) { o.Lookahead = false }},
-		{"first-path", func(o *cover.Options) { o.TransferParallelismHeuristic = false }},
-		{"spill-aware", func(o *cover.Options) { o.SpillAwareAssignment = true }},
 	}
 	m := isdl.ExampleArch(4)
 	fmt.Printf("%-16s", "config")

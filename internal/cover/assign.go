@@ -80,12 +80,6 @@ func exploreAssignments(d *sndag.DAG, opts Options) []*Assignment {
 	var out []*Assignment
 	choice := make(map[*ir.Node]*sndag.Alt)
 	absorbed := make(map[*ir.Node]*ir.Node)
-	// unitOps counts executing operations per unit along the current DFS
-	// path, for the spill-aware cost term (Sec. VI ongoing work): every
-	// operation's result occupies a register in the unit's file for some
-	// time, so crowding far more operations onto a unit than it has
-	// registers predicts spills.
-	unitOps := make(map[string]int)
 
 	// incCost computes the incremental cost of executing node n with alt:
 	// required transfers to already-assigned users and from leaf/load
@@ -156,13 +150,6 @@ func exploreAssignments(d *sndag.DAG, opts Options) []*Assignment {
 				cost++
 			}
 		}
-		// Register resource limits: penalize crowding a unit beyond its
-		// register file (one point per op beyond the file size).
-		if opts.SpillAwareAssignment {
-			if excess := unitOps[alt.Unit.Name] + 1 - alt.Unit.Regs.Size; excess > 0 {
-				cost += excess
-			}
-		}
 		return cost
 	}
 
@@ -222,13 +209,11 @@ func exploreAssignments(d *sndag.DAG, opts Options) []*Assignment {
 				continue
 			}
 			choice[s.Orig] = alt
-			unitOps[alt.Unit.Name]++
 			for _, covered := range alt.Covers[1:] {
 				absorbed[covered] = s.Orig
 			}
 			dfs(i+1, costSoFar+costs[j])
 			delete(choice, s.Orig)
-			unitOps[alt.Unit.Name]--
 			for _, covered := range alt.Covers[1:] {
 				delete(absorbed, covered)
 			}

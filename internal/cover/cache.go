@@ -148,8 +148,12 @@ func (w *fpWriter) options(o Options) {
 	w.int(o.LevelWindow)
 	w.int(o.CliqueBudget)
 	w.bool(o.Lookahead)
-	w.bool(o.TransferParallelismHeuristic)
-	w.bool(o.SpillAwareAssignment)
+	// Two former fields, written at the values both presets gave them so
+	// keys stay byte-identical: TransferParallelismHeuristic (true; the
+	// Sec. IV-B path choice pickPath always makes) and
+	// SpillAwareAssignment (false).
+	w.bool(true)
+	w.bool(false)
 	w.int(len(o.VarPlacement))
 	for _, k := range sortedKeys(o.VarPlacement) {
 		w.str(k)

@@ -25,33 +25,6 @@ func varName(p string, i int) string {
 	return p + string(rune('0'+i))
 }
 
-func TestSpillAwareAssignmentSpreadsWork(t *testing.T) {
-	// With spill-aware costing on a small-register machine, the search
-	// must avoid piling every op onto one unit.
-	blk := wideBlock(6)
-	m := isdl.ExampleArch(2)
-	d, err := sndag.Build(blk, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.SpillAwareAssignment = true
-	opts.BeamWidth = 1
-	assigns := exploreAssignments(d, opts)
-	if len(assigns) == 0 {
-		t.Fatal("no assignments")
-	}
-	perUnit := map[string]int{}
-	for _, alt := range assigns[0].Choice {
-		perUnit[alt.Unit.Name]++
-	}
-	for u, n := range perUnit {
-		if n > 4 {
-			t.Errorf("spill-aware assignment put %d ops on %s (2 registers)", n, u)
-		}
-	}
-}
-
 func TestListScheduleValid(t *testing.T) {
 	blk := wideBlock(4)
 	for _, regs := range []int{2, 4} {

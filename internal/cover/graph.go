@@ -36,8 +36,8 @@ type graph struct {
 	prod    []*SNode
 	locs    []isdl.Loc
 	idBound int
-	// busLoad counts transfers per bus, driving the parallelism-based
-	// transfer-path selection heuristic.
+	// busLoad counts transfers per bus, driving pickPath's choice among
+	// alternative transfer paths (Sec. IV-B).
 	busLoad map[string]int
 	opts    Options
 
@@ -409,16 +409,16 @@ func (g *graph) buildStore(s *ir.Node, loadsByVar map[string][]*SNode) (*SNode, 
 	return cur, nil
 }
 
-// pickPath selects a transfer path from src to dst. With the parallelism
-// heuristic enabled (Sec. IV-B), among the minimal-hop alternatives it
-// picks the one whose buses are least congested so far; otherwise the
-// first alternative.
+// pickPath selects a transfer path from src to dst: among the
+// minimal-hop alternatives, the one whose buses are least congested so
+// far, so transfers spread over buses and can share an instruction
+// (Sec. IV-B). Ties keep the first alternative.
 func (g *graph) pickPath(src, dst isdl.Loc) ([]isdl.Transfer, error) {
 	paths := g.machine.TransferPaths(src, dst)
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("no transfer path %s -> %s", src, dst)
 	}
-	if !g.opts.TransferParallelismHeuristic || len(paths) == 1 {
+	if len(paths) == 1 {
 		return paths[0], nil
 	}
 	best, bestCost := paths[0], -1

@@ -1,0 +1,74 @@
+package cover_test
+
+import (
+	"testing"
+
+	"aviv"
+	"aviv/internal/bench"
+	"aviv/internal/cover"
+	"aviv/internal/isdl"
+	"aviv/internal/zoo"
+)
+
+// twoBusISDL is ExampleArch(4) with a second width-1 crossbar bus: every
+// transfer has two one-hop paths, one per bus, so the path choice of
+// Sec. IV-B decides which transfers can share an instruction.
+const twoBusISDL = `
+machine TwoBusVLIW
+unit U1 { regs 4 ops ADD SUB COMPL }
+unit U2 { regs 4 ops ADD SUB MUL }
+unit U3 { regs 4 ops ADD MUL }
+memory DM
+bus DA width 1
+bus DB width 1
+connect all via DA
+connect all via DB
+`
+
+// TestTransferPathSpreadsBusLoad pins the bus-load path choice of
+// Sec. IV-B on a two-bus machine. Taking each transfer's first path
+// puts every transfer on one bus and costs Ex1-Ex5 7/10/8/11/11.
+func TestTransferPathSpreadsBusLoad(t *testing.T) {
+	m, err := isdl.Parse(twoBusISDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{5, 7, 6, 8, 8}
+	for i, w := range bench.PaperWorkloads() {
+		res, err := cover.CoverBlock(w.Block, m, cover.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if got := res.Best.Cost(); got != want[i] {
+			t.Errorf("%s on %s: cost %d, want %d", w.Name, m.Name, got, want[i])
+		}
+	}
+}
+
+// TestLookaheadChangesOutput pins the Sec. IV-D lookahead on a program
+// where its tie-break pays: difftest seed 20 on the hub-bank machine of
+// zoo slot 12 compiles to 8 instructions with it and to 9 without.
+func TestLookaheadChangesOutput(t *testing.T) {
+	e, err := zoo.One(1, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Class != zoo.ClassHubBank {
+		t.Fatalf("zoo slot 12 is %s, want %s", e.Class, zoo.ClassHubBank)
+	}
+	src, _ := bench.DiffProgram(20, false)
+	for _, c := range []struct {
+		lookahead bool
+		want      int
+	}{{true, 8}, {false, 9}} {
+		opts := aviv.DefaultOptions()
+		opts.Cover.Lookahead = c.lookahead
+		res, err := aviv.CompileSource(src, e.M, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.CodeSize(); got != c.want {
+			t.Errorf("Lookahead=%v: %d instructions on %s, want %d", c.lookahead, got, e.M.Name, c.want)
+		}
+	}
+}

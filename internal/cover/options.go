@@ -8,7 +8,9 @@
 package cover
 
 // Options tune the heuristics of the covering algorithm. The zero value
-// is not useful; start from DefaultOptions or ExhaustiveOptions.
+// is not useful; start from DefaultOptions or ExhaustiveOptions. The
+// transfer-path choice of Sec. IV-B is not an option: pickPath always
+// takes the least-loaded minimal-hop path.
 type Options struct {
 	// BeamWidth is how many of the lowest-cost complete functional-unit
 	// assignments are explored in detail (the paper's "select several
@@ -50,20 +52,6 @@ type Options struct {
 	// when several cliques cover equally many ready nodes.
 	Lookahead bool
 
-	// TransferParallelismHeuristic selects among alternative transfer
-	// paths by a parallelism-based cost (Sec. IV-B). When disabled the
-	// first path is taken.
-	TransferParallelismHeuristic bool
-
-	// SpillAwareAssignment incorporates register resource limits into
-	// the assignment cost function, penalizing assignments that crowd
-	// more values onto a unit than its register file holds. This is the
-	// extension the paper lists as ongoing work in Sec. VI ("modifying
-	// the initial functional unit assignment cost function to
-	// incorporate register resource limits so that it can detect
-	// assignments that are likely to require spills").
-	SpillAwareAssignment bool
-
 	// VarPlacement assigns program variables to named data memories
 	// (X/Y memory banking, the classic dual-MAC DSP layout). Variables
 	// not listed live in the machine's first data memory. Loads from
@@ -91,13 +79,12 @@ type Options struct {
 // paper's main results columns.
 func DefaultOptions() Options {
 	return Options{
-		BeamWidth:                    16,
-		PruneIncremental:             true,
-		MaxAssignments:               200_000,
-		LevelWindow:                  3,
-		CliqueBudget:                 256,
-		Lookahead:                    true,
-		TransferParallelismHeuristic: true,
+		BeamWidth:        16,
+		PruneIncremental: true,
+		MaxAssignments:   200_000,
+		LevelWindow:      3,
+		CliqueBudget:     256,
+		Lookahead:        true,
 	}
 }
 
@@ -108,11 +95,10 @@ func DefaultOptions() Options {
 // not all schedules are explored.
 func ExhaustiveOptions() Options {
 	return Options{
-		BeamWidth:                    1 << 30,
-		PruneIncremental:             false,
-		MaxAssignments:               200_000,
-		LevelWindow:                  -1,
-		Lookahead:                    true,
-		TransferParallelismHeuristic: true,
+		BeamWidth:        1 << 30,
+		PruneIncremental: false,
+		MaxAssignments:   200_000,
+		LevelWindow:      -1,
+		Lookahead:        true,
 	}
 }

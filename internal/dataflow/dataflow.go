@@ -39,6 +39,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"aviv/internal/ir"
@@ -115,8 +116,10 @@ func (g *CFG) buildRPO() {
 		block int
 		next  int // next successor edge to follow
 	}
-	var post []int
-	stack := []frame{{block: 0}}
+	// Every block is pushed and popped at most once, and post becomes
+	// the RPO in place.
+	post := make([]int, 0, len(g.F.Blocks))
+	stack := append(make([]frame, 0, len(g.F.Blocks)), frame{block: 0})
 	g.Reach[0] = true
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -132,15 +135,13 @@ func (g *CFG) buildRPO() {
 		post = append(post, top.block)
 		stack = stack[:len(stack)-1]
 	}
-	g.RPO = make([]int, 0, len(g.F.Blocks))
-	for i := len(post) - 1; i >= 0; i-- {
-		g.RPO = append(g.RPO, post[i])
-	}
+	slices.Reverse(post)
 	for i := range g.F.Blocks {
 		if !g.Reach[i] {
-			g.RPO = append(g.RPO, i)
+			post = append(post, i)
 		}
 	}
+	g.RPO = post
 }
 
 // Vars returns the sorted universe of memory locations the function
