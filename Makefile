@@ -64,6 +64,7 @@ fuzz:
 	go test -run '^$$' -fuzz='^FuzzCompileSource$$' -fuzztime=10s .
 	go test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/lang
 	go test -run '^$$' -fuzz='^FuzzDecodeBlock$$' -fuzztime=5s .
+	go test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/asm
 
 bench:
 	go run ./cmd/avivbench -all

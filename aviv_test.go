@@ -40,7 +40,10 @@ func checkCompiled(t *testing.T, f *ir.Func, m *isdl.Machine, mem map[string]int
 	}
 
 	// Assemble to binary and load back (assembler + loader round trip).
-	obj := asm.Encode(res.Program)
+	obj, err := asm.Encode(res.Program)
+	if err != nil {
+		t.Fatalf("object encode: %v", err)
+	}
 	loaded, err := asm.Decode(obj, m)
 	if err != nil {
 		t.Fatalf("object round trip: %v", err)

@@ -215,6 +215,8 @@ func BenchmarkScalingFIR(b *testing.B) {
 
 // ----- Ablation benches: the design choices DESIGN.md calls out ---------
 
+// BenchmarkAblation covers Ex1-Ex5 on ExampleArch(4) under each knob
+// setting, one row/ExN sub-benchmark per block, each reporting its cost.
 func BenchmarkAblation(b *testing.B) {
 	configs := []struct {
 		name string
@@ -226,14 +228,15 @@ func BenchmarkAblation(b *testing.B) {
 		{"noLevelWindow", func(o *cover.Options) { o.LevelWindow = -1 }},
 		{"noLookahead", func(o *cover.Options) { o.Lookahead = false }},
 	}
-	w := bench.Ex5()
 	m := isdl.ExampleArch(4)
 	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := cover.DefaultOptions()
-			cfg.mut(&opts)
-			benchCover(b, w, m, opts)
-		})
+		opts := cover.DefaultOptions()
+		cfg.mut(&opts)
+		for _, w := range bench.PaperWorkloads() {
+			b.Run(cfg.name+"/"+w.Name, func(b *testing.B) {
+				benchCover(b, w, m, opts)
+			})
+		}
 	}
 }
 
@@ -248,7 +251,9 @@ func BenchmarkEncodeObject(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		asm.Encode(res.Program)
+		if _, err := asm.Encode(res.Program); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -506,7 +506,6 @@ func ablationStudy() error {
 	}{
 		{"default", func(o *cover.Options) {}},
 		{"beam=1", func(o *cover.Options) { o.BeamWidth = 1 }},
-		{"beam=16", func(o *cover.Options) { o.BeamWidth = 16 }},
 		{"no-prune", func(o *cover.Options) { o.PruneIncremental = false }},
 		{"no-level-window", func(o *cover.Options) { o.LevelWindow = -1 }},
 		{"window=1", func(o *cover.Options) { o.LevelWindow = 1 }},

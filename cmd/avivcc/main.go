@@ -212,7 +212,11 @@ func main() {
 		fmt.Print(prog.String())
 	}
 	if *out != "" {
-		if err := os.WriteFile(*out, asm.Encode(prog), 0o644); err != nil {
+		obj, err := asm.Encode(prog)
+		if err != nil {
+			die(err)
+		}
+		if err := os.WriteFile(*out, obj, 0o644); err != nil {
 			die(err)
 		}
 		fmt.Fprintf(os.Stderr, "avivcc: wrote %s\n", *out)

@@ -88,7 +88,11 @@ func main() {
 		}
 	}
 	if *assembleTo != "" {
-		if err := os.WriteFile(*assembleTo, asm.Encode(prog), 0o644); err != nil {
+		obj, err := asm.Encode(prog)
+		if err != nil {
+			die(err)
+		}
+		if err := os.WriteFile(*assembleTo, obj, 0o644); err != nil {
 			die(err)
 		}
 		fmt.Fprintf(os.Stderr, "avivsim: assembled %s\n", *assembleTo)

@@ -55,7 +55,10 @@ func main() {
 	fmt.Println(res.Program)
 
 	// 4. Assemble to a binary object and execute it on the simulator.
-	obj := asm.Encode(res.Program)
+	obj, err := asm.Encode(res.Program)
+	if err != nil {
+		log.Fatal(err)
+	}
 	prog, err := asm.Decode(obj, machine)
 	if err != nil {
 		log.Fatal(err)

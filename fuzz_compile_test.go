@@ -65,6 +65,8 @@ func FuzzCompileSource(f *testing.F) {
 		"s = 0; s = s + a * a; s = s + b * b; s = s + c * c; s = s + d * d;",
 		"x = -a; y = ~b; z = x * y + 1;",
 		"if (a == b) { r = 1; } else { if (a < b) { r = 2; } else { r = 3; } }",
+		// Non-ASCII identifiers become memory names in the object.
+		"größe = ärger + 1;",
 	}
 	for i, s := range seeds {
 		// Spread the seed programs across the machine pool so the seed
@@ -102,7 +104,11 @@ func FuzzCompileSource(f *testing.F) {
 			return
 		}
 		// The binary object format must accept anything the compiler emits.
-		loaded, err := asm.Decode(asm.Encode(res.Program), m)
+		obj, err := asm.Encode(res.Program)
+		if err != nil {
+			t.Fatalf("object encode failed for %q: %v", src, err)
+		}
+		loaded, err := asm.Decode(obj, m)
 		if err != nil {
 			t.Fatalf("object round trip failed for %q: %v", src, err)
 		}

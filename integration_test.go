@@ -205,6 +205,37 @@ func TestAssemblerTextRoundTripWholeProgram(t *testing.T) {
 	}
 }
 
+// TestUnicodeNamesSurviveObjectAndText compiles programs whose
+// variables are non-ASCII letters, which the front end accepts, and
+// checks that both loaders take back what the compiler emits: the
+// object file and the assembly text.
+func TestUnicodeNamesSurviveObjectAndText(t *testing.T) {
+	m := isdl.ExampleArchFull(4)
+	for _, src := range []string{
+		"größe = ärger + 1;",
+		"π = 3; λx = π * 2;",
+	} {
+		res, err := CompileSource(src, m, 1, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		obj, err := asm.Encode(res.Program)
+		if err != nil {
+			t.Fatalf("%q: Encode: %v", src, err)
+		}
+		if _, err := asm.Decode(obj, m); err != nil {
+			t.Errorf("%q: Decode: %v", src, err)
+		}
+		text := res.Program.String()
+		back, err := asm.ParseProgram(text, m)
+		if err != nil {
+			t.Errorf("%q: ParseProgram: %v\n%s", src, err, text)
+		} else if back.String() != text {
+			t.Errorf("%q: text does not round-trip:\n%s\nvs\n%s", src, back, text)
+		}
+	}
+}
+
 func TestPaperWorkloadsSimulateOnAllMachines(t *testing.T) {
 	machines := []*isdl.Machine{
 		isdl.ExampleArch(4), isdl.ExampleArch(2),
@@ -523,7 +554,10 @@ func TestClusteredVLIWEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Binary object round trip on a banked machine.
-	obj := asm.Encode(res.Program)
+	obj, err := asm.Encode(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := asm.Decode(obj, m)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,15 @@ func emit(t *testing.T, w bench.Workload, m *isdl.Machine) *Block {
 	return blk
 }
 
+func mustEncode(t testing.TB, p *Program) []byte {
+	t.Helper()
+	obj, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
 func TestEmitBlockShape(t *testing.T) {
 	m := isdl.ExampleArch(4)
 	blk := emit(t, bench.Ex1(), m)
@@ -73,7 +82,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, w := range bench.PaperWorkloads() {
 		blk := emit(t, w, m)
 		p := &Program{Machine: m, Blocks: []*Block{blk}}
-		obj := Encode(p)
+		obj := mustEncode(t, p)
 		back, err := Decode(obj, m)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", w.Name, err)
@@ -94,7 +103,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	// Truncation at every prefix must error, not panic.
 	blk := emit(t, bench.Ex1(), m)
-	obj := Encode(&Program{Machine: m, Blocks: []*Block{blk}})
+	obj := mustEncode(t, &Program{Machine: m, Blocks: []*Block{blk}})
 	for i := 0; i < len(obj)-1; i++ {
 		if _, err := Decode(obj[:i], m); err == nil {
 			t.Errorf("truncated object (%d bytes) accepted", i)
@@ -105,9 +114,79 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeWrongMachine(t *testing.T) {
 	m := isdl.ExampleArch(4)
 	blk := emit(t, bench.Ex1(), m)
-	obj := Encode(&Program{Machine: m, Blocks: []*Block{blk}})
+	obj := mustEncode(t, &Program{Machine: m, Blocks: []*Block{blk}})
 	if _, err := Decode(obj, isdl.ArchitectureII(4)); err == nil {
 		t.Error("object for ExampleVLIW loaded on ArchitectureII")
+	}
+}
+
+// TestDecodeRejectsWhatParseRejects: the loader refuses each object
+// whose program ParseProgram refuses as text. A branch kind past
+// BranchHalt has no text form, so only the loader is asked about it.
+func TestDecodeRejectsWhatParseRejects(t *testing.T) {
+	m := isdl.ExampleArch(4)
+	const good = "a:\n  { DB: [x] -> U1.R0 }\n  { U1: ADD R1, R0, #2 }\n  JMP b\nb:\n  HALT\n"
+	cases := []struct {
+		name    string
+		hasText bool
+		mut     func(p *Program)
+	}{
+		{"register-equals-bank-size", true, func(p *Program) {
+			op := &p.Blocks[0].Instrs[1].Ops[0]
+			op.Dst = m.Unit(op.Unit).Regs.Size
+		}},
+		{"store-op", true, func(p *Program) { p.Blocks[0].Instrs[1].Ops[0].Op = ir.OpStore }},
+		{"branch-kind-past-halt", false, func(p *Program) { p.Blocks[1].Branch.Kind = BranchHalt + 1 }},
+		{"jump-to-missing-block", true, func(p *Program) { p.Blocks[0].Branch.Target = "nowhere" }},
+		{"duplicate-block", true, func(p *Program) { p.Blocks = append(p.Blocks, p.Blocks[1]) }},
+	}
+	for _, c := range cases {
+		p, err := ParseProgram(good, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(mustEncode(t, p), m); err != nil {
+			t.Fatalf("%s: unchanged program does not load: %v", c.name, err)
+		}
+		c.mut(p)
+		if back, err := Decode(mustEncode(t, p), m); err == nil {
+			t.Errorf("%s: loader accepted\n%s", c.name, back)
+		}
+		if _, err := ParseProgram(p.String(), m); c.hasText && err == nil {
+			t.Errorf("%s: ParseProgram accepted\n%s", c.name, p)
+		}
+	}
+}
+
+// TestDecodeMemoryNames: the loader takes any memory name the text form
+// can spell, Unicode letters included, and refuses the rest.
+func TestDecodeMemoryNames(t *testing.T) {
+	m := isdl.ExampleArch(4)
+	const src = "a:\n  { DB: [x] -> U1.R0 }\n  HALT\n"
+	for _, c := range []struct {
+		mem string
+		ok  bool
+	}{
+		{"größe", true}, {"λx", true}, {"a[1]", true},
+		{"", false}, {"a b", false}, {"a\u0085b", false}, {"a\u00a0b", false},
+		{"a\x00", false}, {"\xff", false}, {"a;b", false}, {"a,b", false},
+		{"a|b", false}, {"a->b", false},
+	} {
+		p, err := ParseProgram(src, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Blocks[0].Instrs[0].Moves[0].FromMem = c.mem
+		back, err := Decode(mustEncode(t, p), m)
+		if (err == nil) != c.ok {
+			t.Errorf("memory name %q: Decode error %v, want ok=%v", c.mem, err, c.ok)
+			continue
+		}
+		if c.ok {
+			if _, err := ParseProgram(back.String(), m); err != nil {
+				t.Errorf("memory name %q: text does not re-parse: %v", c.mem, err)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
@@ -117,11 +119,8 @@ func parseOpSlot(slot string, m *isdl.Machine) (MicroOp, error) {
 	name := fields[0]
 	if name == "MOVI" {
 		op.Op = ir.OpConst
-	} else {
-		op.Op = ir.ParseOp(name)
-		if op.Op == ir.OpInvalid {
-			return op, fmt.Errorf("unknown operation %q", name)
-		}
+	} else if op.Op = ir.ParseOp(name); !op.Op.IsComputation() {
+		return op, fmt.Errorf("unknown operation %q", name)
 	}
 	dst, err := parseReg(fields[1])
 	if err != nil {
@@ -134,9 +133,6 @@ func parseOpSlot(slot string, m *isdl.Machine) (MicroOp, error) {
 			return op, fmt.Errorf("op slot %q: %w", slot, err)
 		}
 		op.Srcs = append(op.Srcs, o)
-	}
-	if op.Op != ir.OpConst && len(op.Srcs) != op.Op.Arity() {
-		return op, fmt.Errorf("op slot %q: %s takes %d operands, got %d", slot, op.Op, op.Op.Arity(), len(op.Srcs))
 	}
 	return op, nil
 }
@@ -166,9 +162,6 @@ func parseMoveSlot(slot string, m *isdl.Machine) (Move, error) {
 	}
 	mv.FromUnit, mv.FromReg, mv.FromMem = fUnit, fReg, fMem
 	mv.ToUnit, mv.ToReg, mv.ToMem = tUnit, tReg, tMem
-	if fUnit == "" && tUnit == "" {
-		return mv, fmt.Errorf("move slot %q is memory to memory", slot)
-	}
 	return mv, nil
 }
 
@@ -262,10 +255,16 @@ func parseBranch(line string, m *isdl.Machine) (Branch, error) {
 	return Branch{}, fmt.Errorf("unknown control transfer %q", line)
 }
 
-// validateProgram checks register ranges and branch targets.
+// validateProgram checks what ParseProgram cannot see line by line and
+// Decode cannot see in the code layout: names the text can spell,
+// operand counts, register ranges, moves that touch a register, and
+// branch targets that the branch kind needs and the program defines.
 func validateProgram(p *Program) error {
 	names := make(map[string]bool, len(p.Blocks))
 	for _, b := range p.Blocks {
+		if !textName(b.Name) {
+			return fmt.Errorf("asm: bad block name %q", b.Name)
+		}
 		if names[b.Name] {
 			return fmt.Errorf("asm: duplicate block %q", b.Name)
 		}
@@ -281,11 +280,23 @@ func validateProgram(p *Program) error {
 		}
 		return nil
 	}
+	checkEnd := func(bank string, reg int, mem string) error {
+		if bank != "" {
+			return checkReg(bank, reg)
+		}
+		if !textName(mem) {
+			return fmt.Errorf("asm: bad memory name %q", mem)
+		}
+		return nil
+	}
 	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			for _, op := range in.Ops {
 				if p.Machine.Unit(op.Unit) == nil {
 					return fmt.Errorf("asm: unknown unit %q", op.Unit)
+				}
+				if op.Op != ir.OpConst && len(op.Srcs) != op.Op.Arity() {
+					return fmt.Errorf("asm: %s: %s takes %d operands", op, op.Op, op.Op.Arity())
 				}
 				bank := p.Machine.BankOf(op.Unit)
 				if err := checkReg(bank, op.Dst); err != nil {
@@ -300,28 +311,44 @@ func validateProgram(p *Program) error {
 				}
 			}
 			for _, mv := range in.Moves {
-				if mv.FromUnit != "" {
-					if err := checkReg(mv.FromUnit, mv.FromReg); err != nil {
-						return err
-					}
+				if mv.FromUnit == "" && mv.ToUnit == "" {
+					return fmt.Errorf("asm: %s is memory to memory", mv)
 				}
-				if mv.ToUnit != "" {
-					if err := checkReg(mv.ToUnit, mv.ToReg); err != nil {
-						return err
-					}
+				if err := checkEnd(mv.FromUnit, mv.FromReg, mv.FromMem); err != nil {
+					return err
+				}
+				if err := checkEnd(mv.ToUnit, mv.ToReg, mv.ToMem); err != nil {
+					return err
 				}
 			}
 		}
-		for _, target := range []string{b.Branch.Target, b.Branch.Else} {
+		br := &b.Branch
+		switch k := br.Kind; {
+		case k > BranchHalt,
+			(k == BranchJump || k == BranchCond) && br.Target == "",
+			k == BranchHalt && br.Target != "",
+			(k == BranchCond) != (br.Else != ""):
+			return fmt.Errorf("asm: block %s: branch kind %d with target %q, else %q", b.Name, br.Kind, br.Target, br.Else)
+		}
+		for _, target := range []string{br.Target, br.Else} {
 			if target != "" && !names[target] {
 				return fmt.Errorf("asm: block %s transfers to unknown block %q", b.Name, target)
 			}
 		}
-		if b.Branch.Kind == BranchCond && b.Branch.CondConst == nil {
-			if err := checkReg(b.Branch.CondUnit, b.Branch.CondReg); err != nil {
+		if br.Kind == BranchCond && br.CondConst == nil {
+			if err := checkReg(br.CondUnit, br.CondReg); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// textName reports whether the text form can spell s as a block or
+// memory name: valid UTF-8 of printable runes (source identifiers may be
+// any Unicode letter) with no space, no separator and no "->".
+func textName(s string) bool {
+	return s != "" && utf8.ValidString(s) && !strings.Contains(s, "->") && !strings.ContainsFunc(s, func(c rune) bool {
+		return !unicode.IsPrint(c) || unicode.IsSpace(c) || strings.ContainsRune(";,|", c)
+	})
 }

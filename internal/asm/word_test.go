@@ -198,7 +198,7 @@ b:
 		}
 	}
 	// Binary object round trip too.
-	obj := Encode(p)
+	obj := mustEncode(t, p)
 	back, err := Decode(obj, m)
 	if err != nil {
 		t.Fatal(err)

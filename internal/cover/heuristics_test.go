@@ -72,3 +72,32 @@ func TestLookaheadChangesOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneAndBeamChangeOutput pins the incremental-cost pruning (Fig. 6)
+// and the beam width (Sec. IV-A) on the paper's blocks on ExampleArch(4): Ex2
+// costs 10 with pruning and 9 without, and Ex4 costs 11 at the default
+// beam of 16 and 12 at a beam of 1.
+func TestPruneAndBeamChangeOutput(t *testing.T) {
+	m := isdl.ExampleArch(4)
+	for _, c := range []struct {
+		name string
+		w    bench.Workload
+		mut  func(*cover.Options)
+		want int
+	}{
+		{"prune", bench.Ex2(), func(o *cover.Options) { o.PruneIncremental = true }, 10},
+		{"no-prune", bench.Ex2(), func(o *cover.Options) { o.PruneIncremental = false }, 9},
+		{"beam=16", bench.Ex4(), func(o *cover.Options) { o.BeamWidth = 16 }, 11},
+		{"beam=1", bench.Ex4(), func(o *cover.Options) { o.BeamWidth = 1 }, 12},
+	} {
+		opts := cover.DefaultOptions()
+		c.mut(&opts)
+		res, err := cover.CoverBlock(c.w.Block, m, opts)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.w.Name, c.name, err)
+		}
+		if got := res.Best.Cost(); got != c.want {
+			t.Errorf("%s with %s: cost %d on %s, want %d", c.w.Name, c.name, got, m.Name, c.want)
+		}
+	}
+}

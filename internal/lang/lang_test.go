@@ -174,6 +174,9 @@ func TestParseErrors(t *testing.T) {
 		"if x { }",    // missing parens
 		"while (1) {", // unterminated
 		"for (i = 0; i < 3) { }",
+		"for (, = 0; i < 3; i = i + 1) { }", // init assigns no variable
+		"for (i = 0; i < 3; 0 = 1) { }",     // post assigns no variable
+		"for (; = 0; i < 3; i = i + 1) { }",
 		"x = 1 +;",
 		"x = (1;",
 		"$ = 2;",

@@ -105,6 +105,9 @@ func (p *parser) stmt() (Stmt, error) {
 }
 
 func (p *parser) assign() (*Assign, error) {
+	if !p.at(tokIdent, "") {
+		return nil, fmt.Errorf("lang: line %d: expected a variable, got %q", p.cur().line, p.cur().text)
+	}
 	name := p.next().text
 	if _, err := p.expect(tokPunct, "="); err != nil {
 		return nil, err

@@ -71,7 +71,11 @@ func TestLayoutFallthroughRoundTrip(t *testing.T) {
 			}
 
 			// Binary round trip: structurally identical blocks.
-			dec, err := asm.Decode(asm.Encode(res.Program), c.m)
+			obj, err := asm.Encode(res.Program)
+			if err != nil {
+				t.Fatalf("%s/%s: encode: %v", c.name, preset.name, err)
+			}
+			dec, err := asm.Decode(obj, c.m)
 			if err != nil {
 				t.Fatalf("%s/%s: decode: %v", c.name, preset.name, err)
 			}
