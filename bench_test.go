@@ -257,21 +257,6 @@ func BenchmarkEncodeObject(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeWords(b *testing.B) {
-	w := bench.FIR(8)
-	m := isdl.ExampleArch(4)
-	res, err := Compile(singleBlockFunc(w.Block), m, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := asm.EncodeWords(res.Program); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ----- Front-end benches -------------------------------------------------
 
 func BenchmarkFrontEnd(b *testing.B) {

@@ -13,7 +13,7 @@ import (
 // corpusProgramText compiles every difftest corpus program under the
 // given preset and returns the concatenated program texts. It is the
 // shared substrate of the byte-identical-output checks: the snapshot
-// hash below and the cache/pool property tests.
+// hash below and the cache property tests.
 func corpusProgramText(t testing.TB, opts Options) string {
 	t.Helper()
 	return corpusCompile(t, opts, nil)
@@ -45,22 +45,26 @@ func corpusCompile(t testing.TB, opts Options, each func(seed int64, res *Compil
 	return all
 }
 
-// TestCorpusSnapshotHash prints a content hash of the compiled difftest
-// corpus under both presets when AVIV_CORPUS_HASH is set. It is the
-// manual byte-identical-output gate for performance work: record the
-// hash before an optimization lands, and the hash after must match.
+// TestCorpusSnapshotHash pins a content hash of the compiled difftest
+// corpus under both presets: the byte-identical-output gate for
+// performance and simplification work. A change that alters any
+// emitted byte fails here; if the new output is intended, set
+// AVIV_CORPUS_HASH=1 to print the hashes to re-pin.
 func TestCorpusSnapshotHash(t *testing.T) {
-	if os.Getenv("AVIV_CORPUS_HASH") == "" {
-		t.Skip("set AVIV_CORPUS_HASH=1 to print the corpus snapshot hash")
-	}
 	for _, preset := range []struct {
 		name string
 		opts Options
+		want string
 	}{
-		{"default", DefaultOptions()},
-		{"exhaustive", ExhaustiveOptions()},
+		{"default", DefaultOptions(), "488382852c48cfc6aa33f0bcbe57f26cee669cb13541f4a39edd7c86e016663a"},
+		{"exhaustive", ExhaustiveOptions(), "4d10029ef95049e06ce7ff49668cc3ff6316a92642bc490db46484de4eeca0aa"},
 	} {
-		text := corpusProgramText(t, preset.opts)
-		t.Logf("corpus hash %s: %x", preset.name, sha256.Sum256([]byte(text)))
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(corpusProgramText(t, preset.opts))))
+		if os.Getenv("AVIV_CORPUS_HASH") != "" {
+			t.Logf("corpus hash %s: %s", preset.name, got)
+		}
+		if got != preset.want {
+			t.Errorf("corpus hash %s = %s, want %s", preset.name, got, preset.want)
+		}
 	}
 }

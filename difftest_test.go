@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"aviv/internal/bench"
-	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/lang"
@@ -121,14 +121,14 @@ func TestAnalysesMatchOraclesOnDifftestCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: lower: %v\n%s", seed, err, src)
 		}
-		if err := dataflow.CheckOracles(raw); err != nil {
+		if err := dataflowtest.CheckOracles(raw); err != nil {
 			t.Errorf("seed %d (lowered): %v\n%s", seed, err, src)
 		}
 		optimized, err := ParseAndLower(src, 1)
 		if err != nil {
 			t.Fatalf("seed %d: optimize: %v", seed, err)
 		}
-		if err := dataflow.CheckOracles(optimized); err != nil {
+		if err := dataflowtest.CheckOracles(optimized); err != nil {
 			t.Errorf("seed %d (optimized): %v\n%s", seed, err, src)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"aviv/internal/asm"
 	"aviv/internal/bench"
 	"aviv/internal/cover"
-	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/dataflow/diag"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
@@ -81,7 +81,7 @@ func FuzzCompileSource(f *testing.F) {
 		// the brute-force oracles, and a deterministic report.
 		if prog, perr := lang.Parse(src); perr == nil {
 			if lowered, lerr := lang.Lower(prog, "main"); lerr == nil {
-				if oerr := dataflow.CheckOracles(lowered); oerr != nil {
+				if oerr := dataflowtest.CheckOracles(lowered); oerr != nil {
 					t.Fatalf("analysis/oracle disagreement for %q: %v", src, oerr)
 				}
 				rep := diag.Analyze(lowered)

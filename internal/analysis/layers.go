@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"path"
 	"strconv"
 	"strings"
 )
@@ -69,12 +70,14 @@ var layerOf = map[string]int{
 	// and failover over avivd servers that share one disk directory.
 	"internal/cluster": 10,
 
-	// Layer 11 — binaries, examples, and test tooling: import anything,
-	// imported by nothing (the analysistest harness is imported only
-	// from _test files, which the layering pass does not load).
+	// Layer 11 — binaries, examples, and test-support packages: the
+	// first two import anything, and nothing imports any of them
+	// (test-support packages are imported only from _test files, which
+	// the layering pass does not load).
 	"cmd":                            11,
 	"examples":                       11,
 	"internal/analysis/analysistest": 11,
+	"internal/dataflow/dataflowtest": 11,
 }
 
 // allowedImports is the declared architecture: every legal
@@ -83,7 +86,8 @@ var layerOf = map[string]int{
 // the edge happens to point downward — growing the architecture is a
 // deliberate act of editing this table (and DESIGN.md §11), not a side
 // effect of adding an import. cmd and examples are absent on purpose:
-// they may import any component, and nothing may import them.
+// they may import any component except a test-support package, and
+// nothing may import them.
 var allowedImports = map[string][]string{
 	"internal/bitset":  {},
 	"internal/ir":      {},
@@ -126,6 +130,7 @@ var allowedImports = map[string][]string{
 
 	"internal/analysis":              {},
 	"internal/analysis/analysistest": {"internal/analysis"},
+	"internal/dataflow/dataflowtest": {"internal/dataflow", "internal/ir"},
 }
 
 // Component maps a full import path to its layer-table component:
@@ -167,6 +172,9 @@ func CheckEdge(from, to string) error {
 	if to == "cmd" || to == "examples" {
 		return fmt.Errorf("forbidden import edge %s -> %s: nothing may import %s", from, to, to)
 	}
+	if strings.HasSuffix(path.Base(to), "test") {
+		return fmt.Errorf("forbidden import edge %s -> %s: %s is test support, imported only by _test.go files", from, to, to)
+	}
 	if from == "cmd" || from == "examples" {
 		return nil // binaries and examples may import any component
 	}
@@ -191,7 +199,7 @@ var Layering = &Analyzer{
 	Name: "layering",
 	Doc: "enforce the declared package layer DAG: every module-internal import " +
 		"must appear in the allowed-edges table in internal/analysis/layers.go, " +
-		"and nothing may import cmd or examples",
+		"and nothing may import cmd, examples or a test-support package",
 	Run: runLayering,
 }
 

@@ -76,6 +76,17 @@ func TestCheckEdgeRejectsUpward(t *testing.T) {
 	if err := CheckEdge("internal/ghost", "internal/ir"); err == nil {
 		t.Error("undeclared source component must be rejected")
 	}
+	// Test-support packages are imported only by _test.go files, which
+	// the pass does not load: any loaded edge into one is refused, from
+	// cmd and examples too.
+	for _, e := range [][2]string{
+		{"cmd", "internal/dataflow/dataflowtest"},
+		{"aviv", "internal/analysis/analysistest"},
+	} {
+		if err := CheckEdge(e[0], e[1]); err == nil || !strings.Contains(err.Error(), "test support") {
+			t.Errorf("%s -> %s must be rejected as a test-support import, got: %v", e[0], e[1], err)
+		}
+	}
 }
 
 func TestComponentMapping(t *testing.T) {

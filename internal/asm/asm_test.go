@@ -11,7 +11,7 @@ import (
 	"aviv/internal/regalloc"
 )
 
-func emit(t *testing.T, w bench.Workload, m *isdl.Machine) *Block {
+func emit(t testing.TB, w bench.Workload, m *isdl.Machine) *Block {
 	t.Helper()
 	res, err := cover.CoverBlock(w.Block, m, cover.DefaultOptions())
 	if err != nil {

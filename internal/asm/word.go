@@ -2,18 +2,18 @@ package asm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"aviv/internal/ir"
 	"aviv/internal/isdl"
 )
 
-// This file implements bit-level VLIW instruction-word encoding, derived
-// mechanically from the machine description the way the paper's
-// ISDL-generated assembler would be. It makes the optimization objective
+// This file derives the bit-level VLIW instruction-word layout
+// mechanically from the machine description, the way the paper's
+// ISDL-generated assembler would. It makes the optimization objective
 // concrete: the paper minimizes code size because on-chip ROM is the
-// scarce resource, and ROM bits = instructions × word width.
+// scarce resource, and ROM bits = instructions × word width. The
+// encoder that lowers programs to these words, and so checks that the
+// width holds every instruction, is in wordenc_test.go.
 //
 // Word layout (all fields fixed-width, sized from the machine):
 //
@@ -43,8 +43,6 @@ type WordLayout struct {
 	MaxArity int
 	// PoolBits is the width of constant-pool and symbol-pool indices.
 	PoolBits int
-	// unitOps fixes each unit's opcode numbering (sorted op list).
-	unitOps map[string][]ir.Op
 }
 
 // NewWordLayout computes the fixed instruction-word layout for a machine.
@@ -53,16 +51,13 @@ func NewWordLayout(m *isdl.Machine) *WordLayout {
 		Machine:        m,
 		UnitOpcodeBits: make(map[string]int),
 		UnitRegBits:    make(map[string]int),
-		unitOps:        make(map[string][]ir.Op),
 		PoolBits:       12,
 		MaxArity:       1,
 	}
 	for _, u := range m.Units {
-		ops := u.OpList()
-		l.unitOps[u.Name] = ops
-		l.UnitOpcodeBits[u.Name] = bitsFor(len(ops) + 2) // +NOP +MOVI
+		l.UnitOpcodeBits[u.Name] = bitsFor(len(u.Ops) + 2) // +NOP +MOVI
 		l.UnitRegBits[u.Name] = bitsFor(m.BankSize(u.Regs.Name))
-		for _, op := range ops {
+		for op := range u.Ops {
 			if op.Arity() > l.MaxArity {
 				l.MaxArity = op.Arity()
 			}
@@ -126,450 +121,4 @@ func (l *WordLayout) Describe() string {
 		fmt.Fprintf(&sb, "  bus  %-4s %d move slot(s)\n", b.Name, b.Width)
 	}
 	return sb.String()
-}
-
-// WordProgram is a program lowered to fixed-width instruction words.
-type WordProgram struct {
-	Layout *WordLayout
-	// Words holds the instruction stream, WordsPerInstr 64-bit words per
-	// instruction, blocks concatenated in order.
-	Words []uint64
-	// BlockOffsets maps block names to instruction indices.
-	BlockOffsets map[string]int
-	// Consts is the constant pool.
-	Consts []int64
-	// Syms is the memory symbol pool.
-	Syms []string
-	// NumInstrs counts encoded instructions (bodies + control words).
-	NumInstrs int
-}
-
-// ROMBits returns the total program size in ROM bits — the cost function
-// the paper's introduction motivates.
-func (p *WordProgram) ROMBits() int { return p.NumInstrs * p.Layout.Bits }
-
-type bitWriter struct {
-	words []uint64
-	pos   int // bit position within the current instruction
-	base  int // word index of the current instruction
-	width int // bits per instruction
-}
-
-func newBitWriter(width int) *bitWriter { return &bitWriter{width: width} }
-
-func (w *bitWriter) beginInstr() {
-	w.base = len(w.words)
-	for i := 0; i < (w.width+63)/64; i++ {
-		w.words = append(w.words, 0)
-	}
-	w.pos = 0
-}
-
-func (w *bitWriter) put(v uint64, bits int) {
-	if bits == 0 {
-		return
-	}
-	if v >= 1<<uint(bits) {
-		panic(fmt.Sprintf("asm: value %d overflows %d-bit field", v, bits))
-	}
-	for i := 0; i < bits; i++ {
-		if v&(1<<uint(i)) != 0 {
-			idx := w.base + (w.pos+i)/64
-			w.words[idx] |= 1 << uint((w.pos+i)%64)
-		}
-	}
-	w.pos += bits
-	if w.pos > w.width {
-		panic("asm: instruction word overflow")
-	}
-}
-
-type bitReader struct {
-	words []uint64
-	pos   int
-	base  int
-	width int
-}
-
-func (r *bitReader) beginInstr(instr int) {
-	r.base = instr * ((r.width + 63) / 64)
-	r.pos = 0
-}
-
-func (r *bitReader) get(bits int) uint64 {
-	var v uint64
-	for i := 0; i < bits; i++ {
-		idx := r.base + (r.pos+i)/64
-		if r.words[idx]&(1<<uint((r.pos+i)%64)) != 0 {
-			v |= 1 << uint(i)
-		}
-	}
-	r.pos += bits
-	return v
-}
-
-// EncodeWords lowers a program to fixed-width instruction words.
-func EncodeWords(p *Program) (*WordProgram, error) {
-	l := NewWordLayout(p.Machine)
-	wp := &WordProgram{Layout: l, BlockOffsets: make(map[string]int)}
-
-	constIdx := map[int64]int{}
-	constOf := func(v int64) (int, error) {
-		if i, ok := constIdx[v]; ok {
-			return i, nil
-		}
-		i := len(wp.Consts)
-		if i >= 1<<uint(l.PoolBits) {
-			return 0, fmt.Errorf("asm: constant pool overflow")
-		}
-		constIdx[v] = i
-		wp.Consts = append(wp.Consts, v)
-		return i, nil
-	}
-	symIdx := map[string]int{}
-	symOf := func(s string) (int, error) {
-		if i, ok := symIdx[s]; ok {
-			return i, nil
-		}
-		i := len(wp.Syms)
-		if i >= 1<<uint(l.PoolBits) {
-			return 0, fmt.Errorf("asm: symbol pool overflow")
-		}
-		symIdx[s] = i
-		wp.Syms = append(wp.Syms, s)
-		return i, nil
-	}
-	unitIdx := map[string]int{}
-	for i, b := range p.Machine.Banks() {
-		unitIdx[b] = i
-	}
-	unitIdxBits := bitsFor(len(p.Machine.Banks()))
-	maxRegBits := 0
-	for _, u := range p.Machine.Units {
-		if b := l.UnitRegBits[u.Name]; b > maxRegBits {
-			maxRegBits = b
-		}
-	}
-	endpointBits := 1 + unitIdxBits + maxRegBits
-	if 1+l.PoolBits > endpointBits {
-		endpointBits = 1 + l.PoolBits
-	}
-	blockIdx := map[string]int{}
-	for i, b := range p.Blocks {
-		blockIdx[b.Name] = i
-	}
-
-	w := newBitWriter(l.Bits)
-	for _, b := range p.Blocks {
-		wp.BlockOffsets[b.Name] = wp.NumInstrs
-		for _, in := range b.Instrs {
-			if err := encodeDatapath(w, l, p.Machine, in, constOf, symOf, unitIdx, unitIdxBits, maxRegBits, endpointBits); err != nil {
-				return nil, fmt.Errorf("asm: block %s: %w", b.Name, err)
-			}
-			wp.NumInstrs++
-		}
-		if b.Branch.Kind != BranchNone || b.Branch.Target != "" {
-			if err := encodeControl(w, l, b.Branch, blockIdx, constOf, unitIdx, unitIdxBits, maxRegBits); err != nil {
-				return nil, fmt.Errorf("asm: block %s: %w", b.Name, err)
-			}
-			wp.NumInstrs++
-		}
-	}
-	wp.Words = w.words
-	return wp, nil
-}
-
-func encodeDatapath(w *bitWriter, l *WordLayout, m *isdl.Machine, in Instr,
-	constOf func(int64) (int, error), symOf func(string) (int, error),
-	unitIdx map[string]int, unitIdxBits, maxRegBits, endpointBits int) error {
-
-	w.beginInstr()
-	w.put(0, 1) // datapath word
-
-	opsByUnit := map[string]*MicroOp{}
-	for i := range in.Ops {
-		op := &in.Ops[i]
-		if opsByUnit[op.Unit] != nil {
-			return fmt.Errorf("unit %s used twice", op.Unit)
-		}
-		opsByUnit[op.Unit] = op
-	}
-	for _, u := range m.Units {
-		op := opsByUnit[u.Name]
-		opcBits := l.UnitOpcodeBits[u.Name]
-		regBits := l.UnitRegBits[u.Name]
-		opndBits := regBits
-		if l.PoolBits > opndBits {
-			opndBits = l.PoolBits
-		}
-		if op == nil {
-			w.put(0, opcBits) // NOP
-			w.put(0, regBits)
-			for i := 0; i < l.MaxArity; i++ {
-				w.put(0, 1+opndBits)
-			}
-			continue
-		}
-		code := uint64(1) // MOVI
-		if op.Op != ir.OpConst {
-			idx := opIndex(l.unitOps[u.Name], op.Op)
-			if idx < 0 {
-				return fmt.Errorf("unit %s cannot encode %s", u.Name, op.Op)
-			}
-			code = uint64(idx + 2)
-		}
-		w.put(code, opcBits)
-		w.put(uint64(op.Dst), regBits)
-		for i := 0; i < l.MaxArity; i++ {
-			if i >= len(op.Srcs) {
-				w.put(0, 1+opndBits)
-				continue
-			}
-			s := op.Srcs[i]
-			if s.IsImm {
-				ci, err := constOf(s.Imm)
-				if err != nil {
-					return err
-				}
-				w.put(1, 1)
-				w.put(uint64(ci), opndBits)
-			} else {
-				w.put(0, 1)
-				w.put(uint64(s.Reg), opndBits)
-			}
-		}
-	}
-
-	movesByBus := map[string][]Move{}
-	for _, mv := range in.Moves {
-		movesByBus[mv.Bus] = append(movesByBus[mv.Bus], mv)
-	}
-	putEndpoint := func(unit string, reg int, mem string) error {
-		if unit == "" {
-			w.put(1, 1)
-			si, err := symOf(mem)
-			if err != nil {
-				return err
-			}
-			w.put(uint64(si), endpointBits-1)
-			return nil
-		}
-		w.put(0, 1)
-		w.put(uint64(unitIdx[unit]), unitIdxBits)
-		w.put(uint64(reg), maxRegBits)
-		w.put(0, endpointBits-1-unitIdxBits-maxRegBits)
-		return nil
-	}
-	for _, bus := range m.Buses {
-		moves := movesByBus[bus.Name]
-		if len(moves) > bus.Width {
-			return fmt.Errorf("bus %s carries %d moves, width %d", bus.Name, len(moves), bus.Width)
-		}
-		for slot := 0; slot < bus.Width; slot++ {
-			if slot >= len(moves) {
-				w.put(0, 1+2*endpointBits)
-				continue
-			}
-			mv := moves[slot]
-			w.put(1, 1)
-			if err := putEndpoint(mv.FromUnit, mv.FromReg, mv.FromMem); err != nil {
-				return err
-			}
-			if err := putEndpoint(mv.ToUnit, mv.ToReg, mv.ToMem); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func encodeControl(w *bitWriter, l *WordLayout, br Branch, blockIdx map[string]int,
-	constOf func(int64) (int, error), unitIdx map[string]int, unitIdxBits, maxRegBits int) error {
-	w.beginInstr()
-	w.put(1, 1) // control word
-	w.put(uint64(br.Kind), 2)
-	target := func(name string) (uint64, error) {
-		if name == "" {
-			return 0, nil
-		}
-		i, ok := blockIdx[name]
-		if !ok {
-			return 0, fmt.Errorf("unknown block %q", name)
-		}
-		return uint64(i), nil
-	}
-	if br.CondConst != nil {
-		w.put(1, 1)
-		ci, err := constOf(*br.CondConst)
-		if err != nil {
-			return err
-		}
-		w.put(uint64(ci), l.PoolBits)
-		w.put(0, unitIdxBits+maxRegBits)
-	} else {
-		w.put(0, 1)
-		if br.CondUnit != "" {
-			w.put(uint64(unitIdx[br.CondUnit]), unitIdxBits)
-		} else {
-			w.put(0, unitIdxBits)
-		}
-		w.put(uint64(br.CondReg), maxRegBits)
-		w.put(0, l.PoolBits)
-	}
-	t, err := target(br.Target)
-	if err != nil {
-		return err
-	}
-	w.put(t, l.PoolBits)
-	e, err := target(br.Else)
-	if err != nil {
-		return err
-	}
-	w.put(e, l.PoolBits)
-	return nil
-}
-
-func opIndex(ops []ir.Op, op ir.Op) int {
-	for i, o := range ops {
-		if o == op {
-			return i
-		}
-	}
-	return -1
-}
-
-// Disassemble decodes a WordProgram back into slot occupancy counts per
-// instruction, used to verify the encoding. (Full structural decoding is
-// exercised in tests; the byte-level object format of Encode/Decode is
-// the loader's path.)
-func (p *WordProgram) Disassemble(m *isdl.Machine) ([]Instr, []Branch, error) {
-	l := p.Layout
-	r := &bitReader{words: p.Words, width: l.Bits}
-	banks := m.Banks()
-	unitIdxBits := bitsFor(len(banks))
-	maxRegBits := 0
-	for _, u := range m.Units {
-		if b := l.UnitRegBits[u.Name]; b > maxRegBits {
-			maxRegBits = b
-		}
-	}
-	endpointBits := 1 + unitIdxBits + maxRegBits
-	if 1+l.PoolBits > endpointBits {
-		endpointBits = 1 + l.PoolBits
-	}
-
-	var instrs []Instr
-	var branches []Branch
-	names := blockNames(p)
-	for i := 0; i < p.NumInstrs; i++ {
-		r.beginInstr(i)
-		if r.get(1) == 1 {
-			var br Branch
-			br.Kind = BranchKind(r.get(2))
-			if r.get(1) == 1 {
-				ci := r.get(l.PoolBits)
-				v := p.Consts[ci]
-				br.CondConst = &v
-				r.get(unitIdxBits + maxRegBits)
-			} else {
-				ui := r.get(unitIdxBits)
-				if int(ui) < len(banks) {
-					br.CondUnit = banks[ui]
-				}
-				br.CondReg = int(r.get(maxRegBits))
-				r.get(l.PoolBits)
-			}
-			ti := r.get(l.PoolBits)
-			ei := r.get(l.PoolBits)
-			if int(ti) < len(names) {
-				br.Target = names[ti]
-			}
-			if int(ei) < len(names) {
-				br.Else = names[ei]
-			}
-			branches = append(branches, br)
-			continue
-		}
-		var in Instr
-		for _, u := range m.Units {
-			opcBits := l.UnitOpcodeBits[u.Name]
-			regBits := l.UnitRegBits[u.Name]
-			opndBits := regBits
-			if l.PoolBits > opndBits {
-				opndBits = l.PoolBits
-			}
-			code := r.get(opcBits)
-			dst := int(r.get(regBits))
-			var srcs []Operand
-			for k := 0; k < l.MaxArity; k++ {
-				tag := r.get(1)
-				val := r.get(opndBits)
-				srcs = append(srcs, Operand{IsImm: tag == 1, Imm: int64(val), Reg: int(val)})
-			}
-			if code == 0 {
-				continue // NOP slot
-			}
-			op := MicroOp{Unit: u.Name, Dst: dst}
-			if code == 1 {
-				op.Op = ir.OpConst
-				op.Srcs = srcs[:1]
-			} else {
-				op.Op = l.unitOps[u.Name][code-2]
-				op.Srcs = srcs[:op.Op.Arity()]
-			}
-			for k := range op.Srcs {
-				if op.Srcs[k].IsImm {
-					op.Srcs[k].Imm = p.Consts[op.Srcs[k].Imm]
-				}
-			}
-			in.Ops = append(in.Ops, op)
-		}
-		for _, bus := range m.Buses {
-			for slot := 0; slot < bus.Width; slot++ {
-				valid := r.get(1)
-				if valid == 0 {
-					r.get(2 * endpointBits)
-					continue
-				}
-				var mv Move
-				mv.Bus = bus.Name
-				readEndpoint := func() (unit string, reg int, mem string) {
-					if r.get(1) == 1 {
-						si := r.get(endpointBits - 1)
-						return "", 0, p.Syms[si]
-					}
-					ui := r.get(unitIdxBits)
-					reg = int(r.get(maxRegBits))
-					r.get(endpointBits - 1 - unitIdxBits - maxRegBits)
-					if int(ui) < len(banks) {
-						return banks[ui], reg, ""
-					}
-					return "", reg, ""
-				}
-				mv.FromUnit, mv.FromReg, mv.FromMem = readEndpoint()
-				mv.ToUnit, mv.ToReg, mv.ToMem = readEndpoint()
-				in.Moves = append(in.Moves, mv)
-			}
-		}
-		instrs = append(instrs, in)
-	}
-	return instrs, branches, nil
-}
-
-func blockNames(p *WordProgram) []string {
-	names := make([]string, len(p.BlockOffsets))
-	type kv struct {
-		name string
-		off  int
-	}
-	var list []kv
-	for n, o := range p.BlockOffsets {
-		list = append(list, kv{n, o})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].off < list[j].off })
-	names = names[:0]
-	for _, e := range list {
-		names = append(names, e.name)
-	}
-	return names
 }

@@ -5,13 +5,6 @@ import (
 	"sort"
 )
 
-// DisablePooling turns off the scheduler's scratch-buffer and in-place
-// reuse so every internal computation allocates fresh memory. Emitted
-// programs are byte-identical either way — the corpus property tests
-// compile under both settings — the switch exists purely to expose
-// buffer-reuse bugs.
-var DisablePooling = false
-
 // pendingAbsent marks a pending slot that holds no count: the node does
 // not define a value, or it was removed. It is negative enough that the
 // (rare) blind decrements of the schedule loop can never raise a slot
@@ -85,9 +78,9 @@ type scheduler struct {
 	goal     *SNode
 	goalBank int32
 
-	// Scratch state, reused across calls (see DisablePooling). The
-	// epoch-stamped arrays make "clear" an integer increment; mark/decCnt
-	// are per node, bankMark/bankDelta per bank.
+	// Scratch state, reused across calls. The epoch-stamped arrays make
+	// "clear" an integer increment; mark/decCnt are per node,
+	// bankMark/bankDelta per bank.
 	epoch      int32
 	mark       []int32
 	decCnt     []int32
@@ -181,18 +174,13 @@ func (s *scheduler) initPending(n *SNode) {
 }
 
 func (s *scheduler) uncoveredNodes() []*SNode {
-	var out []*SNode
-	if !DisablePooling {
-		out = s.uncBuf[:0]
-	}
+	out := s.uncBuf[:0]
 	for _, n := range s.g.nodes {
 		if !s.covered[n.ID] && !s.removed[n.ID] {
 			out = append(out, n)
 		}
 	}
-	if !DisablePooling {
-		s.uncBuf = out
-	}
+	s.uncBuf = out
 	return out
 }
 
@@ -303,10 +291,7 @@ func (s *scheduler) overfullBanks(set []*SNode) []bankOver {
 		}
 	}
 	s.bankTouch = touched
-	var out []bankOver
-	if !DisablePooling {
-		out = s.overBuf[:0]
-	}
+	out := s.overBuf[:0]
 	ix := s.g.ix
 	for _, bi := range touched {
 		if s.live[bi]+s.bankDelta[bi] > ix.bankSizes[bi] {
@@ -319,9 +304,7 @@ func (s *scheduler) overfullBanks(set []*SNode) []bankOver {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	if !DisablePooling {
-		s.overBuf = out
-	}
+	s.overBuf = out
 	return out
 }
 
@@ -503,18 +486,13 @@ func (s *scheduler) selectBest(cliques [][]*SNode, gated bool) []*SNode {
 	var best []*SNode
 	bestScore, bestLook := -1, 0
 	for _, c := range cliques {
-		var rc []*SNode
-		if !DisablePooling {
-			rc = s.rcBufs[s.rcWhich][:0]
-		}
+		rc := s.rcBufs[s.rcWhich][:0]
 		for _, n := range c {
 			if s.issueable(n) && s.allowedByGoal(n) && (!gated || s.useful(n)) {
 				rc = append(rc, n)
 			}
 		}
-		if !DisablePooling {
-			s.rcBufs[s.rcWhich] = rc
-		}
+		s.rcBufs[s.rcWhich] = rc
 		if len(rc) == 0 {
 			continue
 		}
@@ -528,9 +506,7 @@ func (s *scheduler) selectBest(cliques [][]*SNode, gated bool) []*SNode {
 		}
 		if score > bestScore {
 			best, bestScore = rc, score
-			if !DisablePooling {
-				s.rcWhich ^= 1
-			}
+			s.rcWhich ^= 1
 			if s.opts.Lookahead {
 				bestLook = s.lookahead(rc)
 			}
@@ -540,9 +516,7 @@ func (s *scheduler) selectBest(cliques [][]*SNode, gated bool) []*SNode {
 		if s.opts.Lookahead {
 			if look := s.lookahead(rc); look < bestLook {
 				best, bestLook = rc, look
-				if !DisablePooling {
-					s.rcWhich ^= 1
-				}
+				s.rcWhich ^= 1
 			}
 		}
 	}
@@ -621,15 +595,9 @@ func (s *scheduler) run() error {
 // schedule copies instructions, so nothing downstream aliases these
 // backing arrays.
 func (s *scheduler) shrinkCliques(cliques [][]*SNode) [][]*SNode {
-	var out [][]*SNode
-	if !DisablePooling {
-		out = cliques[:0]
-	}
+	out := cliques[:0]
 	for _, c := range cliques {
-		var kept []*SNode
-		if !DisablePooling {
-			kept = c[:0]
-		}
+		kept := c[:0]
 		for _, n := range c {
 			if !s.covered[n.ID] {
 				kept = append(kept, n)
@@ -650,10 +618,7 @@ func (s *scheduler) dedupeCliquesInPlace(cs [][]*SNode) [][]*SNode {
 }
 
 // cliqueSet returns the scheduler's clique dedupe set, reused by every
-// enumeration and shrink of its covering (fresh under DisablePooling).
+// enumeration and shrink of its covering.
 func (s *scheduler) cliqueSet() *cliqueSet {
-	if DisablePooling {
-		s.seen = cliqueSet{}
-	}
 	return &s.seen
 }

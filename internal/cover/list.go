@@ -43,16 +43,13 @@ func listSchedule(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solutio
 	maxStreak := 2*remaining + 8
 	maxGuard := 40*remaining + 200
 	guard, spillStreak := 0, 0
-	// Scratch buffers, reused across cycles unless DisablePooling:
-	// schedule copies the instruction it is given.
+	// Scratch buffers, reused across cycles: schedule copies the
+	// instruction it is given.
 	var ready, instr, trial []*SNode
 	for remaining > 0 {
 		guard++
 		if guard > maxGuard {
 			return nil, fmt.Errorf("cover: list scheduler stuck with %d nodes", remaining)
-		}
-		if DisablePooling {
-			ready, instr, trial = nil, nil, nil
 		}
 		ready = ready[:0]
 		for _, n := range s.g.nodes {

@@ -14,10 +14,7 @@ import (
 // removed and their consumers rewired to reloads.
 func (s *scheduler) spill() error {
 	// Collect the ready nodes blocked by register pressure.
-	var blocked []*SNode
-	if !DisablePooling {
-		blocked = s.blockedBuf[:0]
-	}
+	blocked := s.blockedBuf[:0]
 	anyReady := false
 	for _, n := range s.g.nodes {
 		if !s.issueable(n) {
@@ -29,9 +26,7 @@ func (s *scheduler) spill() error {
 			blocked = append(blocked, n)
 		}
 	}
-	if !DisablePooling {
-		s.blockedBuf = blocked
-	}
+	s.blockedBuf = blocked
 	if !anyReady {
 		return fmt.Errorf("cover: no ready node and %d uncovered (dependency cycle?)", len(s.uncoveredNodes()))
 	}
@@ -138,11 +133,7 @@ func (s *scheduler) uncoveredAncestors(u, via *SNode) int {
 	s.mark[u.ID] = e
 	s.mark[via.ID] = e
 	cnt := 0
-	var stack []*SNode
-	if !DisablePooling {
-		stack = s.stackBuf[:0]
-	}
-	stack = append(stack, u)
+	stack := append(s.stackBuf[:0], u)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -163,9 +154,7 @@ func (s *scheduler) uncoveredAncestors(u, via *SNode) int {
 			stack = append(stack, p)
 		}
 	}
-	if !DisablePooling {
-		s.stackBuf = stack
-	}
+	s.stackBuf = stack
 	return cnt
 }
 

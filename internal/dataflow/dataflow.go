@@ -34,8 +34,8 @@
 // name order. A State lives as long as its
 // caller holds it, and nothing is cached across functions.
 //
-// Every analysis has an independent brute-force oracle (oracle.go) used
-// by the tests, in the same self-distrusting style as internal/verify.
+// Every analysis has an independent brute-force oracle, in package
+// dataflowtest, that the tests check it against.
 package dataflow
 
 import (

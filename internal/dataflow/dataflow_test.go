@@ -1,10 +1,11 @@
-package dataflow
+package dataflow_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
+	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/ir"
 )
 
@@ -164,58 +165,11 @@ func randFunc(seed int64) *ir.Func {
 	return f
 }
 
-// checkAllAnalyses cross-checks every analysis against its oracle on f.
-func checkAllAnalyses(t *testing.T, label string, f *ir.Func, g *CFG) {
-	t.Helper()
-	// Liveness.
-	live := LivenessCFG(g)
-	if !slices.IsSorted(live.Vars) {
-		t.Errorf("%s: liveness variables %v are not sorted", label, live.Vars)
-	}
-	for i := range f.Blocks {
-		for _, v := range live.Vars {
-			if got, want := live.LiveOutOf(i, v), OracleLiveOut(g, i, v); got != want {
-				t.Errorf("%s: liveOut(%s, %s) = %v, oracle %v", label, f.Blocks[i].Name, v, got, want)
-			}
-			if got, want := live.LiveInOf(i, v), OracleLiveIn(g, i, v); got != want {
-				t.Errorf("%s: liveIn(%s, %s) = %v, oracle %v", label, f.Blocks[i].Name, v, got, want)
-			}
-		}
-	}
-	// Reaching definitions.
-	reach := ReachingCFG(g)
-	for i := range f.Blocks {
-		for j, d := range reach.Defs {
-			if got, want := reach.In[i].Get(j), OracleReachesIn(g, i, d); got != want {
-				t.Errorf("%s: reachIn(%s, %+v) = %v, oracle %v", label, f.Blocks[i].Name, d, got, want)
-			}
-		}
-	}
-	// Available expressions.
-	avail := AvailableCFG(g)
-	for i := range f.Blocks {
-		for j, fact := range avail.Facts {
-			of, vars := OracleFactOf(avail.X, fact)
-			if got, want := avail.In[i].Get(j), OracleAvailIn(g, i, of, vars); got != want {
-				t.Errorf("%s: availIn(%s, %+v) = %v, oracle %v", label, f.Blocks[i].Name, of, got, want)
-			}
-		}
-	}
-	// Dominators.
-	dom := Dominators(g)
-	for c := range f.Blocks {
-		for b := range f.Blocks {
-			if got, want := dom.Dominates(b, c), OracleDominates(g, b, c); got != want {
-				t.Errorf("%s: dominates(%s, %s) = %v, oracle %v", label, f.Blocks[b].Name, f.Blocks[c].Name, got, want)
-			}
-		}
-	}
-}
-
 func TestAnalysesMatchOraclesOnShapes(t *testing.T) {
 	for name, f := range testFuncs(t) {
-		checkAllAnalyses(t, name, f, NewCFG(f))
-		checkAllAnalyses(t, name+"/folded", f, NewCFGFolded(f))
+		if err := dataflowtest.CheckOracles(f); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -225,7 +179,9 @@ func TestAnalysesMatchOraclesOnRandomFuncs(t *testing.T) {
 		if err := f.Verify(); err != nil {
 			t.Fatalf("seed %d: invalid func: %v", seed, err)
 		}
-		checkAllAnalyses(t, fmt.Sprintf("seed%d", seed), f, NewCFG(f))
+		if err := dataflowtest.CheckOracles(f); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }
 
@@ -237,11 +193,11 @@ func TestLivenessPruneMatchesMapPrune(t *testing.T) {
 	total := 0
 	for seed := int64(1); seed <= 150; seed++ {
 		f := randFunc(seed)
-		live := Liveness(f)
+		live := dataflow.Liveness(f)
 		outs := live.OutSets()
 		for i, b := range f.Blocks {
 			got, gotN := live.PruneBlock(i)
-			want, wantN := PruneBlock(b, outs[i])
+			want, wantN := dataflow.PruneBlock(b, outs[i])
 			if gotN != wantN || got.String() != want.String() {
 				t.Fatalf("seed %d block %s: pruned %d stores to\n%s\nmap-based prune: %d stores to\n%s", seed, b.Name, gotN, got, wantN, want)
 			}
@@ -258,7 +214,7 @@ func TestLivenessPruneMatchesMapPrune(t *testing.T) {
 
 func TestLivenessExitBoundary(t *testing.T) {
 	f := testFuncs(t)["straight"]
-	live := Liveness(f)
+	live := dataflow.Liveness(f)
 	// Every variable of the function is live at the exit block's exit.
 	exit := 1
 	for _, v := range live.Vars {
@@ -278,7 +234,7 @@ func TestDeadStoresLocalShadowing(t *testing.T) {
 	storeConst(b, "x", 2)
 	b.NewStore("y", b.NewLoad("x"))
 	storeConst(b, "x", 3)
-	dead := DeadStores(b, nil)
+	dead := dataflow.DeadStores(b, nil)
 	if !dead[1] {
 		t.Error("first store of x should be dead (shadowed before any load)")
 	}
@@ -295,7 +251,7 @@ func TestDeadStoresLiveOut(t *testing.T) {
 	storeConst(b, "t", 5)
 	storeConst(b, "out", 6)
 	// t dead at exit, out live.
-	dead := DeadStores(b, map[string]bool{"out": true})
+	dead := dataflow.DeadStores(b, map[string]bool{"out": true})
 	if !dead[1] {
 		t.Error("store of t should be dead when t is dead out")
 	}
@@ -311,7 +267,7 @@ func TestPruneBlockCascade(t *testing.T) {
 	storeConst(b, "x", 1)
 	b.NewStore("y", b.NewLoad("x"))
 	b.Term = ir.TermReturn
-	nb, pruned := PruneBlock(b, map[string]bool{})
+	nb, pruned := dataflow.PruneBlock(b, map[string]bool{})
 	if pruned != 2 {
 		t.Fatalf("pruned %d stores, want 2\n%s", pruned, nb)
 	}
@@ -319,7 +275,7 @@ func TestPruneBlockCascade(t *testing.T) {
 		t.Errorf("pruned block should be empty, got\n%s", nb)
 	}
 	// With y live the chain must survive untouched (same object back).
-	nb2, pruned2 := PruneBlock(b, map[string]bool{"y": true})
+	nb2, pruned2 := dataflow.PruneBlock(b, map[string]bool{"y": true})
 	if pruned2 != 0 || nb2 != b {
 		t.Errorf("live chain wrongly pruned (%d)", pruned2)
 	}
@@ -329,23 +285,23 @@ func TestExprKeyCanonicalization(t *testing.T) {
 	b := ir.NewBlock("b")
 	ab := b.NewNode(ir.OpAdd, b.NewLoad("a"), b.NewLoad("b"))
 	ba := b.NewNode(ir.OpAdd, b.NewLoad("b"), b.NewLoad("a"))
-	ka, _, ok := ExprKey(ab)
+	ka, _, ok := dataflow.ExprKey(ab)
 	if !ok {
 		t.Fatal("ExprKey failed")
 	}
-	kb, _, _ := ExprKey(ba)
+	kb, _, _ := dataflow.ExprKey(ba)
 	if ka != kb {
 		t.Errorf("commutative keys differ: %q vs %q", ka, kb)
 	}
 	sub := b.NewNode(ir.OpSub, b.NewLoad("a"), b.NewLoad("b"))
 	sub2 := b.NewNode(ir.OpSub, b.NewLoad("b"), b.NewLoad("a"))
-	ks, _, _ := ExprKey(sub)
-	ks2, _, _ := ExprKey(sub2)
+	ks, _, _ := dataflow.ExprKey(sub)
+	ks2, _, _ := dataflow.ExprKey(sub2)
 	if ks == ks2 {
 		t.Error("non-commutative operand order must be preserved")
 	}
 	st := b.NewStore("x", ab)
-	if _, _, ok := ExprKey(st); ok {
+	if _, _, ok := dataflow.ExprKey(st); ok {
 		t.Error("stores must not form expression keys")
 	}
 }
@@ -356,11 +312,11 @@ func TestCFGFoldedDropsConstEdges(t *testing.T) {
 		{name: "taken", term: ir.TermReturn},
 		{name: "skipped", term: ir.TermReturn},
 	})
-	full := NewCFG(f)
+	full := dataflow.NewCFG(f)
 	if len(full.Succs[0]) != 2 {
 		t.Fatalf("full CFG entry succs = %d, want 2", len(full.Succs[0]))
 	}
-	folded := NewCFGFolded(f)
+	folded := dataflow.NewCFGFolded(f)
 	if len(folded.Succs[0]) != 1 || folded.Succs[0][0] != 1 {
 		t.Fatalf("folded CFG should keep only the taken edge, got %v", folded.Succs[0])
 	}

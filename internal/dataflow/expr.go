@@ -62,11 +62,3 @@ func exprKey(n *ir.Node, vars map[string]bool, depth int) (string, bool) {
 		return n.Op.String() + "(" + strings.Join(parts, ",") + ")", true
 	}
 }
-
-// isComputationKey reports whether a canonical expression key contains
-// at least one operation (it is not a bare load or constant). Only such
-// facts are worth tracking: rewriting a constant or a copy as a memory
-// load never improves the code.
-func isComputationKey(key string) bool {
-	return !strings.HasPrefix(key, "@") && !strings.HasPrefix(key, "#")
-}

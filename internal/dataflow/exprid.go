@@ -299,6 +299,9 @@ func (x *Exprs) Vars(id ExprID) []VarID {
 // Height returns the length of the longest operand chain below id.
 func (x *Exprs) Height(id ExprID) int { return int(x.info[id].height) }
 
+// Rep returns the first node interned under expression id.
+func (x *Exprs) Rep(id ExprID) *ir.Node { return x.info[id].rep }
+
 // IsComputation reports whether expression id contains at least one
 // operation — it is not a bare load or constant.
 func (x *Exprs) IsComputation(id ExprID) bool { return !x.info[id].sig.op.IsLeaf() }

@@ -8,6 +8,7 @@ import (
 
 	"aviv/internal/bench"
 	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/ir"
 	"aviv/internal/lang"
 	"aviv/internal/opt"
@@ -100,14 +101,14 @@ func checkExprIDs(t *testing.T, label string, f *ir.Func) {
 	}
 
 	avail := dataflow.AvailableCFG(dataflow.NewCFG(f))
-	got := make(map[dataflow.OracleFact]bool)
+	got := make(map[dataflowtest.Fact]bool)
 	for _, fact := range avail.Facts {
-		of, _ := dataflow.OracleFactOf(avail.X, fact)
+		of, _ := dataflowtest.FactOf(avail.X, fact)
 		got[of] = true
 	}
-	want := make(map[dataflow.OracleFact]bool)
+	want := make(map[dataflowtest.Fact]bool)
 	for _, b := range f.Blocks {
-		for _, of := range dataflow.OracleGenFacts(b) {
+		for _, of := range dataflowtest.GenFacts(b) {
 			want[of] = true
 		}
 	}

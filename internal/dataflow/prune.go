@@ -9,7 +9,7 @@ import (
 // liveOut removed (plus any nodes that die with them), and the number
 // of stores pruned. When nothing is dead it returns b unchanged. The
 // clone is a pure structural copy — no folding or re-association — so
-// an independent checker can recompute it exactly (verify.CheckPrune).
+// an independent checker can recompute it exactly (dataflowtest.CheckPrune).
 //
 // Removing a dead store can orphan a load that only fed it, which in
 // turn can expose the previous store of that variable as dead, so the

@@ -5,15 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
 
 	"aviv/internal/bench"
 	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/ir"
 	"aviv/internal/lang"
-	"aviv/internal/verify"
 )
 
 // forEachCorpusFunc lowers the optimizer's differential corpus and calls
@@ -107,7 +108,7 @@ func refGlobalCSE(f *ir.Func) bool {
 		}
 		byExpr := make(map[string]string)
 		for _, fact := range avail.InFacts(i) {
-			of, _ := dataflow.OracleFactOf(avail.X, fact)
+			of, _ := dataflowtest.FactOf(avail.X, fact)
 			if v, ok := byExpr[of.Expr]; !ok || of.Var < v {
 				byExpr[of.Expr] = of.Var
 			}
@@ -256,9 +257,9 @@ func TestOptimizeCorpusHash(t *testing.T) {
 // global liveness proves dead, over the differential corpus. Code
 // generation relies on this: aviv.Compile covers every store it is
 // given, so a dead store the front end leaves behind costs code size.
-// Both checks use internal/verify's path-search liveness, not package
-// dataflow: the solver's live-out sets must agree with it, and no block
-// may lose a store to its own backward prune scan.
+// Both checks use dataflowtest's path-search liveness, not the solver:
+// the solver's live-out sets must equal it, and no block may lose a
+// store to dataflowtest's own backward prune scan.
 func TestOptimizeLeavesNoDeadStore(t *testing.T) {
 	step := 1
 	if testing.Short() {
@@ -268,13 +269,15 @@ func TestOptimizeLeavesNoDeadStore(t *testing.T) {
 		if k%step != 0 {
 			continue
 		}
-		if vs := verify.CheckLiveness(o.g, dataflow.Liveness(o.g).OutSets()); len(vs) > 0 {
-			t.Fatalf("%s: liveness cross-check: %v", o.label, vs)
+		outs := dataflowtest.LiveOutSets(o.g)
+		for i, claimed := range dataflow.Liveness(o.g).OutSets() {
+			if !maps.Equal(claimed, outs[i]) {
+				t.Fatalf("%s: block %s: solver live-out %v, path search %v", o.label, o.g.Blocks[i].Name, claimed, outs[i])
+			}
 		}
-		outs := verify.LiveOutSets(o.g)
 		for i, b := range o.g.Blocks {
-			if vs := verify.CheckPrune(b, b, outs[i]); len(vs) > 0 {
-				t.Fatalf("%s: block %s keeps a dead store: %v", o.label, b.Name, vs)
+			if err := dataflowtest.CheckPrune(b, b, outs[i]); err != nil {
+				t.Fatalf("%s: keeps a dead store: %v", o.label, err)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"aviv/internal/bitset"
 	"aviv/internal/dataflow"
+	"aviv/internal/dataflow/dataflowtest"
 	"aviv/internal/ir"
 )
 
@@ -76,7 +77,7 @@ func compareAvailable(t *testing.T, at string, got, want *dataflow.AvailResult) 
 		var out []string
 		for j, fact := range r.Facts {
 			if s.Get(j) {
-				of, _ := dataflow.OracleFactOf(r.X, fact)
+				of, _ := dataflowtest.FactOf(r.X, fact)
 				out = append(out, of.Var+" = "+of.Expr)
 			}
 		}
