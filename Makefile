@@ -65,6 +65,7 @@ fuzz:
 	go test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/lang
 	go test -run '^$$' -fuzz='^FuzzDecodeBlock$$' -fuzztime=5s .
 	go test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/asm
+	go test -run '^$$' -fuzz='^FuzzReemit$$' -fuzztime=5s ./internal/opt
 
 bench:
 	go run ./cmd/avivbench -all

@@ -121,13 +121,7 @@ func newBlockCache(m *isdl.Machine, opts Options) *blockCache {
 	if opts.Cover.Trace != nil || (opts.Cache == nil && opts.DiskCache == nil) {
 		return nil
 	}
-	var mfp [sha256.Size]byte
-	if opts.Cache != nil {
-		mfp = opts.Cache.MachineFingerprint(m)
-	} else {
-		mfp = m.Fingerprint()
-	}
-	return &blockCache{mem: opts.Cache, disk: opts.DiskCache, keys: cover.NewBlockKeyer(mfp, opts.Cover)}
+	return &blockCache{mem: opts.Cache, disk: opts.DiskCache, keys: cover.NewBlockKeyer(m.Fingerprint(), opts.Cover)}
 }
 
 // compile returns the result of b from the first tier that has it, or

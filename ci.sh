@@ -118,7 +118,7 @@ echo "== layerbench: optimizer + front-end + covering + peephole + multi-block +
 make -s layerbench
 
 if [ "${1:-}" != "-short" ]; then
-    echo "== fuzz smoke (FuzzCompileSource 10s, FuzzParse 5s, FuzzDecodeBlock 5s, FuzzDecode 5s) =="
+    echo "== fuzz smoke (FuzzCompileSource 10s, FuzzParse 5s, FuzzDecodeBlock 5s, FuzzDecode 5s, FuzzReemit 5s) =="
     make -s fuzz
 
     echo "== bench smoke (every benchmark, one iteration) =="

@@ -179,11 +179,6 @@ type Block struct {
 	Branch Branch
 }
 
-// BodySize returns the number of VLIW instructions in the block body —
-// the code-size metric of the paper's tables (control transfers
-// excluded, as the paper's basic-block experiments are bodies only).
-func (b *Block) BodySize() int { return len(b.Instrs) }
-
 // Program is a complete compiled function.
 type Program struct {
 	Machine *isdl.Machine

@@ -40,8 +40,8 @@ func mustEncode(t testing.TB, p *Program) []byte {
 func TestEmitBlockShape(t *testing.T) {
 	m := isdl.ExampleArch(4)
 	blk := emit(t, bench.Ex1(), m)
-	if blk.BodySize() != 7 {
-		t.Errorf("Ex1 body = %d instructions, want 7", blk.BodySize())
+	if len(blk.Instrs) != 7 {
+		t.Errorf("Ex1 body = %d instructions, want 7", len(blk.Instrs))
 	}
 	if blk.Branch.Kind != BranchHalt {
 		t.Errorf("branch kind = %v, want HALT", blk.Branch.Kind)
@@ -198,7 +198,7 @@ func TestCodeSizeCountsControlFlow(t *testing.T) {
 	b2.Name = "x"
 	b2.Branch = Branch{Kind: BranchHalt}
 	p := &Program{Machine: m, Blocks: []*Block{b1, b2}}
-	want := b1.BodySize() + 1 + b2.BodySize() // jump counted, halt not
+	want := len(b1.Instrs) + 1 + len(b2.Instrs) // jump counted, halt not
 	if got := p.CodeSize(); got != want {
 		t.Errorf("CodeSize = %d, want %d", got, want)
 	}

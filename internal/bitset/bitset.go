@@ -70,26 +70,6 @@ func (s Set) Or(a, b Set) {
 	}
 }
 
-// IntersectsNone reports whether s and b share no set bit.
-func (s Set) IntersectsNone(b Set) bool {
-	for i := range s {
-		if s[i]&b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every set bit of s is also set in b.
-func (s Set) SubsetOf(b Set) bool {
-	for i := range s {
-		if s[i]&^b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and b hold exactly the same bits.
 func (s Set) Equal(b Set) bool {
 	if len(s) != len(b) {
@@ -111,15 +91,6 @@ func (s Set) Empty() bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of set bits.
-func (s Set) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // ForEach calls f for every set bit in ascending order.

@@ -19,12 +19,9 @@ func TestSetBasics(t *testing.T) {
 			t.Fatalf("bit %d not set", i)
 		}
 	}
-	if got := s.Count(); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
-	}
 	s.Clear(64)
-	if s.Get(64) || s.Count() != 3 {
-		t.Fatalf("Clear(64) failed: count %d", s.Count())
+	if s.Get(64) {
+		t.Fatal("Clear(64) left the bit set")
 	}
 	var got []int
 	s.ForEach(func(i int) { got = append(got, i) })
@@ -68,7 +65,6 @@ func TestSetOpsAgainstBoolSlices(t *testing.T) {
 		and.And(a, b)
 		andnot.AndNot(a, b)
 		or.Or(a, b)
-		subset, none := true, true
 		for i := 0; i < n; i++ {
 			if and.Get(i) != (ra[i] && rb[i]) {
 				t.Fatalf("And bit %d wrong", i)
@@ -79,18 +75,6 @@ func TestSetOpsAgainstBoolSlices(t *testing.T) {
 			if or.Get(i) != (ra[i] || rb[i]) {
 				t.Fatalf("Or bit %d wrong", i)
 			}
-			if ra[i] && !rb[i] {
-				subset = false
-			}
-			if ra[i] && rb[i] {
-				none = false
-			}
-		}
-		if a.SubsetOf(b) != subset {
-			t.Fatalf("SubsetOf = %v, want %v", a.SubsetOf(b), subset)
-		}
-		if a.IntersectsNone(b) != none {
-			t.Fatalf("IntersectsNone = %v, want %v", a.IntersectsNone(b), none)
 		}
 		cp := New(n)
 		cp.Copy(a)

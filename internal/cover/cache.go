@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"aviv/internal/isdl"
 	"aviv/internal/lru"
 )
 
@@ -33,21 +32,10 @@ type EntryStore interface {
 // result. Values are opaque to this package: aviv stores its own
 // per-block artifact and asserts the type back on a hit. Entries are
 // never mutated after insertion.
-//
-// The cache also memoizes the fingerprints of the MaxMachineFingerprints
-// most recently used *isdl.Machine values, so a many-block compile
-// hashes its machine description once.
 type Cache struct {
-	lru     *lru.Cache[[sha256.Size]byte, cached]
-	bytes   atomic.Int64
-	machFPs *lru.Cache[*isdl.Machine, [sha256.Size]byte]
+	lru   *lru.Cache[[sha256.Size]byte, cached]
+	bytes atomic.Int64
 }
-
-// MaxMachineFingerprints caps Cache's machine-fingerprint memo. Compiles
-// use a handful of machines; the cap keeps a stream of distinct machine
-// pointers (a server re-parsing evicted machine texts, say) from growing
-// the memo without bound.
-const MaxMachineFingerprints = 64
 
 type cached struct {
 	val   any
@@ -69,7 +57,7 @@ type CacheStats struct {
 // blocks, evicting least recently used first. maxEntries <= 0 means
 // unbounded.
 func NewBoundedCache(maxEntries int) *Cache {
-	c := &Cache{machFPs: lru.New[*isdl.Machine, [sha256.Size]byte](MaxMachineFingerprints, nil)}
+	c := &Cache{}
 	c.lru = lru.New(maxEntries, func(_ [sha256.Size]byte, e cached) { c.bytes.Add(-e.bytes) })
 	return c
 }
@@ -101,20 +89,6 @@ func (c *Cache) Stats() CacheStats {
 		Bytes:     c.bytes.Load(),
 	}
 }
-
-// MachineFingerprint returns m.Fingerprint(), memoized per machine
-// pointer.
-func (c *Cache) MachineFingerprint(m *isdl.Machine) [sha256.Size]byte {
-	if fp, ok := c.machFPs.Get(m); ok {
-		return fp
-	}
-	fp, _ := c.machFPs.Add(m, m.Fingerprint())
-	return fp
-}
-
-// MachineFingerprints returns how many machine fingerprints the cache
-// memoizes, at most MaxMachineFingerprints.
-func (c *Cache) MachineFingerprints() int { return c.machFPs.Stats().Len }
 
 // fpWriter accumulates fingerprint material, length-prefixing every
 // field so adjacent records cannot alias.

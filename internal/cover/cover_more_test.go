@@ -243,7 +243,7 @@ func TestBusWidthRespected(t *testing.T) {
 	for _, instr := range res.Best.Instrs {
 		transfers := 0
 		for _, n := range instr {
-			if n.IsTransfer() {
+			if n.Kind != OpNode {
 				transfers++
 			}
 		}

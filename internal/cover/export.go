@@ -8,9 +8,8 @@ import (
 )
 
 // BlockKey returns the content address of one covering request, given
-// a precomputed machine fingerprint (m.Fingerprint(), which callers
-// that key many blocks against one machine should memoize — see
-// Cache.MachineFingerprint). The key covers the block fingerprint, the
+// a machine fingerprint (m.Fingerprint(), which Finalize stores). The
+// key covers the block fingerprint, the
 // machine fingerprint, and every Options field that can change the
 // covering (including LiveOut and VarPlacement; see
 // optionsFingerprint).

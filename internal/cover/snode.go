@@ -73,10 +73,6 @@ type SNode struct {
 	OrdSuccs []*SNode
 }
 
-// IsTransfer reports whether the node is a data transfer (move, load or
-// store) rather than an operation.
-func (n *SNode) IsTransfer() bool { return n.Kind != OpNode }
-
 // DefLoc returns the location this node writes a value into, and whether
 // it defines a register value at all (stores write memory, not a bank).
 func (n *SNode) DefLoc() (isdl.Loc, bool) {

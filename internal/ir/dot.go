@@ -28,47 +28,3 @@ func (b *Block) DOT() string {
 	sb.WriteString("}\n")
 	return sb.String()
 }
-
-// DOT renders the whole function: one cluster per basic block with its
-// expression DAG, plus control-flow edges between blocks.
-func (f *Func) DOT() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  compound=true;\n  rankdir=TB;\n", f.Name)
-	for bi, b := range f.Blocks {
-		fmt.Fprintf(&sb, "  subgraph cluster_%d {\n    label=%q;\n", bi, b.Name)
-		anchorID := fmt.Sprintf("b%d_entry", bi)
-		fmt.Fprintf(&sb, "    %s [shape=point,style=invis];\n", anchorID)
-		for _, n := range b.Nodes {
-			label := n.Op.String()
-			switch n.Op {
-			case OpConst:
-				label = fmt.Sprintf("%d", n.Const)
-			case OpLoad:
-				label = n.Var
-			case OpStore:
-				label = "ST " + n.Var
-			}
-			fmt.Fprintf(&sb, "    b%dn%d [label=%q];\n", bi, n.ID, label)
-			for _, a := range n.Args {
-				fmt.Fprintf(&sb, "    b%dn%d -> b%dn%d;\n", bi, n.ID, bi, a.ID)
-			}
-		}
-		sb.WriteString("  }\n")
-	}
-	idx := map[string]int{}
-	for bi, b := range f.Blocks {
-		idx[b.Name] = bi
-	}
-	for bi, b := range f.Blocks {
-		for si, succ := range b.Succs {
-			style := "solid"
-			if b.Term == TermBranch && si == 1 {
-				style = "dashed" // the not-taken edge
-			}
-			fmt.Fprintf(&sb, "  b%d_entry -> b%d_entry [ltail=cluster_%d,lhead=cluster_%d,style=%s];\n",
-				bi, idx[succ], bi, idx[succ], style)
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}

@@ -51,9 +51,6 @@ func TestOpClassification(t *testing.T) {
 	if !OpConst.IsLeaf() || !OpLoad.IsLeaf() || OpAdd.IsLeaf() {
 		t.Error("IsLeaf misclassifies")
 	}
-	if !OpCmpGE.IsCompare() || !OpCmpEQ.IsCompare() || OpAdd.IsCompare() {
-		t.Error("IsCompare misclassifies")
-	}
 	if OpConst.IsComputation() || OpLoad.IsComputation() || OpStore.IsComputation() {
 		t.Error("leaves/roots should not be computations")
 	}
@@ -528,25 +525,4 @@ func randomBlock(seed int64, nOps int) *Block {
 	bb.Store("out", avail[len(avail)-1])
 	bb.Return()
 	return bb.Finish()
-}
-
-func TestFuncDOT(t *testing.T) {
-	entry := NewBuilder("entry")
-	c := entry.Op(OpCmpGT, entry.Load("x"), entry.Const(0))
-	entry.Branch(c, "t", "f")
-	tb := NewBuilder("t")
-	tb.Store("r", tb.Const(1))
-	tb.Jump("exit")
-	fb := NewBuilder("f")
-	fb.Store("r", fb.Const(2))
-	fb.Jump("exit")
-	ex := NewBuilder("exit")
-	ex.Return()
-	f := &Func{Name: "g", Blocks: []*Block{entry.Finish(), tb.Finish(), fb.Finish(), ex.Finish()}}
-	dot := f.DOT()
-	for _, want := range []string{"digraph", "cluster_0", "cluster_3", "CMPGT", "dashed", "ST r"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("Func.DOT missing %q", want)
-		}
-	}
 }

@@ -148,9 +148,6 @@ func (op Op) Commutative() bool {
 // IsLeaf reports whether op has no value operands.
 func (op Op) IsLeaf() bool { return op == OpConst || op == OpLoad }
 
-// IsCompare reports whether op is a comparison producing a 0/1 value.
-func (op Op) IsCompare() bool { return op >= OpCmpEQ && op <= OpCmpGE }
-
 // IsComputation reports whether op must be executed on a functional unit
 // (i.e. it is neither a constant, a load root, nor a store root).
 func (op Op) IsComputation() bool {

@@ -1,6 +1,9 @@
 package isdl
 
-import "testing"
+import (
+	"crypto/sha256"
+	"testing"
+)
 
 // TestMachineFingerprint checks the compile-cache machine key: a machine
 // hashes stably across calls, and every stock architecture (and register
@@ -19,5 +22,22 @@ func TestMachineFingerprint(t *testing.T) {
 			t.Fatalf("machines %q and %q collide", m.Name, prev)
 		}
 		seen[fp] = m.Name
+	}
+
+	// Finalize stores the description's hash; an edit to a clone made
+	// before its Finalize is in the clone's stored fingerprint.
+	m := ExampleArch(4)
+	c := m.Clone(m.Name)
+	c.Unit("U1").Regs.Size = 2
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Machine{m, c} {
+		if x.Fingerprint() != sha256.Sum256([]byte(x.Describe())) {
+			t.Fatalf("%s: stored fingerprint is not its description's hash", x.Name)
+		}
+	}
+	if c.Fingerprint() == m.Fingerprint() {
+		t.Fatal("a register-file edit before Finalize left the fingerprint unchanged")
 	}
 }

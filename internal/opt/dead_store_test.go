@@ -50,7 +50,8 @@ func TestDeadStoreWithInterveningLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nb := optimizeBlock(ir.NewBuilder(""), b)
+	e := newEmitter()
+	nb := optimizeBlock(&e, b)
 	if got := countStores(nb, "x"); got != 1 {
 		t.Errorf("stores of x after optimizeBlock = %d, want 1\n%s", got, nb)
 	}
@@ -104,7 +105,8 @@ func TestDeadStoreCascade(t *testing.T) {
 	if err := b.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	nb := optimizeBlock(ir.NewBuilder(""), b)
+	e := newEmitter()
+	nb := optimizeBlock(&e, b)
 	if got := countStores(nb, "x"); got != 1 {
 		t.Errorf("stores of x after optimizeBlock = %d, want 1\n%s", got, nb)
 	}

@@ -18,10 +18,10 @@ import (
 // globalOptimize runs the dataflow-driven passes to a fixpoint. Each
 // accepted rewrite strictly shrinks the function (fewer stores, or
 // fewer computation nodes at no store increase), so the loop
-// terminates. CSE rewrites are emitted through bb.
-func globalOptimize(bb *ir.Builder, f *ir.Func) {
+// terminates. CSE rewrites are emitted through e.
+func globalOptimize(e *emitter, f *ir.Func) {
 	g := newGlobal(f)
-	for g.round(bb) {
+	for g.round(e) {
 	}
 }
 
@@ -44,9 +44,9 @@ func newGlobal(f *ir.Func) *global {
 
 // round runs dead-store elimination and then CSE once and reports
 // whether either changed the function.
-func (g *global) round(bb *ir.Builder) bool {
+func (g *global) round(e *emitter) bool {
 	changed := globalDeadStores(g.s)
-	if g.cse(bb) {
+	if g.cse(e) {
 		changed = true
 	}
 	return changed
@@ -84,7 +84,7 @@ func globalDeadStores(s *dataflow.State) bool {
 // smallest name is loaded. A rewrite is only kept when it makes the
 // block strictly smaller — fewer computation nodes without growing the
 // node count — so bench code size can only improve.
-func (g *global) cse(bb *ir.Builder) bool {
+func (g *global) cse(e *emitter) bool {
 	avail := g.s.Available()
 	if len(avail.Facts) == 0 {
 		return false
@@ -112,7 +112,7 @@ func (g *global) cse(bb *ir.Builder) bool {
 		if !found {
 			continue
 		}
-		if nb, ok := g.rewriteBlock(bb, i, b); ok {
+		if nb, ok := g.rewriteBlock(e, i, b); ok {
 			f.Blocks[i] = nb
 			changed = true
 		}
@@ -125,11 +125,11 @@ func (g *global) cse(bb *ir.Builder) bool {
 	return changed
 }
 
-// rewriteBlock re-emits block i, b, through bb replacing eligible
+// rewriteBlock re-emits block i, b, through e replacing eligible
 // computations with loads of the memory locations g.src names. It
 // returns ok=false when no eligible rewrite exists or when the
 // rewritten block is not strictly smaller.
-func (g *global) rewriteBlock(bb *ir.Builder, i int, b *ir.Block) (*ir.Block, bool) {
+func (g *global) rewriteBlock(e *emitter, i int, b *ir.Block) (*ir.Block, bool) {
 	x := g.s.X
 	ids := g.s.ExprIDs(i)
 	g.firstStore = g.s.FirstStores(i, g.firstStore)
@@ -169,7 +169,7 @@ func (g *global) rewriteBlock(bb *ir.Builder, i int, b *ir.Block) (*ir.Block, bo
 		return nil, false
 	}
 
-	out := optimizeBlockOnce(bb, b, nil, g.load)
+	out := optimizeBlockOnce(e, b, nil, g.load)
 	// Accept only a strict improvement: replacing an op with a load must
 	// make the op's operand subtree (partially) dead, or the rewrite
 	// trades computation for memory traffic for nothing.

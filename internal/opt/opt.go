@@ -20,30 +20,60 @@ import (
 // block it did not emit, and neither function may be edited in place
 // afterwards.
 func Optimize(f *ir.Func) *ir.Func {
-	// One builder re-emits every block of every pass: each re-emission
-	// resets it, so its hash-consing maps are allocated once per call.
-	bb := ir.NewBuilder("")
-	out := optimizeLocal(bb, f)
+	e := newEmitter()
+	out := optimizeLocal(&e, f)
 	// Whole-function passes over the dataflow framework: cross-block
 	// dead-store elimination and common-subexpression elimination.
-	globalOptimize(bb, out)
+	globalOptimize(&e, out)
 	return out
 }
 
+// emitter is one Optimize call's re-emission state: the builder every
+// pass emits through, and the local emitters' scratch. Each re-emission
+// resets the builder, so its hash-consing maps and the scratch are
+// allocated once per call. It is never shared between calls.
+type emitter struct {
+	*ir.Builder
+	// newOf is emitNodes' and reassociateBlock's new node for an old
+	// Node.ID.
+	newOf []*ir.Node
+	// users and leaves are reassociateBlock's use counts by Node.ID and
+	// its stack of chain leaves.
+	users  []uses
+	leaves []*ir.Node
+}
+
+// newEmitter returns an emitter whose scratch starts at a small
+// block's size, so most functions never grow it.
+func newEmitter() emitter {
+	return emitter{
+		Builder: ir.NewBuilder(""),
+		newOf:   make([]*ir.Node, 0, 16),
+		users:   make([]uses, 0, 16),
+		leaves:  make([]*ir.Node, 0, 8),
+	}
+}
+
+// newNodes returns e.newOf cleared and long enough for b's node IDs.
+func (e *emitter) newNodes(b *ir.Block) []*ir.Node {
+	n := b.IDBound()
+	e.newOf = slices.Grow(e.newOf[:0], n)[:n]
+	clear(e.newOf)
+	return e.newOf
+}
+
 // optimizeLocal runs Optimize's block-local and control-flow passes on
-// a copy of f, re-emitting through bb the blocks a local pass changes:
-// everything before the whole-function passes. The passes' checks share
-// one scratch, as the re-emissions share bb.
-func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
-	c := newCheck()
+// a copy of f, emitting through e: everything before the whole-function
+// passes.
+func optimizeLocal(e *emitter, f *ir.Func) *ir.Func {
 	out := &ir.Func{Name: f.Name, Blocks: make([]*ir.Block, 0, len(f.Blocks))}
 	for _, b := range f.Blocks {
-		out.Blocks = append(out.Blocks, localPass(bb, c, b))
+		out.Blocks = append(out.Blocks, localPass(e, b))
 	}
-	foldBranches(bb, out)
+	foldBranches(e, out)
 	threadJumps(out)
 	removeUnreachable(out)
-	mergeBlocks(bb, out)
+	mergeBlocks(e, out)
 	// Merging exposes new local folding (stores feeding loads across the
 	// former block boundary) and new chains; one more pass picks them up.
 	// It runs on every block, not only merged ones: optimizeBlock after
@@ -54,9 +84,9 @@ func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
 	// canonical order (TestSecondLocalPassOnUnmergedBlocks).
 	//
 	// A block that is still one of f's came through the first pass
-	// unchanged and no control-flow pass replaced it, so the second
-	// pass's checks would say so again. The passes keep the blocks' order
-	// and names, so one cursor over f finds each block's origin.
+	// unchanged and no control-flow pass replaced it, so the second pass
+	// would give it back again. The passes keep the blocks' order and
+	// names, so one cursor over f finds each block's origin.
 	k := 0
 	for i, b := range out.Blocks {
 		for k < len(f.Blocks) && f.Blocks[k].Name != b.Name {
@@ -65,22 +95,16 @@ func optimizeLocal(bb *ir.Builder, f *ir.Func) *ir.Func {
 		if k < len(f.Blocks) && f.Blocks[k] == b {
 			continue
 		}
-		out.Blocks[i] = localPass(bb, c, b)
+		out.Blocks[i] = localPass(e, b)
 	}
 	return out
 }
 
-// localPass runs optimizeBlock and then reassociateBlock on b. Each
-// re-emits only when c says it would change the block; otherwise its
-// input is passed on as it is.
-func localPass(bb *ir.Builder, c *check, b *ir.Block) *ir.Block {
-	if !c.foldsNothing(b) || deadStores(b) != nil {
-		b = optimizeBlock(bb, b)
-	}
-	if !c.rebalancesNothing(b) {
-		b = reassociateBlock(bb, b)
-	}
-	return b
+// localPass runs optimizeBlock and then reassociateBlock on b. Both
+// re-emit through ir.Builder.Reemit, so a pass that would change
+// nothing passes its input on as it is.
+func localPass(e *emitter, b *ir.Block) *ir.Block {
+	return reassociateBlock(e, optimizeBlock(e, b))
 }
 
 // blockIndex maps each block name of f to the block's position. Block
@@ -96,7 +120,7 @@ func blockIndex(f *ir.Func) map[string]int {
 // mergeBlocks merges a block into its jump-only successor when that
 // successor has no other predecessors, growing basic blocks (and with
 // them the scope of the DAG covering — bigger blocks are exactly what
-// the paper's front end aims for). Merged blocks are emitted through bb.
+// the paper's front end aims for). Merged blocks are emitted through e.
 //
 // Blocks are merged in order, each as often as it can be, which is the
 // order of always merging the first mergeable block: a merge moves the
@@ -104,7 +128,7 @@ func blockIndex(f *ir.Func) map[string]int {
 // count changes and a block that could not merge before still cannot.
 // The counts are taken once, and a merged-away successor leaves a nil
 // at its position until the end.
-func mergeBlocks(bb *ir.Builder, f *ir.Func) {
+func mergeBlocks(e *emitter, f *ir.Func) {
 	at := blockIndex(f)
 	preds := make([]int, len(f.Blocks))
 	for _, b := range f.Blocks {
@@ -126,7 +150,7 @@ func mergeBlocks(bb *ir.Builder, f *ir.Func) {
 			if !ok || j == i || j == 0 || preds[j] != 1 || f.Blocks[j] == nil {
 				break
 			}
-			f.Blocks[i] = mergePair(bb, b, f.Blocks[j])
+			f.Blocks[i] = mergePair(e, b, f.Blocks[j])
 			f.Blocks[j] = nil
 			merged = true
 		}
@@ -136,17 +160,17 @@ func mergeBlocks(bb *ir.Builder, f *ir.Func) {
 	}
 }
 
-// mergePair re-emits b followed by c through bb as one block named after
+// mergePair re-emits b followed by c through e as one block named after
 // b, ending as c ends.
-func mergePair(bb *ir.Builder, b, c *ir.Block) *ir.Block {
-	bb.Reset(b.Name, b, c)
-	emitNodes(bb, b, nil, nil)
-	newOf := emitNodes(bb, c, nil, nil)
-	bb.CopyTerm(c, branchCond(c, newOf))
-	return bb.Finish()
+func mergePair(e *emitter, b, c *ir.Block) *ir.Block {
+	e.Reset(b.Name, b, c)
+	emitNodes(e, b, nil, nil)
+	newOf := emitNodes(e, c, nil, nil)
+	e.CopyTerm(c, branchCond(c, newOf))
+	return e.Finish()
 }
 
-// optimizeBlock re-emits the block through bb until no
+// optimizeBlock re-emits the block through e until no
 // dead stores remain. A single re-emission is not enough: deadStores is
 // computed on the input block, where a load between two stores of the
 // same variable keeps the first store alive even when that load only
@@ -154,10 +178,13 @@ func mergePair(bb *ir.Builder, b, c *ir.Block) *ir.Block {
 // dropped and the load forwarded away, the first store is exposed as
 // dead too. Each round removes at least one store, so the loop
 // terminates.
-func optimizeBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
+func optimizeBlock(e *emitter, b *ir.Block) *ir.Block {
 	dead := deadStores(b)
 	for {
-		nb := optimizeBlockOnce(bb, b, dead, nil)
+		nb := optimizeBlockOnce(e, b, dead, nil)
+		if nb == b {
+			return b // passed through: no store was dead
+		}
 		if dead = deadStores(nb); len(dead) == 0 {
 			return nb
 		}
@@ -165,37 +192,38 @@ func optimizeBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
 	}
 }
 
-// optimizeBlockOnce re-emits the block through bb, reset for it
-// (emitNodes), applying constant folding and algebraic simplification
-// per node; the builder's hash-consing provides CSE and Finish removes
-// dead code. The stores marked in dead are dropped, and a node with a
-// load[n.ID] entry is replaced by a load of that location.
-func optimizeBlockOnce(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) *ir.Block {
-	bb.Reset(b.Name, b)
-	newOf := emitNodes(bb, b, dead, load)
-	bb.CopyTerm(b, branchCond(b, newOf))
-	return bb.Finish()
+// optimizeBlockOnce re-emits the block through e (emitNodes),
+// applying constant folding and algebraic simplification per node; the
+// builder's hash-consing provides CSE and Finish removes dead code. The
+// stores marked in dead are dropped, and a node with a load[n.ID] entry
+// is replaced by a load of that location. It returns b itself when that
+// changes nothing (ir.Builder.Reemit).
+func optimizeBlockOnce(e *emitter, b *ir.Block, dead map[int]bool, load []string) *ir.Block {
+	e.Reemit(b)
+	newOf := emitNodes(e, b, dead, load)
+	e.CopyTerm(b, branchCond(b, newOf))
+	return e.Finish()
 }
 
-// emitNodes re-emits b's nodes into bb in order, with emitSimplified
-// folding each computation, and returns the new nodes indexed by the
-// old Node.ID (IDs are unique only within one block). The stores at the
-// positions in b.Nodes that dead marks are dropped, and node n is
-// replaced by a load of load[n.ID] when that entry is set; either may
-// be nil.
-func emitNodes(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) []*ir.Node {
-	newOf := make([]*ir.Node, b.IDBound())
+// emitNodes re-emits b's nodes into e's builder in order, with
+// emitSimplified folding each computation, and returns the new nodes
+// indexed by the old Node.ID (IDs are unique only within one block) in
+// e's scratch. The stores at the positions in b.Nodes that dead marks
+// are dropped, and node n is replaced by a load of load[n.ID] when that
+// entry is set; either may be nil.
+func emitNodes(e *emitter, b *ir.Block, dead map[int]bool, load []string) []*ir.Node {
+	newOf := e.newNodes(b)
 	for i, n := range b.Nodes {
 		switch {
 		case load != nil && load[n.ID] != "":
-			newOf[n.ID] = bb.Load(load[n.ID])
+			newOf[n.ID] = e.Load(load[n.ID])
 		case n.Op == ir.OpConst:
-			newOf[n.ID] = bb.Const(n.Const)
+			newOf[n.ID] = e.Const(n.Const)
 		case n.Op == ir.OpLoad:
-			newOf[n.ID] = bb.Load(n.Var)
+			newOf[n.ID] = e.Load(n.Var)
 		case n.Op == ir.OpStore:
 			if !dead[i] {
-				bb.Store(n.Var, newOf[n.Args[0].ID])
+				e.Store(n.Var, newOf[n.Args[0].ID])
 			}
 		default:
 			var buf [2]*ir.Node
@@ -203,7 +231,7 @@ func emitNodes(bb *ir.Builder, b *ir.Block, dead map[int]bool, load []string) []
 			for _, a := range n.Args {
 				args = append(args, newOf[a.ID])
 			}
-			newOf[n.ID] = emitSimplified(bb, n.Op, args)
+			newOf[n.ID] = emitSimplified(e.Builder, n.Op, args)
 		}
 	}
 	return newOf
@@ -223,29 +251,35 @@ func branchCond(b *ir.Block, newOf []*ir.Node) *ir.Node {
 // are none.
 func deadStores(b *ir.Block) map[int]bool {
 	var dead map[int]bool
-	for i, n := range b.Nodes {
-		if n.Op != ir.OpStore {
+	// Scanning backward, later holds the variables stored after the
+	// current node with no load of them in between.
+	var buf [16]string
+	later := buf[:0]
+	for i := len(b.Nodes) - 1; i >= 0; i-- {
+		n := b.Nodes[i]
+		if n.Op != ir.OpLoad && n.Op != ir.OpStore {
 			continue
 		}
-		for j := i + 1; j < len(b.Nodes); j++ {
-			m := b.Nodes[j]
-			if m.Op == ir.OpLoad && m.Var == n.Var {
-				break
+		switch k := slices.Index(later, n.Var); {
+		case n.Op == ir.OpLoad:
+			if k >= 0 {
+				later = slices.Delete(later, k, k+1)
 			}
-			if m.Op == ir.OpStore && m.Var == n.Var {
-				if dead == nil {
-					dead = make(map[int]bool)
-				}
-				dead[i] = true
-				break
+		case k >= 0:
+			if dead == nil {
+				dead = make(map[int]bool)
 			}
+			dead[i] = true
+		default:
+			later = append(later, n.Var)
 		}
 	}
 	return dead
 }
 
 // emitSimplified emits op over args with constant folding and algebraic
-// identities applied.
+// identities applied. Operands are compared by ID, not pointer: after a
+// Reemit diverges, a source node and its copy stand for one value.
 func emitSimplified(bb *ir.Builder, op ir.Op, args []*ir.Node) *ir.Node {
 	switch r, v := simplify(op, args); r {
 	case toConst:
@@ -274,9 +308,7 @@ const (
 )
 
 // simplify returns the rule emitSimplified applies to op over args, and
-// the constant's value for toConst. It is the one statement of the
-// folding and algebraic rules: the emitter and the check's foldsNothing
-// both call it.
+// the constant's value for toConst.
 func simplify(op ir.Op, args []*ir.Node) (rule, int64) {
 	// Full constant folding (skipping division by zero, which must keep
 	// its runtime behaviour).
@@ -311,7 +343,7 @@ func simplifyBinary(op ir.Op, x, y *ir.Node) (rule, int64) {
 	yOne := y.Op == ir.OpConst && y.Const == 1
 	xZero := x.Op == ir.OpConst && x.Const == 0
 	xOne := x.Op == ir.OpConst && x.Const == 1
-	same := x == y
+	same := x.ID == y.ID
 
 	switch op {
 	case ir.OpAdd:
@@ -391,9 +423,9 @@ func simplifyBinary(op ir.Op, x, y *ir.Node) (rule, int64) {
 }
 
 // foldBranches turns branches on constants into jumps. The jump block
-// is a copy of b made through bb, not b edited: b may be a block of
+// is a copy of b made through e, not b edited: b may be a block of
 // Optimize's input, and dropping the dead condition renumbers nodes.
-func foldBranches(bb *ir.Builder, f *ir.Func) {
+func foldBranches(e *emitter, f *ir.Func) {
 	for i, b := range f.Blocks {
 		if b.Term != ir.TermBranch || b.Cond == nil || b.Cond.Op != ir.OpConst {
 			continue
@@ -402,20 +434,20 @@ func foldBranches(bb *ir.Builder, f *ir.Func) {
 		if b.Cond.Const == 0 {
 			target = b.Succs[1]
 		}
-		bb.Reset(b.Name, b)
-		newOf := make([]*ir.Node, b.IDBound())
+		e.Reset(b.Name, b)
+		newOf := e.newNodes(b)
 		for _, n := range b.Nodes {
 			var buf [2]*ir.Node
 			args := buf[:0]
 			for _, a := range n.Args {
 				args = append(args, newOf[a.ID])
 			}
-			nn := bb.Block.NewNode(n.Op, args...)
+			nn := e.Block.NewNode(n.Op, args...)
 			nn.Const, nn.Var = n.Const, n.Var
 			newOf[n.ID] = nn
 		}
-		bb.Jump(target)
-		f.Blocks[i] = bb.Finish()
+		e.Jump(target)
+		f.Blocks[i] = e.Finish()
 	}
 }
 

@@ -447,8 +447,8 @@ block b2:
 		if got.String() != tc.want {
 			t.Errorf("%s: Optimize output changed\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
 		}
-		bb := ir.NewBuilder("")
-		once := reassociateBlock(bb, optimizeBlock(bb, f.Block(tc.block)))
+		e := newEmitter()
+		once := reassociateBlock(&e, optimizeBlock(&e, f.Block(tc.block)))
 		if final := got.Block(tc.block); final == nil || final.String() == once.String() {
 			t.Errorf("%s: block %s is already final after one local pass; the pinned case no longer needs the second", tc.name, tc.block)
 		}

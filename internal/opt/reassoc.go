@@ -1,6 +1,10 @@
 package opt
 
-import "aviv/internal/ir"
+import (
+	"slices"
+
+	"aviv/internal/ir"
+)
 
 // Reassociation: left-leaning chains of an associative, commutative
 // operation (a+b+c+d built as ((a+b)+c)+d) serialize on any machine —
@@ -14,70 +18,39 @@ import "aviv/internal/ir"
 // broken. Integer Add/Mul/And/Or/Xor are fully associative, so the
 // rewrite is exact.
 
-var reassociable = map[ir.Op]bool{
-	ir.OpAdd: true,
-	ir.OpMul: true,
-	ir.OpAnd: true,
-	ir.OpOr:  true,
-	ir.OpXor: true,
+func reassociable(op ir.Op) bool {
+	switch op {
+	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor:
+		return true
+	}
+	return false
 }
 
 // uses records how many nodes consume a node's value within its block,
-// and the last of them (the only one when n == 1).
+// and the op of the last of them (the only one when n == 1).
 type uses struct {
-	n    int
-	user *ir.Node
+	n      int32
+	userOp ir.Op
 }
 
 // reassociateBlock returns a copy of the block with associative chains
-// rebalanced, emitted through bb.
-func reassociateBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
-	users := make([]uses, b.IDBound()) // indexed by Node.ID
+// rebalanced, emitted through e, or b itself when that changes nothing
+// (ir.Builder.Reemit).
+func reassociateBlock(e *emitter, b *ir.Block) *ir.Block {
+	e.newNodes(b)
+	e.users = slices.Grow(e.users[:0], len(e.newOf))[:len(e.newOf)]
+	clear(e.users)
 	for _, n := range b.Nodes {
 		for _, a := range n.Args {
-			users[a.ID].n++
-			users[a.ID].user = n
+			e.users[a.ID].n++
+			e.users[a.ID].userOp = n.Op
 		}
 	}
-	bb.Reset(b.Name, b)
-	newOf := make([]*ir.Node, len(users))
-
-	// get lazily materializes the new node for an old one, rebalancing
-	// chain roots on the way.
-	var get func(n *ir.Node) *ir.Node
-	get = func(n *ir.Node) *ir.Node {
-		if nn := newOf[n.ID]; nn != nil {
-			return nn
-		}
-		var nn *ir.Node
-		switch {
-		case n.Op == ir.OpConst:
-			nn = bb.Const(n.Const)
-		case n.Op == ir.OpLoad:
-			nn = bb.Load(n.Var)
-		case reassociable[n.Op] && isChainRoot(n, users):
-			// The leaves are replaced by their new nodes in place.
-			args := chainLeaves(nil, n, n.Op, users, true)
-			for i, l := range args {
-				args[i] = get(l)
-			}
-			nn = balanced(bb, n.Op, args)
-		default:
-			var buf [2]*ir.Node
-			args := buf[:0]
-			for _, a := range n.Args {
-				args = append(args, get(a))
-			}
-			nn = bb.Op(n.Op, args...)
-		}
-		newOf[n.ID] = nn
-		return nn
-	}
-
+	e.Reemit(b)
 	for _, n := range b.Nodes {
 		switch n.Op {
 		case ir.OpStore:
-			bb.Store(n.Var, get(n.Args[0]))
+			e.Store(n.Var, e.get(n.Args[0]))
 		case ir.OpConst:
 			// Materialized on demand (position-independent).
 		case ir.OpLoad:
@@ -85,17 +58,53 @@ func reassociateBlock(bb *ir.Builder, b *ir.Block) *ir.Block {
 			// at its first user's position can move it past a store to the
 			// same variable, where the builder forwards it to the stored
 			// value instead of the value the original load read.
-			get(n)
+			e.get(n)
 		default:
-			get(n)
+			e.get(n)
 		}
 	}
 	var cond *ir.Node
 	if b.Term == ir.TermBranch {
-		cond = get(b.Cond)
+		cond = e.get(b.Cond)
 	}
-	bb.CopyTerm(b, cond)
-	return bb.Finish()
+	e.CopyTerm(b, cond)
+	return e.Finish()
+}
+
+// get lazily materializes reassociateBlock's new node for an old one,
+// rebalancing chain roots on the way.
+func (e *emitter) get(n *ir.Node) *ir.Node {
+	if nn := e.newOf[n.ID]; nn != nil {
+		return nn
+	}
+	var nn *ir.Node
+	switch {
+	case n.Op == ir.OpConst:
+		nn = e.Const(n.Const)
+	case n.Op == ir.OpLoad:
+		nn = e.Load(n.Var)
+	case reassociable(n.Op) && isChainRoot(n, e.users):
+		// The leaves go on the stack and are replaced by their new nodes
+		// in place; a chain met on the way stacks its leaves above them
+		// and takes them off again.
+		s := len(e.leaves)
+		e.leaves = chainLeaves(e.leaves, n, n.Op, e.users, true)
+		for i := s; i < len(e.leaves); i++ {
+			l := e.get(e.leaves[i])
+			e.leaves[i] = l
+		}
+		nn = balanced(e.Builder, n.Op, e.leaves[s:])
+		e.leaves = e.leaves[:s]
+	default:
+		var buf [2]*ir.Node
+		args := buf[:0]
+		for _, a := range n.Args {
+			args = append(args, e.get(a))
+		}
+		nn = e.Op(n.Op, args...)
+	}
+	e.newOf[n.ID] = nn
+	return nn
 }
 
 // isChainRoot reports whether n heads a same-op chain (it is not itself a
@@ -105,7 +114,7 @@ func isChainRoot(n *ir.Node, users []uses) bool {
 	if u.n != 1 {
 		return true
 	}
-	return u.user.Op != n.Op
+	return u.userOp != n.Op
 }
 
 // chainLeaves appends to dst the operands of the maximal same-op chain

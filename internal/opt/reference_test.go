@@ -222,7 +222,8 @@ func TestGlobalOptimizeMatchesReference(t *testing.T) {
 	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
 		n++
 		got := Optimize(f)
-		want := optimizeLocal(ir.NewBuilder(""), f)
+		e := newEmitter()
+		want := optimizeLocal(&e, f)
 		refGlobalOptimize(want)
 		if len(got.Blocks) != len(want.Blocks) {
 			t.Fatalf("%s: %d blocks, reference has %d", label, len(got.Blocks), len(want.Blocks))
@@ -319,8 +320,8 @@ func TestGlobalOptimizeKeepsTerminators(t *testing.T) {
 		step = 10
 	}
 	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
-		bb := ir.NewBuilder("")
-		out := optimizeLocal(bb, f)
+		e := newEmitter()
+		out := optimizeLocal(&e, f)
 		type term struct {
 			kind  ir.TermKind
 			succs string
@@ -329,7 +330,7 @@ func TestGlobalOptimizeKeepsTerminators(t *testing.T) {
 		for i, b := range out.Blocks {
 			before[i] = term{b.Term, fmt.Sprint(b.Succs)}
 		}
-		globalOptimize(bb, out)
+		globalOptimize(&e, out)
 		if len(out.Blocks) != len(before) {
 			t.Fatalf("%s: global passes changed the block count %d -> %d", label, len(before), len(out.Blocks))
 		}

@@ -25,15 +25,15 @@ func TestGlobalStateReuseIsSound(t *testing.T) {
 	}
 	replaced := 0
 	forEachCorpusFunc(t, step, func(label string, f *ir.Func) {
-		bb := ir.NewBuilder("")
-		out := optimizeLocal(bb, f)
+		e := newEmitter()
+		out := optimizeLocal(&e, f)
 		g := newGlobal(out)
 		for round := 0; ; round++ {
 			at := fmt.Sprintf("%s round %d", label, round)
 			compareLiveness(t, at, g.s.Liveness(), dataflow.Liveness(out))
 			compareAvailable(t, at, g.s.Available(), dataflow.Available(out))
 			before := slices.Clone(out.Blocks)
-			changed := g.round(bb)
+			changed := g.round(&e)
 			for i := range before {
 				if out.Blocks[i] != before[i] {
 					replaced++

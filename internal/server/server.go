@@ -360,10 +360,9 @@ func RequestKey(req CompileRequest) string {
 // sends ever-new texts from growing the map without bound.
 const maxInternedMachines = 64
 
-// machineInterner parses and fingerprints each distinct machine text
-// once, sharing the resulting *isdl.Machine pointer across requests —
-// which also lets the compile cache's per-pointer machine-fingerprint
-// memoization work across requests. It keeps the most recently used
+// machineInterner parses (and so fingerprints, in isdl.Finalize) each
+// distinct machine text once, sharing the resulting *isdl.Machine
+// pointer across requests. It keeps the most recently used
 // maxInternedMachines texts; an evicted text is parsed again on its
 // next request, into an equal machine.
 type machineInterner struct {
@@ -383,7 +382,7 @@ func (mi *machineInterner) intern(text string, counters *metrics.ServerCounters)
 		return nil, err
 	}
 	// Two racers may parse the same text; keep the first so the pointer
-	// stays stable for fingerprint memoization.
+	// stays stable across requests.
 	m, added := mi.byText.Add(text, parsed)
 	if added {
 		counters.MachinesInterned.Add(1)

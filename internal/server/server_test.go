@@ -758,12 +758,11 @@ func TestRetryAfterJitter(t *testing.T) {
 }
 
 // TestMachineMapsStayBounded sends twice the interner's cap of distinct
-// machine texts. The interner and the cache's machine-fingerprint memo
-// stay within their caps, and a machine evicted from both compiles
-// byte-identically to its first response when it is sent again.
+// machine texts. The interner stays within its cap, and an evicted
+// machine compiles byte-identically to its first response when it is
+// sent again.
 func TestMachineMapsStayBounded(t *testing.T) {
-	cache := cover.NewBoundedCache(0)
-	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cache}})
+	s, ts := testServer(t, Config{Options: aviv.Options{Cache: cover.NewBoundedCache(0)}})
 	machine := func(i int) string { return fmt.Sprintf("# variant %d\n%s", i, isdl.ExampleArchISDL) }
 	compile := func(i int) string {
 		t.Helper()
@@ -780,15 +779,12 @@ func TestMachineMapsStayBounded(t *testing.T) {
 		if got := s.machines.byText.Stats().Len; got > maxInternedMachines {
 			t.Fatalf("after %d machines the interner holds %d texts, cap %d", i+1, got, maxInternedMachines)
 		}
-		if got := cache.MachineFingerprints(); got > cover.MaxMachineFingerprints {
-			t.Fatalf("after %d machines the fingerprint memo holds %d, cap %d", i+1, got, cover.MaxMachineFingerprints)
-		}
 	}
 	if got := s.Counters().MachinesInterned.Load(); got != int64(n) {
 		t.Fatalf("machines interned = %d, want %d", got, n)
 	}
-	if s.machines.byText.Stats().Len != maxInternedMachines || cache.MachineFingerprints() != cover.MaxMachineFingerprints {
-		t.Fatal("both maps should be full: nothing was evicted")
+	if s.machines.byText.Stats().Len != maxInternedMachines {
+		t.Fatal("the interner should be full: nothing was evicted")
 	}
 	if again := compile(0); again != first {
 		t.Fatalf("evicted machine compiled differently:\nfirst:\n%s\nagain:\n%s", first, again)

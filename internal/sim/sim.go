@@ -33,7 +33,6 @@ type Machine struct {
 
 	// Cycles counts executed instructions (including control transfers).
 	Cycles int
-	stats  *Stats
 	// TraceFn, when set, receives one line per executed instruction.
 	TraceFn func(string)
 }
@@ -45,10 +44,6 @@ func New(p *asm.Program, mem map[string]int64) *Machine {
 		prog: p,
 		regs: make(map[string][]int64),
 		mem:  make(map[string]int64, len(mem)),
-		stats: &Stats{
-			UnitOps:  make(map[string]int),
-			BusMoves: make(map[string]int),
-		},
 	}
 	for _, bank := range p.Machine.Banks() {
 		m.regs[bank] = make([]int64, p.Machine.BankSize(bank))
@@ -219,13 +214,6 @@ func (m *Machine) exec(in asm.Instr) error {
 	}
 
 	m.pendingW = append(m.pendingW, writes...)
-	m.stats.Instructions++
-	for _, op := range in.Ops {
-		m.stats.UnitOps[op.Unit]++
-	}
-	for _, mv := range in.Moves {
-		m.stats.BusMoves[mv.Bus]++
-	}
 	if m.TraceFn != nil {
 		m.TraceFn(fmt.Sprintf("cycle %d: %s", m.Cycles, in.String()))
 	}

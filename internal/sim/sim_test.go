@@ -185,31 +185,3 @@ func TestConstCondBranch(t *testing.T) {
 		t.Errorf("constant branch not taken: %v", mem)
 	}
 }
-
-func TestStats(t *testing.T) {
-	p := handProgram(isdl.ExampleArch(4))
-	m := New(p, map[string]int64{"x": 5})
-	if err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.Instructions != 5 { // 3 in b0 + 2 in small
-		t.Errorf("Instructions = %d, want 5", st.Instructions)
-	}
-	if st.UnitOps["U1"] != 2 || st.UnitOps["U2"] != 1 {
-		t.Errorf("UnitOps = %v", st.UnitOps)
-	}
-	if st.BusMoves["DB"] != 2 {
-		t.Errorf("BusMoves = %v", st.BusMoves)
-	}
-	if u := st.Utilization("U1"); u < 0.39 || u > 0.41 {
-		t.Errorf("Utilization(U1) = %f, want 0.4", u)
-	}
-	if b := st.BusUtilization("DB"); b < 0.39 || b > 0.41 {
-		t.Errorf("BusUtilization(DB) = %f, want 0.4", b)
-	}
-	out := st.String()
-	if !strings.Contains(out, "unit U1") || !strings.Contains(out, "bus  DB") {
-		t.Errorf("Stats.String missing fields:\n%s", out)
-	}
-}
