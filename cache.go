@@ -48,7 +48,7 @@ func domainKey(base [sha256.Size]byte, peephole bool) [sha256.Size]byte {
 // (TestEntryVersionPinsContent fails until it is bumped). Versions up
 // to 3 held the cover codec's finished schedule; they fail to decode
 // here and are deleted and rewritten like any stale entry.
-const entryVersion = 4
+const entryVersion = 5
 
 // effortFields lists the counters an entry carries, in entry order.
 func effortFields(bm *metrics.BlockMetrics) [6]*int {

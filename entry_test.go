@@ -234,6 +234,7 @@ func TestEntryDecodeRejectsMalformed(t *testing.T) {
 // current build does not emit.
 var entryHashes = map[int]string{
 	4: "fa8c56d1bc0e6246870c6739d19e89955e68e1fa48f37730be24ff603d2deef1",
+	5: "07e750393b78a61d7e24038e5f98d325caaee6610aeaf2261a5f304b4b8a6b7f",
 }
 
 // TestEntryVersionPinsContent fails when the corpus's entries change

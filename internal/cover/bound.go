@@ -3,11 +3,10 @@ package cover
 // assignmentLowerBound returns an admissible lower bound on the cost (in
 // VLIW instructions) of any covering the scheduler can produce from the
 // given solution graph — including coverings obtained after spilling. It
-// lets CoverDAG order assignments best-first and prune ones whose bound
-// already exceeds the incumbent, without ever changing which solution
-// wins: a pruned assignment provably cannot beat the incumbent even on
-// cost ties, because pruning requires bound strictly above the incumbent
-// cost.
+// lets CoverDAG skip assignments whose bound already exceeds the
+// incumbent, without ever changing which solution wins: a pruned
+// assignment provably cannot beat the incumbent even on cost ties,
+// because pruning requires bound strictly above the incumbent cost.
 //
 // Spilling can only add work (store/reload chains and their order
 // edges), with one exception: spillValue removes uncovered MoveNodes on

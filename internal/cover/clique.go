@@ -218,7 +218,7 @@ func topoOrder(sub subset) []int32 {
 	return order
 }
 
-// cliqueGen holds the working state of one GenMaxCliquesBits run: the
+// cliqueGen holds the working state of one genMaxCliques run: the
 // matrix, the accumulated cliques with their dedupe set, a scratch
 // member list, and a free list of recursion-frame sets.
 type cliqueGen struct {
@@ -328,30 +328,21 @@ func (g *cliqueGen) gen(clique, cand bitset.Set, index int) {
 	g.rest = g.rest[:base]
 }
 
-// GenMaxCliquesBits enumerates all maximal cliques of the bitset
+// genMaxCliques enumerates all maximal cliques of the bitset
 // parallelism matrix using the paper's Fig. 8 algorithm: the first phase
 // greedily absorbs every candidate that precludes no other candidate,
 // and the i < index test prunes branches whose cliques were already
 // produced from an earlier-numbered seed. Candidate intersection,
 // absorption, and the preclusion test are word-wise AND/ANDNOT over the
 // packed rows. Cliques are returned as sorted index slices, largest
+// first, and recorded into the caller's dedupe set, which is reset
 // first.
-func GenMaxCliquesBits(pm *bitset.Matrix) [][]int {
-	return GenMaxCliquesLimit(pm, 0)
-}
-
-// GenMaxCliquesLimit is GenMaxCliquesBits with a budget: enumeration
-// stops deterministically once budget cliques are recorded (0 means
-// unlimited), and a repair pass then extends the result with one
-// greedily-built maximal clique per node the truncated enumeration left
-// uncovered, so downstream covering always finds a grouping for every
-// node.
-func GenMaxCliquesLimit(pm *bitset.Matrix, budget int) [][]int {
-	return genMaxCliques(pm, budget, new(cliqueSet))
-}
-
-// genMaxCliques is GenMaxCliquesLimit recording into the caller's
-// dedupe set, which it resets first.
+//
+// With a budget, enumeration stops deterministically once budget
+// cliques are recorded (0 means unlimited), and a repair pass then
+// extends the result with one greedily-built maximal clique per node the
+// truncated enumeration left uncovered, so downstream covering always
+// finds a grouping for every node.
 func genMaxCliques(pm *bitset.Matrix, budget int, seen *cliqueSet) [][]int {
 	n := pm.N()
 	seen.reset()
@@ -417,8 +408,8 @@ func (g *cliqueGen) repairCoverage() {
 	}
 }
 
-// GenMaxCliques is GenMaxCliquesBits over a [][]bool matrix, kept for
-// the figure-reproduction harness and tests.
+// GenMaxCliques is genMaxCliques, unbudgeted, over a [][]bool matrix,
+// kept for the figure-reproduction harness and tests.
 func GenMaxCliques(par [][]bool) [][]int {
 	n := len(par)
 	pm := bitset.NewMatrix(n)
@@ -429,7 +420,7 @@ func GenMaxCliques(par [][]bool) [][]int {
 			}
 		}
 	}
-	return GenMaxCliquesBits(pm)
+	return genMaxCliques(pm, 0, new(cliqueSet))
 }
 
 // compareCliques orders cliques largest first, ties broken by the

@@ -195,7 +195,7 @@ func BenchmarkGenMaxCliques(b *testing.B) {
 	b.Run("bitset", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			GenMaxCliquesBits(pm)
+			genMaxCliques(pm, 0, new(cliqueSet))
 		}
 	})
 }

@@ -77,11 +77,12 @@ func (s *Solution) Clone() *Solution {
 }
 
 // clone deep-copies a solution graph no scheduler has touched, so one
-// build serves two schedules: coverAssignment hands the copy to the
-// list scheduler and the original to the clique covering, which spills
-// into it. Arena-style like Solution.Clone: the nodes share one backing
-// array and the edge lists are carved from one pointer slab, remapped
-// by SNode.ID (g.nodes[i].ID == i).
+// build serves every schedule of an assignment: coverAssignment hands
+// the original to the clique covering, which spills into it, and copies
+// to the list scheduler and the heuristics-off windowed covering.
+// Arena-style like Solution.Clone: the nodes share one backing array
+// and the edge lists are carved from one pointer slab, remapped by
+// SNode.ID (g.nodes[i].ID == i).
 func (g *graph) clone() *graph {
 	c := *g
 	arena := make([]SNode, len(g.nodes))

@@ -2,7 +2,6 @@ package cover
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"aviv/internal/bitset"
@@ -120,97 +119,52 @@ func coveredDAG(block *ir.Block, m *isdl.Machine, opts Options) (*sndag.DAG, int
 	return d, pruned, err
 }
 
-// maxKeptGraphs is the largest assignment count for which CoverDAG
-// keeps each lower-bound graph for its assignment's covering (above the
-// default beam width of 16).
-const maxKeptGraphs = 64
-
 // CoverDAG is CoverBlock for a pre-built Split-Node DAG.
 //
-// Assignments are covered best-first by an admissible lower bound
-// (assignmentLowerBound) with branch-and-bound pruning: once an
-// incumbent solution exists, any assignment whose bound strictly
-// exceeds the incumbent cost is skipped. The winner is identical to the
-// original first-to-last scan — ties on (cost, spill count) still go to
-// the assignment with the lowest exploration index, and pruning only
-// discards assignments that cannot win even a tie.
+// Assignments are covered in exploration order with branch-and-bound
+// pruning: each assignment's solution graph is built once, and once an
+// incumbent solution exists, an assignment whose admissible lower bound
+// (assignmentLowerBound) strictly exceeds the incumbent cost is skipped
+// without covering. The winner is that of covering every assignment:
+// ties on (cost, spill count) go to the earlier assignment, and pruning
+// only discards assignments that cannot win even a tie.
 func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 	assigns := exploreAssignments(d, opts)
 	if len(assigns) == 0 {
 		return nil, fmt.Errorf("cover: no functional-unit assignment found for block %s", d.Block.Name)
 	}
 	res := &Result{DAG: d}
-
-	// Lower-bound prepass. The bound only reads its graph, so with few
-	// assignments (the default beam) each graph is kept for the clique
-	// covering of its assignment, which schedules it once. With more,
-	// holding one graph per assignment would bloat exhaustive runs, so
-	// they are discarded and each covered assignment rebuilds.
-	type candidate struct {
-		idx int // original exploreAssignments index
-		a   *Assignment
-		lb  int
-		g   *graph // the bound's graph, when kept
-		err error  // buildGraph failure, fatal for this assignment
-	}
-	keep := len(assigns) <= maxKeptGraphs
-	cands := make([]candidate, len(assigns))
-	for i, a := range assigns {
-		cands[i] = candidate{idx: i, a: a}
-		if g, err := buildGraph(d, a, opts); err != nil {
-			cands[i].err = err
-		} else {
-			cands[i].lb = assignmentLowerBound(g)
-			if keep {
-				cands[i].g = g
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lb != cands[j].lb {
-			return cands[i].lb < cands[j].lb
-		}
-		return cands[i].idx < cands[j].idx
-	})
-
 	var firstErr error
-	firstErrIdx := len(assigns)
-	bestIdx := len(assigns)
-	for i := range cands {
-		c := cands[i]
-		cands[i].g = nil // covered at most once; let it go after
-		if c.err != nil {
+	for i, a := range assigns {
+		g, err := buildGraph(d, a, opts)
+		if err != nil {
 			// Transfer routing failed; ListSchedule shares buildGraph, so
 			// covering this assignment cannot succeed either.
-			if c.idx < firstErrIdx {
-				firstErr, firstErrIdx = c.err, c.idx
+			if firstErr == nil {
+				firstErr = err
 			}
 			continue
 		}
-		if res.Best != nil && c.lb > res.Best.Cost() {
+		lb := assignmentLowerBound(g)
+		if res.Best != nil && lb > res.Best.Cost() {
 			res.PrunedAssignments++
 			if opts.Trace != nil {
-				opts.Trace.logf("pruned assignment %d (lower bound %d > best %d)", c.idx, c.lb, res.Best.Cost())
+				opts.Trace.logf("pruned assignment %d (lower bound %d > best %d)", i, lb, res.Best.Cost())
 			}
 			continue
 		}
 		if opts.Trace != nil {
-			opts.Trace.logf("covering assignment %d (heuristic cost %d, lower bound %d)", c.idx, c.a.HeurCost, c.lb)
+			opts.Trace.logf("covering assignment %d (heuristic cost %d, lower bound %d)", i, a.HeurCost, lb)
 		}
-		sol, err := coverAssignment(d, c.a, c.g, opts)
+		sol, err := coverAssignment(d, a, g, opts)
 		if err != nil {
-			if c.idx < firstErrIdx {
-				firstErr, firstErrIdx = err, c.idx
+			if firstErr == nil {
+				firstErr = err
 			}
 			continue
 		}
 		res.AssignmentsExplored++
-		if res.Best == nil || sol.Cost() < res.Best.Cost() ||
-			(sol.Cost() == res.Best.Cost() && (sol.SpillCount < res.Best.SpillCount ||
-				(sol.SpillCount == res.Best.SpillCount && c.idx < bestIdx))) {
-			res.Best = sol
-			bestIdx = c.idx
-		}
+		res.Best = betterSolution(res.Best, sol)
 	}
 	if res.Best == nil {
 		// Register files too tight for the clique coverer: fall back to
@@ -238,47 +192,36 @@ func CoverDAG(d *sndag.DAG, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// coverAssignment builds the solution graph for one assignment, inserts
-// the required transfers, and runs the greedy clique covering. A small
-// schedule portfolio improves robustness: the clique covering
-// occasionally loses to a plain ready-list schedule on long accumulation
-// chains (maximal groupings bias it toward width over depth), so the
-// list schedule always competes; with the level-window heuristic
-// disabled (heuristics-off mode) the windowed covering competes too, so
-// the exhaustive candidate set is a strict superset of the heuristic one.
+// coverAssignment covers one assignment from its solution graph g,
+// fresh from buildGraph and not yet scheduled, with the greedy clique
+// covering. A small schedule portfolio improves robustness: the clique
+// covering occasionally loses to a plain ready-list schedule on long
+// accumulation chains (maximal groupings bias it toward width over
+// depth), so the list schedule always competes; with the level-window
+// heuristic disabled (heuristics-off mode) the windowed covering
+// competes too, so the exhaustive candidate set is a strict superset of
+// the heuristic one. Each schedule runs on its own copy of g: the clique
+// covering mutates the graph it schedules. buildGraph ignores the level
+// window, so the windowed covering's graph is a copy of g as well.
 //
 // The window reaches the greedy covering only through its parallelism
 // matrix: the initial groupings, and the groupings rebuilt after a
 // spill. So when the unwindowed covering succeeded without spilling and
 // the windowed matrix is the same, the windowed covering would repeat it
 // step for step, and it is skipped.
-//
-// g, when not nil, is a's solution graph, fresh from buildGraph and not
-// yet scheduled; otherwise coverAssignment builds it.
 func coverAssignment(d *sndag.DAG, a *Assignment, g *graph, opts Options) (*Solution, error) {
-	var pm *bitset.Matrix
-	if g == nil {
-		var err error
-		if g, pm, err = cliqueGraph(d, a, opts); err != nil {
-			// buildGraph ignores the level window, so the windowed
-			// covering and ListSchedule would fail the same way.
-			return nil, err
-		}
-	} else {
-		pm = graphMatrix(g, opts)
-	}
-	// The list schedule gets its own copy: the clique covering mutates g.
+	pm := graphMatrix(g, opts)
 	lg := g.clone()
 	best, firstErr := cliqueCover(d, a, g, pm, opts)
 	if opts.LevelWindow < 0 {
 		windowed := opts
 		windowed.LevelWindow = DefaultOptions().LevelWindow
-		if wg, wpm, err := cliqueGraph(d, a, windowed); err == nil {
-			if best != nil && best.SpillCount == 0 && pm != nil && pm.Equal(wpm) {
-				opts.Trace.logf("windowed covering skipped: matrix unchanged")
-			} else if sol, err := cliqueCover(d, a, wg, wpm, windowed); err == nil {
-				best = betterSolution(best, sol)
-			}
+		// lg is still unscheduled: it stands in for g before covering.
+		wpm := graphMatrix(lg, windowed)
+		if best != nil && best.SpillCount == 0 && pm != nil && pm.Equal(wpm) {
+			opts.Trace.logf("windowed covering skipped: matrix unchanged")
+		} else if sol, err := cliqueCover(d, a, lg.clone(), wpm, windowed); err == nil {
+			best = betterSolution(best, sol)
 		}
 	}
 	if ls, err := listSchedule(d, a, lg, opts); err == nil {
@@ -303,16 +246,6 @@ func betterSolution(a, b *Solution) *Solution {
 	return a
 }
 
-// cliqueGraph builds the solution graph of assignment a and its
-// parallelism matrix under opts.LevelWindow (nil for an empty graph).
-func cliqueGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, *bitset.Matrix, error) {
-	g, err := buildGraph(d, a, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, graphMatrix(g, opts), nil
-}
-
 // graphMatrix is the parallelism matrix of g under opts.LevelWindow
 // (nil for an empty graph).
 func graphMatrix(g *graph, opts Options) *bitset.Matrix {
@@ -322,8 +255,8 @@ func graphMatrix(g *graph, opts Options) *bitset.Matrix {
 	return parallelMatrix(g.nodes, g.ix, opts.LevelWindow)
 }
 
-// cliqueCover runs the greedy clique covering on a fresh graph g from
-// cliqueGraph, starting from the maximal groupings of its matrix pm.
+// cliqueCover runs the greedy clique covering on a fresh graph g,
+// starting from the maximal groupings of its matrix pm.
 func cliqueCover(d *sndag.DAG, a *Assignment, g *graph, pm *bitset.Matrix, opts Options) (*Solution, error) {
 	sched := newScheduler(g, opts)
 	if pm != nil {

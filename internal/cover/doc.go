@@ -68,7 +68,12 @@
 //     chains — and the smaller result wins. With the level-window
 //     heuristic disabled (heuristics-off mode) the windowed covering runs
 //     too, keeping the exhaustive candidate set a superset of the
-//     heuristic one.
+//     heuristic one. Each schedule runs on its own clone of the one
+//     solution graph built for the assignment (buildGraph ignores the
+//     level window), since the clique covering spills into its graph.
+//     CoverDAG builds that graph once per assignment, in exploration
+//     order, and skips the covering when the graph's admissible lower
+//     bound (bound.go) already exceeds the best cost found.
 //
 //  7. serialFallback (serial.go): if every assignment fails (register
 //     files smaller than any legal schedule's needs), emit strictly

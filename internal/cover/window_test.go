@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aviv/internal/bitset"
 	"aviv/internal/ir"
 	"aviv/internal/isdl"
 	"aviv/internal/sndag"
@@ -32,6 +33,16 @@ func referenceCoverAssignment(d *sndag.DAG, a *Assignment, opts Options) (*Solut
 		return nil, firstErr
 	}
 	return best, nil
+}
+
+// cliqueGraph builds the solution graph of assignment a and its
+// parallelism matrix under opts.LevelWindow (nil for an empty graph).
+func cliqueGraph(d *sndag.DAG, a *Assignment, opts Options) (*graph, *bitset.Matrix, error) {
+	g, err := buildGraph(d, a, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, graphMatrix(g, opts), nil
 }
 
 // TestWindowedSkipMatchesReference checks that skipping the windowed
@@ -72,7 +83,11 @@ func TestWindowedSkipMatchesReference(t *testing.T) {
 				want, wantErr := referenceCoverAssignment(d, a, opts)
 				traced := opts
 				traced.Trace = &Trace{}
-				got, gotErr := coverAssignment(d, a, nil, traced)
+				var got *Solution
+				g, gotErr := buildGraph(d, a, traced)
+				if gotErr == nil {
+					got, gotErr = coverAssignment(d, a, g, traced)
+				}
 				if (gotErr == nil) != (wantErr == nil) ||
 					(gotErr != nil && gotErr.Error() != wantErr.Error()) {
 					t.Fatalf("assignment %d: error %v, reference %v", i, gotErr, wantErr)

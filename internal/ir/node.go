@@ -230,7 +230,8 @@ func (b *Block) IDBound() int {
 // that range are not block nodes (Verify rejects them) and are not
 // marked.
 func (b *Block) LiveByID(buf []bool) []bool {
-	live := slices.Grow(buf[:0], b.IDBound())[:b.IDBound()]
+	bound := b.IDBound()
+	live := slices.Grow(buf[:0], bound)[:bound]
 	clear(live)
 	var mark func(*Node)
 	mark = func(n *Node) {
